@@ -303,8 +303,9 @@ def canonical_form(profile: Profile) -> ProfileVector:
 # UTF-8, LF line endings.  Lines starting with '#' are comments, blank lines
 # are skipped.  The first non-comment line is `m=<int>`; every further
 # non-blank line is one voter's ballot as strictly increasing space-separated
-# 0-based candidate indices.  Multiplicity by repetition; voter labels are
-# assigned 0,1,2,... in file order.
+# 0-based candidate indices.  Numbers are plain ASCII digits (no sign, no
+# underscores).  Multiplicity by repetition; voter labels are assigned
+# 0,1,2,... in file order.
 # ---------------------------------------------------------------------------
 
 
@@ -318,17 +319,18 @@ def parse_profile(text: str) -> Profile:
         if m is None:
             if not line.startswith("m="):
                 raise ProfileFormatError(line_no, "expected 'm=<int>' before any ballot line")
-            try:
-                m = int(line[2:])
-            except ValueError:
-                raise ProfileFormatError(line_no, f"invalid candidate count {line[2:]!r}") from None
+            count = line[2:].strip()
+            if not (count.isascii() and count.isdigit()):
+                raise ProfileFormatError(line_no, f"invalid candidate count {line[2:]!r}")
+            m = int(count)
             if m < 2:
                 raise ProfileFormatError(line_no, "candidate count must be at least 2")
             continue
-        try:
-            indices = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ProfileFormatError(line_no, f"invalid ballot line {line!r}") from None
+        tokens = line.split()
+        # int() alone would also take "+1", "1_0" and non-ASCII digits
+        if not (line.isascii() and "".join(tokens).isdigit()):
+            raise ProfileFormatError(line_no, f"invalid ballot line {line!r}")
+        indices = [int(tok) for tok in tokens]
         if not indices:
             raise ProfileFormatError(line_no, "empty ballot")
         if any(i2 <= i1 for i1, i2 in zip(indices, indices[1:])):

@@ -10,10 +10,11 @@ identities like harmonic sums come out exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from math import lcm
 
 from .profiles import (
     ChoiceSet,
@@ -33,8 +34,10 @@ NAMED_RULES = ("av", "pav", "ccav", "sav", "msav", "triv")
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 
@@ -192,21 +195,90 @@ def parse_rule_spec(spec: str, k: int, m: int) -> Rule:
     raise ValueError(f"cannot parse rule spec {spec!r}")
 
 
-@lru_cache(maxsize=None)
-def _committees(m: int, k: int) -> tuple[Committee, ...]:
-    return tuple(enumerate_committees(m, k))
-
-
-@lru_cache(maxsize=None)
-def _committee_sets(m: int, k: int) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(w) for w in _committees(m, k))
-
-
 def _check_dimensions(rule: Rule, m: int) -> None:
     if isinstance(rule.scoring, (BswavWeights, AbcScoringTable)) and rule.scoring.m != m:
         raise ValueError(f"rule is parameterized for m={rule.scoring.m}, profile has m={m}")
     if rule.k > m - 1:
         raise ValueError(f"committee size {rule.k} too large for m={m}")
+
+
+# ---------------------------------------------------------------------------
+# The scoring kernel
+#
+# Every rule here is an ABC scoring rule: a committee's score is the sum over
+# ballots of s(|A ∩ W|, |A|).  Ballots and committees become bitmasks,
+# identical ballots merge into one (mask, integer weight) term, and the
+# rule becomes the integer table T[y][x] = s(x, y) * D with D the lcm of the
+# table's denominators.  A committee's score is then the integer sum of
+# w * T[|A|][popcount(A & W)] over the distinct ballots, divided by D and by
+# the weights' own scale: exact, with no rational arithmetic per term.  Cost
+# is C(m, k) committees times the number of distinct ballots.
+# ---------------------------------------------------------------------------
+
+
+def _mask(members) -> int:
+    mask = 0
+    for c in members:
+        mask |= 1 << c
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _committee_masks(m: int, k: int) -> tuple[tuple[Committee, ...], tuple[int, ...]]:
+    """All size-k committees in enumerate_committees order, with their bitmasks."""
+    committees = tuple(enumerate_committees(m, k))
+    return committees, tuple(_mask(w) for w in committees)
+
+
+@lru_cache(maxsize=256)
+def _int_table(rule: Rule, m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, T) with T[y][x] = s(x, y) * D integral for ballot sizes y = 1..m."""
+    rows = [[rule.score(x, y) for x in range(rule.k + 1)] for y in range(1, m + 1)]
+    scale = lcm(*(value.denominator for row in rows for value in row))
+    return scale, ((),) + tuple(tuple(int(value * scale) for value in row) for row in rows)
+
+
+def _profile_terms(profile: Profile) -> list[tuple[int, int]]:
+    """Distinct ballots of a profile as (mask, multiplicity)."""
+    counts = Counter(ballot for _, ballot in profile.ballots)
+    return [(_mask(ballot), count) for ballot, count in counts.items()]
+
+
+def _vector_terms(vector: ProfileVector) -> tuple[int, list[tuple[int, int]]]:
+    """(L, terms): the entries as (mask, entry * L), L the lcm of their denominators."""
+    scale = lcm(*(value.denominator for _, value in vector.entries))
+    terms = [(_mask(index_ballot(idx, vector.m)), int(value * scale)) for idx, value in vector.entries]
+    return scale, terms
+
+
+def _kernel(rule: Rule, m: int, terms: list[tuple[int, int]], committee_masks) -> tuple[int, list[int]]:
+    """(D, scores): each committee's score times D, with D the table's scale."""
+    scale, table = _int_table(rule, m)
+    rows = [(mask, tuple(weight * t for t in table[mask.bit_count()])) for mask, weight in terms]
+    return scale, [sum([row[(mask & cm).bit_count()] for mask, row in rows]) for cm in committee_masks]
+
+
+def _profile_scores(rule: Rule, profile: Profile) -> tuple[tuple[Committee, ...], int, list[int]]:
+    """(committees, D, scores) with scores[i] / D the exact score of committees[i]."""
+    _check_dimensions(rule, profile.m)
+    committees, masks = _committee_masks(profile.m, rule.k)
+    scale, scores = _kernel(rule, profile.m, _profile_terms(profile), masks)
+    return committees, scale, scores
+
+
+def _vector_scores(rule: Rule, vector: ProfileVector, k: int) -> tuple[tuple[Committee, ...], int, list[int]]:
+    _check_dimensions(rule, vector.m)
+    if k != rule.k:
+        raise ValueError(f"requested k={k} does not match rule k={rule.k}")
+    committees, masks = _committee_masks(vector.m, k)
+    weight_scale, terms = _vector_terms(vector)
+    scale, scores = _kernel(rule, vector.m, terms, masks)
+    return committees, scale * weight_scale, scores
+
+
+def _argmax(committees: tuple[Committee, ...], scores: list[int]) -> ChoiceSet:
+    best = max(scores)
+    return frozenset(w for w, score in zip(committees, scores) if score == best)
 
 
 def committee_score(rule: Rule, profile: Profile, committee: Committee | frozenset[int]) -> Fraction:
@@ -215,53 +287,30 @@ def committee_score(rule: Rule, profile: Profile, committee: Committee | frozens
     members = frozenset(committee)
     if len(members) != rule.k:
         raise ValueError(f"committee size {len(members)} does not match rule k={rule.k}")
-    score = rule.score
-    total = Fraction(0)
-    for _, ballot in profile.ballots:
-        total += score(len(ballot & members), len(ballot))
-    return total
+    if not all(isinstance(c, int) and 0 <= c < profile.m for c in members):
+        raise ValueError(f"committee {sorted(members)} has candidates outside 0..{profile.m - 1}")
+    scale, (score,) = _kernel(rule, profile.m, _profile_terms(profile), (_mask(members),))
+    return Fraction(score, scale)
 
 
 def committee_scores(rule: Rule, profile: Profile) -> list[tuple[Committee, Fraction]]:
     """Scores of all committees, in enumeration order."""
-    _check_dimensions(rule, profile.m)
-    score = rule.score
-    ballots = [(ballot, len(ballot)) for _, ballot in profile.ballots]
-    out = []
-    for committee, members in zip(_committees(profile.m, rule.k), _committee_sets(profile.m, rule.k)):
-        total = Fraction(0)
-        for ballot, size in ballots:
-            total += score(len(ballot & members), size)
-        out.append((committee, total))
-    return out
-
-
-def _argmax(scored: list[tuple[Committee, Fraction]]) -> ChoiceSet:
-    best = max(score for _, score in scored)
-    return frozenset(w for w, score in scored if score == best)
+    committees, scale, scores = _profile_scores(rule, profile)
+    return [(w, Fraction(score, scale)) for w, score in zip(committees, scores)]
 
 
 def winners(rule: Rule, profile: Profile, m_cap: int = DEFAULT_M_CAP) -> ChoiceSet:
     """The full argmax set of committees; never empty, no tie-breaking."""
     if profile.m > m_cap:
         raise ValueError(f"m={profile.m} exceeds the enumeration cap {m_cap}")
-    return _argmax(committee_scores(rule, profile))
+    committees, _, scores = _profile_scores(rule, profile)
+    return _argmax(committees, scores)
 
 
 def vector_scores(rule: Rule, vector: ProfileVector, k: int) -> list[tuple[Committee, Fraction]]:
     """Scores against a rational profile vector: sum of v_l * s(|B(l) ∩ W|, |B(l)|)."""
-    _check_dimensions(rule, vector.m)
-    if k != rule.k:
-        raise ValueError(f"requested k={k} does not match rule k={rule.k}")
-    score = rule.score
-    entries = [(index_ballot(idx, vector.m), value) for idx, value in vector.entries]
-    out = []
-    for committee, members in zip(_committees(vector.m, k), _committee_sets(vector.m, k)):
-        total = Fraction(0)
-        for ballot, value in entries:
-            total += value * score(len(ballot & members), len(ballot))
-        out.append((committee, total))
-    return out
+    committees, scale, scores = _vector_scores(rule, vector, k)
+    return [(w, Fraction(score, scale)) for w, score in zip(committees, scores)]
 
 
 def winners_from_vector(rule: Rule, vector: ProfileVector, k: int, m_cap: int = DEFAULT_M_CAP) -> ChoiceSet:
@@ -274,8 +323,9 @@ def winners_from_vector(rule: Rule, vector: ProfileVector, k: int, m_cap: int = 
         raise ValueError(f"m={vector.m} exceeds the enumeration cap {m_cap}")
     if not vector.entries:
         # the zero vector scores every committee 0
-        return frozenset(_committees(vector.m, k))
-    return _argmax(vector_scores(rule, vector, k))
+        return frozenset(_committee_masks(vector.m, k)[0])
+    committees, _, scores = _vector_scores(rule, vector, k)
+    return _argmax(committees, scores)
 
 
 def continuity_lambda_bound(rule: Rule, a: Profile, b: Profile) -> int:
@@ -287,15 +337,16 @@ def continuity_lambda_bound(rule: Rule, a: Profile, b: Profile) -> int:
     """
     if a.m != b.m:
         raise ValueError("profiles must share the candidate count")
-    scored_a = committee_scores(rule, a)
-    best_a = max(score for _, score in scored_a)
-    loser_scores = [score for _, score in scored_a if score != best_a]
+    # both score lists share the table's scale, so their ratio is exact
+    _, _, scores_a = _profile_scores(rule, a)
+    best_a = max(scores_a)
+    loser_scores = [score for score in scores_a if score != best_a]
     if not loser_scores:
         return 1
     gap_a = best_a - max(loser_scores)
-    scores_b = [score for _, score in committee_scores(rule, b)]
+    _, _, scores_b = _profile_scores(rule, b)
     spread_b = max(scores_b) - min(scores_b)
-    return 1 + ceil(spread_b / gap_a)
+    return 1 + -(-spread_b // gap_a)
 
 
 def scaled_pair_winners(rule: Rule, a: Profile, b: Profile, lam: int) -> ChoiceSet:
@@ -304,7 +355,6 @@ def scaled_pair_winners(rule: Rule, a: Profile, b: Profile, lam: int) -> ChoiceS
     Committee scores are additive over voters, so the scaled profile never
     needs to be materialized; results are bit-identical to the direct path.
     """
-    scored_a = committee_scores(rule, a)
-    scored_b = committee_scores(rule, b)
-    combined = [(w, lam * sa + sb) for (w, sa), (_, sb) in zip(scored_a, scored_b)]
-    return _argmax(combined)
+    committees, _, scores_a = _profile_scores(rule, a)
+    _, _, scores_b = _profile_scores(rule, b)
+    return _argmax(committees, [lam * sa + sb for sa, sb in zip(scores_a, scores_b)])

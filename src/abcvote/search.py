@@ -165,6 +165,11 @@ def _replay_continuity(w, choose):
 axioms.REPLAYERS["continuity"] = _replay_continuity
 
 
+def _confirm(verdict: AxiomVerdict, rule_obj) -> None:
+    if not replay(verdict, rule_obj):
+        raise RuntimeError(f"{verdict.axiom} witness does not replay against the rule")
+
+
 def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBounds) -> SearchResult:
     """First witness in stream order, or exhausted with the instance count.
 
@@ -193,7 +198,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
                             verdict = _check_pair(rule_obj, axiom, a, b, bounds)
                             instances += 1
                             if not verdict.passed:
-                                assert replay(verdict, rule_obj)
+                                _confirm(verdict, rule_obj)
                                 return SearchResult(name, axiom, True, verdict, instances)
         return SearchResult(name, axiom, False, None, instances)
 
@@ -210,7 +215,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
                         continue
                     instances += 1
                     if not verdict.passed:
-                        assert replay(verdict, rule_obj)
+                        _confirm(verdict, rule_obj)
                         return SearchResult(name, axiom, True, verdict, instances)
     return SearchResult(name, axiom, False, None, instances)
 

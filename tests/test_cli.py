@@ -47,6 +47,19 @@ class TestWinners:
         assert main(["winners", "--rule", "av", "--k", "1", "--profile", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule", ["thiele:0,1/0", "bswav:1/0,1,1,1"])
+    def test_zero_denominator_exits_2(self, example, rule, capsys):
+        k = "1" if rule.startswith("thiele") else "2"
+        assert main(["winners", "--rule", rule, "--k", k, "--profile", example]) == 2
+        assert "error: zero denominator in '1/0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["m=12\n0 1_0\n", "m=4\n+1\n", "m=4\n\u0661\n", "m=+4\n0\n"])
+    def test_loose_integers_exit_2(self, tmp_path, text, capsys):
+        path = tmp_path / "loose.abc"
+        path.write_text(text, encoding="utf-8")
+        assert main(["winners", "--rule", "av", "--k", "1", "--profile", str(path)]) == 2
+        assert "line " in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, example, capsys):
         main(["winners", "--rule", "sav", "--k", "2", "--profile", example])
         first = capsys.readouterr().out
@@ -61,6 +74,12 @@ class TestScore:
 
     def test_wrong_size_exits_2(self, example):
         assert main(["score", "--rule", "pav", "--k", "2", "--profile", example, "--committee", "0"]) == 2
+
+    @pytest.mark.parametrize("committee", ["-1 0", "0 4"])
+    def test_candidate_out_of_range_exits_2(self, example, committee, capsys):
+        argv = ["score", "--rule", "pav", "--k", "2", "--profile", example, "--committee", committee]
+        assert main(argv) == 2
+        assert "outside 0..3" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -241,6 +241,24 @@ class TestTextFormat:
         with pytest.raises(ProfileFormatError):
             parse_profile("m=2\n0 2\n")
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("m=12\n0 1_0\n", 2),
+            ("m=3\n+1\n", 2),
+            ("m=3\n0 -1\n", 2),
+            ("m=3\n\u0661\n", 2),
+            ("m=3\n0\u00a01\n", 2),
+            ("# c\nm=1_0\n0\n", 2),
+            ("m=+3\n0\n", 1),
+            ("m=\u0663\n0\n", 1),
+        ],
+    )
+    def test_only_ascii_digits_accepted(self, text, line_no):
+        with pytest.raises(ProfileFormatError) as err:
+            parse_profile(text)
+        assert err.value.line_no == line_no
+
     def test_missing_header_rejected(self):
         with pytest.raises(ProfileFormatError):
             parse_profile("0 1\n")

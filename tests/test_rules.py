@@ -34,7 +34,7 @@ from abcvote.rules import (
     winners_from_vector,
 )
 
-from conftest import raw_profiles
+from conftest import oracle_winners, raw_profiles
 
 F = Fraction
 
@@ -48,21 +48,6 @@ LIBRARY = ["av", "pav", "ccav", "sav", "msav", "triv"]
 
 def library_rules(m, k):
     return [named_rule(name, k, m) for name in LIBRARY]
-
-
-# Brute-force oracle kept independent of the rules module's scoring loops.
-def oracle_winners(score_fn, profile, k):
-    best, arg = None, []
-    for committee in itertools.combinations(range(profile.m), k):
-        total = sum(
-            (score_fn(len(ballot & set(committee)), len(ballot)) for _, ballot in profile.ballots),
-            F(0),
-        )
-        if best is None or total > best:
-            best, arg = total, [committee]
-        elif total == best:
-            arg.append(committee)
-    return frozenset(arg)
 
 
 class TestNamedRules:

@@ -3,9 +3,10 @@ from collections import Counter
 
 import pytest
 
+from abcvote import search
 from abcvote.axioms import replay
 from abcvote.profiles import Profile, canonical_form, profile_to_vector
-from abcvote.rules import named_rule, thiele_rule
+from abcvote.rules import named_rule, thiele_rule, winners
 from abcvote.search import (
     SearchBounds,
 
@@ -21,6 +22,15 @@ from conftest import raw_profiles
 
 def fs(*xs):
     return frozenset(xs)
+
+
+def tiebreak_av_factory(m, k):
+    """AV with ties broken towards the least committee, which fails continuity."""
+
+    def choose(profile):
+        return frozenset({min(winners(named_rule("av", k, m), profile))})
+
+    return choose
 
 
 class TestEnumerateProfiles:
@@ -74,6 +84,14 @@ class TestFindCounterexample:
         rule = named_rule("sav", 1, result.verdict.witness["profile"].m)
         assert replay(result.verdict, rule)
 
+    def test_witness_that_fails_replay_raises(self, monkeypatch):
+        # the replay check must be an explicit raise, which `python -O` keeps
+        monkeypatch.setattr(search, "replay", lambda verdict, rule: False)
+        with pytest.raises(RuntimeError, match="does not replay"):
+            find_counterexample("sav", "independence-of-losers", SearchBounds(3, (1,), 3))
+        with pytest.raises(RuntimeError, match="does not replay"):
+            find_counterexample(tiebreak_av_factory, "continuity", SearchBounds(2, (1,), 2, lambda_cap=20))
+
     def test_pav_convexity_witness(self):
         result = find_counterexample("pav", "choice-set-convexity", SearchBounds(4, (2,), 2))
         assert result.found
@@ -104,15 +122,8 @@ class TestFindCounterexample:
         assert not result.found
 
     def test_continuity_not_found_for_tiebreak_rule(self):
-        from abcvote.rules import winners
-
-        def factory(m, k):
-            def choose(profile):
-                return frozenset({min(winners(named_rule("av", k, m), profile))})
-
-            return choose
-
-        result = find_counterexample(factory, "continuity", SearchBounds(2, (1,), 2, lambda_cap=20))
+        bounds = SearchBounds(2, (1,), 2, lambda_cap=20)
+        result = find_counterexample(tiebreak_av_factory, "continuity", bounds)
         assert result.found
         assert result.verdict.axiom == "continuity"
 
