@@ -1,13 +1,18 @@
-"""Instance-level decision procedures for the election axioms.
+"""Instance-level decision procedures for the election axioms, and the one
+table of all axioms.
 
 Every checker takes a rule as an evaluable object (anything mapping a
 profile to a choice set, or a library `Rule`), evaluates it on concrete
 profiles, and returns a verdict.  A failing verdict carries a structured
 witness with enough data to reproduce the violation by re-running the rule;
-checkers re-verify their own witnesses before returning them.
+each replayer sits beside its checker, which re-verifies its own witness
+with it before returning.
 
 The axioms quantify over all profiles; these checkers decide fixed
 instances, and the search module supplies the quantifier at bounded scale.
+`AXIOMS` at the end of this module lists every axiom, general and
+party-list, with its aliases, arity, domain, checker and replayer; the CLI,
+the search driver and `replay` all look axioms up there.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
+from . import partylist
 from .profiles import (
     Ballot,
     ChoiceSet,
@@ -30,36 +35,13 @@ from .profiles import (
     scale_profile,
 )
 from .rules import Rule, scaled_pair_winners, winners
-
-ChoiceFn = Callable[[Profile], ChoiceSet]
+from .verdict import AxiomVerdict, Replayer, as_choice_fn, fail
 
 IOL_EXHAUSTIVE_CAP = 2**16
 
 
-@dataclass
-class AxiomVerdict:
-    """Outcome of one axiom check; `witness` is present iff the check failed."""
-
-    axiom: str
-    passed: bool
-    witness: dict | None = None
-    checked: int = 0
-
-
-def as_choice_fn(rule) -> ChoiceFn:
-    """Normalize a library rule or a bare profile->choice-set callable."""
-    if isinstance(rule, Rule):
-        return partial(winners, rule)
-    if callable(rule):
-        return rule
-    raise TypeError(f"not an evaluable rule: {rule!r}")
-
-
-def _fail(axiom: str, witness: dict, choose: ChoiceFn, checked: int) -> AxiomVerdict:
-    verdict = AxiomVerdict(axiom, False, witness, checked)
-    if not replay(verdict, choose):  # stale witnesses are a bug, never reported
-        raise AssertionError(f"witness for {axiom} did not re-verify")
-    return verdict
+class CapExceeded(ValueError):
+    """An exhaustive walk would exceed its cap; sample mode still applies."""
 
 
 def _committee_image(choices: ChoiceSet, tau: tuple[int, ...]) -> ChoiceSet:
@@ -70,7 +52,7 @@ def _voter_permutations(labels: tuple[int, ...], mode: str, seed: int, count: in
     ordered = sorted(labels)
     if mode == "all":
         if len(ordered) > 8:
-            raise ValueError("exhaustive mode over voter permutations needs at most 8 voters")
+            raise CapExceeded("exhaustive mode over voter permutations needs at most 8 voters")
         for image in itertools.permutations(ordered):
             yield dict(zip(ordered, image))
     elif mode == "sample":
@@ -99,14 +81,18 @@ def check_anonymity(rule, profile: Profile, mode: str = "all", seed: int = 0, co
                 "choice_set": base,
                 "permuted_choice_set": choose(permuted),
             }
-            return _fail("anonymity", witness, choose, checked)
+            return fail("anonymity", witness, choose, checked, _replay_anonymity)
     return AxiomVerdict("anonymity", True, None, checked)
+
+
+def _replay_anonymity(w, choose):
+    return choose(w["profile"]) != choose(w["permuted_profile"])
 
 
 def _candidate_permutations(m: int, mode: str, seed: int, count: int):
     if mode == "all":
         if m > 8:
-            raise ValueError("exhaustive mode over candidate permutations needs m <= 8")
+            raise CapExceeded("exhaustive mode over candidate permutations needs m <= 8")
         yield from itertools.permutations(range(m))
     elif mode == "sample":
         rng = random.Random(seed)
@@ -137,8 +123,13 @@ def check_neutrality(rule, profile: Profile, mode: str = "all", seed: int = 0, c
                 "expected_choice_set": expected,
                 "permuted_choice_set": observed,
             }
-            return _fail("neutrality", witness, choose, checked)
+            return fail("neutrality", witness, choose, checked, _replay_neutrality)
     return AxiomVerdict("neutrality", True, None, checked)
+
+
+def _replay_neutrality(w, choose):
+    expected = _committee_image(choose(w["profile"]), w["candidate_permutation"])
+    return choose(w["permuted_profile"]) != expected
 
 
 def check_consistency_pair(rule, a: Profile, b: Profile) -> AxiomVerdict:
@@ -163,7 +154,14 @@ def check_consistency_pair(rule, a: Profile, b: Profile) -> AxiomVerdict:
         "joint_choice": observed,
         "expected": left & right,
     }
-    return _fail("consistency", witness, choose, 1)
+    return fail("consistency", witness, choose, 1, _replay_consistency)
+
+
+def _replay_consistency(w, choose):
+    left, right = choose(w["left"]), choose(w["right"])
+    if not left & right:
+        return False
+    return choose(w["joint"]) != left & right
 
 
 def check_consistency_splits(rule, profile: Profile, max_voters: int = 10) -> AxiomVerdict:
@@ -211,6 +209,22 @@ def find_min_continuity_lambda(rule, a: Profile, b: Profile, lambda_cap: int) ->
     return None
 
 
+def check_continuity(rule, a: Profile, b: Profile, lambda_cap: int) -> AxiomVerdict:
+    """Continuity on one pair: some lambda <= lambda_cap puts the winners of
+    lambda*a + b inside the winners of a.  A pass records that lambda as
+    `checked`; a failure means only "not found within the cap", and
+    replaying it is the same search, so it is not replayed here."""
+    lam = find_min_continuity_lambda(rule, a, b, lambda_cap)
+    if lam is not None:
+        return AxiomVerdict("continuity", True, None, lam)
+    witness = {"left": a, "right": b, "lambda_cap": lambda_cap}
+    return AxiomVerdict("continuity", False, witness, lambda_cap)
+
+
+def _replay_continuity(w, choose):
+    return find_min_continuity_lambda(choose, w["left"], w["right"], w["lambda_cap"]) is None
+
+
 def check_weak_efficiency(rule, profile: Profile) -> AxiomVerdict:
     """A winner containing a universally unapproved candidate must stay
     winning when that candidate is swapped for any other candidate."""
@@ -234,8 +248,18 @@ def check_weak_efficiency(rule, profile: Profile) -> AxiomVerdict:
                         "swapped": swapped,
                         "choice_set": base,
                     }
-                    return _fail("weak-efficiency", witness, choose, checked)
+                    return fail("weak-efficiency", witness, choose, checked, _replay_weak_efficiency)
     return AxiomVerdict("weak-efficiency", True, None, checked)
+
+
+def _replay_weak_efficiency(w, choose):
+    base = choose(w["profile"])
+    committee, c = w["committee"], w["unapproved"]
+    if committee not in base or c not in committee:
+        return False
+    if c in w["profile"].approved_candidates():
+        return False
+    return w["swapped"] not in base
 
 
 def _reductions_for(ballot: Ballot, committee_members: frozenset[int]):
@@ -276,7 +300,7 @@ def check_independence_of_losers(
             for _, ballot in profile.ballots:
                 total *= 2 ** len(ballot - members)
             if total > cap:
-                raise ValueError(f"{total} reduced profiles for committee {committee}, over cap {cap}")
+                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
             combos = itertools.product(*options)
         elif mode == "sample":
             combos = ([rng.choice(opt) for opt in options] for _ in range(count))
@@ -294,8 +318,19 @@ def check_independence_of_losers(
                     "choice_set": base,
                     "reduced_choice_set": choose(reduced),
                 }
-                return _fail("independence-of-losers", witness, choose, checked)
+                return fail("independence-of-losers", witness, choose, checked, _replay_iol)
     return AxiomVerdict("independence-of-losers", True, None, checked)
+
+
+def _replay_iol(w, choose):
+    profile, reduced, committee = w["profile"], w["reduced_profile"], w["committee"]
+    if profile.labels() != reduced.labels():
+        return False
+    members = frozenset(committee)
+    for (_, full), (_, cut) in zip(profile.ballots, reduced.ballots):
+        if not cut <= full or full & members != cut & members:
+            return False
+    return committee in choose(profile) and committee not in choose(reduced)
 
 
 def committees_between(a: Committee, b: Committee) -> list[Committee]:
@@ -345,52 +380,8 @@ def check_choice_set_convexity(rule, profile: Profile) -> AxiomVerdict:
                     "between": between,
                     "choice_set": base,
                 }
-                return _fail("choice-set-convexity", witness, choose, checked)
+                return fail("choice-set-convexity", witness, choose, checked, _replay_convexity)
     return AxiomVerdict("choice-set-convexity", True, None, checked)
-
-
-# --- witness replay -------------------------------------------------------
-#
-# Each replayer re-derives the violation from the witness alone, using only
-# the rule under test.  The search module and the acceptance suite use this
-# to reject stale or fabricated witnesses.
-
-
-def _replay_anonymity(w, choose):
-    return choose(w["profile"]) != choose(w["permuted_profile"])
-
-
-def _replay_neutrality(w, choose):
-    expected = _committee_image(choose(w["profile"]), w["candidate_permutation"])
-    return choose(w["permuted_profile"]) != expected
-
-
-def _replay_consistency(w, choose):
-    left, right = choose(w["left"]), choose(w["right"])
-    if not left & right:
-        return False
-    return choose(w["joint"]) != left & right
-
-
-def _replay_weak_efficiency(w, choose):
-    base = choose(w["profile"])
-    committee, c = w["committee"], w["unapproved"]
-    if committee not in base or c not in committee:
-        return False
-    if c in w["profile"].approved_candidates():
-        return False
-    return w["swapped"] not in base
-
-
-def _replay_iol(w, choose):
-    profile, reduced, committee = w["profile"], w["reduced_profile"], w["committee"]
-    if profile.labels() != reduced.labels():
-        return False
-    members = frozenset(committee)
-    for (_, full), (_, cut) in zip(profile.ballots, reduced.ballots):
-        if not cut <= full or full & members != cut & members:
-            return False
-    return committee in choose(profile) and committee not in choose(reduced)
 
 
 def _replay_convexity(w, choose):
@@ -403,25 +394,98 @@ def _replay_convexity(w, choose):
     return between not in base
 
 
-REPLAYERS: dict[str, Callable] = {
-    "anonymity": _replay_anonymity,
-    "neutrality": _replay_neutrality,
-    "consistency": _replay_consistency,
-    "weak-efficiency": _replay_weak_efficiency,
-    "independence-of-losers": _replay_iol,
-    "choice-set-convexity": _replay_convexity,
-}
+# --- the axiom table --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CheckOptions:
+    """Settings handed to every checker; each reads only the ones it needs.
+
+    `mode` "all" walks every case (for independence of losers: every
+    reduction, up to `iol_cap`), "sample" draws `count` seeded cases.  The
+    defaults are the search driver's; `check` sets mode, seed and count
+    from its flags.
+    """
+
+    k: int
+    mode: str = "all"
+    seed: int = 0
+    count: int = 200
+    iol_cap: int = IOL_EXHAUSTIVE_CAP
+    lambda_cap: int | None = 64
+
+
+@dataclass(frozen=True)
+class Axiom:
+    """One axiom: its names, what it is checked on, and how.
+
+    `check` takes the rule, `arity` profiles and a `CheckOptions`; `domain`,
+    when set, says which profiles the axiom applies to at all.
+    """
+
+    name: str
+    aliases: tuple[str, ...]
+    arity: int
+    domain: Callable[[Profile], bool] | None
+    check: Callable[..., AxiomVerdict]
+    replay: Replayer
+
+
+def _check_iol(rule, profile, o):
+    mode = "sample" if o.mode == "sample" else "exhaustive"
+    return check_independence_of_losers(rule, profile, mode=mode, seed=o.seed, count=o.count, cap=o.iol_cap)
+
+
+_party_list = partylist.is_party_list
+
+AXIOMS: tuple[Axiom, ...] = (
+    Axiom("anonymity", (), 1, None,
+          lambda r, p, o: check_anonymity(r, p, o.mode, o.seed, o.count), _replay_anonymity),
+    Axiom("neutrality", (), 1, None,
+          lambda r, p, o: check_neutrality(r, p, o.mode, o.seed, o.count), _replay_neutrality),
+    Axiom("consistency", (), 2, None,
+          lambda r, a, b, o: check_consistency_pair(r, a, b), _replay_consistency),
+    Axiom("continuity", (), 2, None,
+          lambda r, a, b, o: check_continuity(r, a, b, o.lambda_cap), _replay_continuity),
+    Axiom("weak-efficiency", (), 1, None,
+          lambda r, p, o: check_weak_efficiency(r, p), _replay_weak_efficiency),
+    Axiom("independence-of-losers", ("iol",), 1, None,
+          _check_iol, _replay_iol),
+    Axiom("choice-set-convexity", ("convexity",), 1, None,
+          lambda r, p, o: check_choice_set_convexity(r, p), _replay_convexity),
+    Axiom("excellence", (), 1, _party_list,
+          lambda r, p, o: partylist.check_excellence(r, p), partylist.replay_excellence),
+    Axiom("party-proportionality", ("party-prop",), 1, _party_list,
+          lambda r, p, o: partylist.check_party_proportionality(r, p), partylist.replay_party_proportionality),
+    Axiom("aversion-unanimous", ("aversion",), 1, _party_list,
+          lambda r, p, o: partylist.check_aversion_unanimous(r, p), partylist.replay_aversion_unanimous),
+    Axiom("msav-threshold", (), 1, _party_list,
+          lambda r, p, o: partylist.check_msav_threshold(r, p, o.k), partylist.replay_msav_threshold),
+)
+
+_BY_NAME = {name: axiom for axiom in AXIOMS for name in (axiom.name, *axiom.aliases)}
+
+
+def lookup(name: str) -> Axiom:
+    """The axiom with this canonical name or alias."""
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise ValueError(f"unknown axiom {name!r}; known: {', '.join(sorted(_BY_NAME))}") from None
 
 
 def replay(verdict: AxiomVerdict, rule) -> bool:
-    """Re-check a failure verdict; True iff the violation reproduces."""
+    """Re-check a failure verdict; True iff the violation reproduces.
+
+    Each replayer re-derives the violation from the witness alone, using only
+    the rule under test.  The search module and the acceptance suite use this
+    to reject stale or fabricated witnesses.
+    """
     if verdict.passed or verdict.witness is None:
         raise ValueError("only failure verdicts carry a witness to replay")
-    try:
-        replayer = REPLAYERS[verdict.axiom]
-    except KeyError:
-        raise ValueError(f"no replayer registered for axiom {verdict.axiom!r}") from None
-    return replayer(verdict.witness, as_choice_fn(rule))
+    if verdict.axiom not in _BY_NAME:
+        raise ValueError(f"no replayer registered for axiom {verdict.axiom!r}")
+    return _BY_NAME[verdict.axiom].replay(verdict.witness, as_choice_fn(rule))
 
 
 # --- serialization --------------------------------------------------------

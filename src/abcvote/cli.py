@@ -10,10 +10,11 @@ decimals, and output is byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from . import axioms, identify, partylist, search
+from . import axioms, identify, search
 from .profiles import (
     Profile,
     ProfileFormatError,
@@ -29,27 +30,9 @@ from .rules import (
     winners,
 )
 
-AXIOM_ALIASES = {
-    "anonymity": "anonymity",
-    "neutrality": "neutrality",
-    "consistency": "consistency",
-    "continuity": "continuity",
-    "weak-efficiency": "weak-efficiency",
-    "iol": "independence-of-losers",
-    "independence-of-losers": "independence-of-losers",
-    "convexity": "choice-set-convexity",
-    "choice-set-convexity": "choice-set-convexity",
-    "excellence": "excellence",
-    "party-prop": "party-proportionality",
-    "party-proportionality": "party-proportionality",
-    "aversion": "aversion-unanimous",
-    "aversion-unanimous": "aversion-unanimous",
-    "msav-threshold": "msav-threshold",
-}
 
-
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A usage or input error; `main` reports every ValueError with exit 2."""
 
 
 def _read_profile(path: str) -> Profile:
@@ -62,20 +45,13 @@ def _read_profile(path: str) -> Profile:
         raise UsageError(f"{path}: {err}") from None
 
 
-def _load_rule(args, m: int):
-    try:
-        return parse_rule_spec(args.rule, args.k, m)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-
-
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
 def cmd_winners(args) -> int:
     profile = _read_profile(args.profile)
-    rule = _load_rule(args, profile.m)
+    rule = parse_rule_spec(args.rule, args.k, profile.m)
     chosen = winners(rule, profile)
     score = committee_score(rule, profile, next(iter(chosen)))
     if args.format == "json":
@@ -94,12 +70,9 @@ def cmd_winners(args) -> int:
 
 def cmd_score(args) -> int:
     profile = _read_profile(args.profile)
-    rule = _load_rule(args, profile.m)
-    try:
-        committee = tuple(sorted(int(tok) for tok in args.committee.replace(",", " ").split()))
-        score = committee_score(rule, profile, committee)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    rule = parse_rule_spec(args.rule, args.k, profile.m)
+    committee = tuple(sorted(int(tok) for tok in args.committee.replace(",", " ").split()))
+    score = committee_score(rule, profile, committee)
     if args.format == "json":
         _emit_json(
             {
@@ -114,104 +87,64 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _run_check(args, profile: Profile):
-    rule = _load_rule(args, profile.m)
-    axiom = AXIOM_ALIASES[args.axiom]
-    mode = args.mode
-    if axiom == "anonymity":
-        return axioms.check_anonymity(rule, profile, mode=mode, seed=args.seed, count=args.count)
-    if axiom == "neutrality":
-        return axioms.check_neutrality(rule, profile, mode=mode, seed=args.seed, count=args.count)
-    if axiom == "weak-efficiency":
-        return axioms.check_weak_efficiency(rule, profile)
-    if axiom == "independence-of-losers":
-        iol_mode = "sample" if mode == "sample" else "exhaustive"
-        return axioms.check_independence_of_losers(
-            rule, profile, mode=iol_mode, seed=args.seed, count=args.count
-        )
-    if axiom == "choice-set-convexity":
-        return axioms.check_choice_set_convexity(rule, profile)
-    if axiom == "excellence":
-        return partylist.check_excellence(rule, profile)
-    if axiom == "party-proportionality":
-        return partylist.check_party_proportionality(rule, profile)
-    if axiom == "aversion-unanimous":
-        return partylist.check_aversion_unanimous(rule, profile)
-    if axiom == "msav-threshold":
-        return partylist.check_msav_threshold(rule, profile, args.k)
-    raise UsageError(f"axiom {args.axiom} needs different inputs")
+def _print_witness(verdict) -> None:
+    for key, value in sorted(axioms.verdict_to_json(verdict)["witness"].items()):
+        if isinstance(value, str) and "\n" in value:
+            print(f"# {key}")
+            print(value, end="")
+        else:
+            print(f"# {key}: {json.dumps(value, sort_keys=True)}")
 
 
 def cmd_check(args) -> int:
-    if args.axiom not in AXIOM_ALIASES:
-        raise UsageError(f"unknown axiom {args.axiom!r}; known: {', '.join(sorted(AXIOM_ALIASES))}")
-    axiom = AXIOM_ALIASES[args.axiom]
-    profile = _read_profile(args.profile)
-
-    if axiom == "continuity":
+    axiom = axioms.lookup(args.axiom)
+    profiles = [_read_profile(args.profile)]
+    # consistency alone can also be checked over the bipartitions of one profile
+    splits = axiom.name == "consistency" and args.splits and not args.profile2
+    if axiom.arity == 2 and not splits:
         if not args.profile2:
-            raise UsageError("continuity takes two profiles: --profile A --profile2 B")
-        other = _read_profile(args.profile2)
-        rule = _load_rule(args, profile.m)
-        cap = args.lambda_cap or continuity_lambda_bound(rule, profile, other)
-        lam = axioms.find_min_continuity_lambda(rule, profile, other, cap)
+            alternative = " (or one with --splits)" if axiom.name == "consistency" else ""
+            raise UsageError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
+        profiles.append(_read_profile(args.profile2))
+    rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
+    cap = args.lambda_cap
+    if axiom.name == "continuity" and not cap:
+        cap = continuity_lambda_bound(rule, *profiles)
+    if splits:
+        verdict = axioms.check_consistency_splits(rule, profiles[0], max_voters=args.max_voters)
+    else:
+        options = axioms.CheckOptions(args.k, args.mode, args.seed, args.count, lambda_cap=cap)
+        verdict = axiom.check(rule, *profiles, options)
+
+    if axiom.name == "continuity":
+        lam = verdict.checked if verdict.passed else None
         if args.format == "json":
             _emit_json({"axiom": "continuity", "lambda": lam, "lambda_cap": cap})
         else:
             print(f"lambda {lam if lam is not None else 'not-found'} (cap {cap})")
-        return 0 if lam is not None else 1
-
-    if axiom == "consistency":
-        if args.profile2:
-            other = _read_profile(args.profile2)
-            rule = _load_rule(args, profile.m)
-            verdict = axioms.check_consistency_pair(rule, profile, other)
-        elif args.splits:
-            rule = _load_rule(args, profile.m)
-            verdict = axioms.check_consistency_splits(rule, profile, max_voters=args.max_voters)
-        else:
-            raise UsageError("consistency needs --profile2 or --splits")
-    else:
-        try:
-            verdict = _run_check(args, profile)
-        except partylist.NotPartyListError as err:
-            raise UsageError(str(err)) from None
-
-    record = axioms.verdict_to_json(verdict)
-    if args.format == "json":
-        _emit_json(record)
+    elif args.format == "json":
+        _emit_json(axioms.verdict_to_json(verdict))
     elif verdict.passed:
         print(f"pass: {verdict.axiom} holds on this instance ({verdict.checked} cases checked)")
     else:
         print(f"violation: {verdict.axiom}")
-        for key, value in sorted(record["witness"].items()):
-            if isinstance(value, str) and "\n" in value:
-                print(f"# {key}")
-                print(value, end="")
-            else:
-                print(f"# {key}: {json.dumps(value, sort_keys=True)}")
+        _print_witness(verdict)
     return 0 if verdict.passed else 1
 
 
 def cmd_search(args) -> int:
-    if args.axiom not in AXIOM_ALIASES:
-        raise UsageError(f"unknown axiom {args.axiom!r}")
-    axiom = AXIOM_ALIASES[args.axiom]
-    try:
-        bounds = search.SearchBounds(
-            m_max=args.max_m,
-            k_set=(args.k,),
-            n_max=args.max_n,
-            lambda_cap=args.lambda_cap or 64,
-        )
-        factory = search.library_factory(args.rule)
-        result = search.find_counterexample(factory, axiom, bounds)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    axiom = axioms.lookup(args.axiom)
+    bounds = search.SearchBounds(
+        m_max=args.max_m,
+        k_set=(args.k,),
+        n_max=args.max_n,
+        lambda_cap=args.lambda_cap or 64,
+    )
+    result = search.find_counterexample(args.rule, axiom.name, bounds)
     if args.format == "json":
         payload = {
             "rule": args.rule,
-            "axiom": axiom,
+            "axiom": axiom.name,
             "found": result.found,
             "instances": result.instances,
             "witness": axioms.verdict_to_json(result.verdict)["witness"] if result.found else None,
@@ -219,13 +152,7 @@ def cmd_search(args) -> int:
         _emit_json(payload)
     elif result.found:
         print(f"witness found after {result.instances} instances")
-        record = axioms.verdict_to_json(result.verdict)
-        for key, value in sorted(record["witness"].items()):
-            if isinstance(value, str) and "\n" in value:
-                print(f"# {key}")
-                print(value, end="")
-            else:
-                print(f"# {key}: {json.dumps(value, sort_keys=True)}")
+        _print_witness(result.verdict)
     else:
         print(f"exhausted {result.instances} instances, no counterexample")
     return 0 if result.found else 1
@@ -246,18 +173,12 @@ def cmd_fit(args) -> int:
             observations = identify.parse_observations(handle.read(), args.k)
     except OSError as err:
         raise UsageError(f"cannot read {args.observations}: {err}") from None
-    except (ValueError, ProfileFormatError) as err:
-        raise UsageError(str(err)) from None
     if not observations:
         raise UsageError("observations file is empty")
-    try:
-        if args.family == "thiele":
-            result = identify.fit_thiele(observations, args.k)
-        else:
-            m = args.m or observations[0].m
-            result = identify.fit_bswav(observations, m, args.k)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    if args.family == "thiele":
+        result = identify.fit_thiele(observations, args.k)
+    else:
+        result = identify.fit_bswav(observations, args.m or observations[0].m, args.k)
     rendered = identify.format_fit(result, args.family)
     if args.format == "json":
         payload = {"family": args.family, "feasible": result.feasible, "fit": rendered}
@@ -267,7 +188,9 @@ def cmd_fit(args) -> int:
     return 0 if result.feasible else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `abcvote` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="abcvote",
         description="exact winners, axiom checks, counterexample search, and rule fitting "
@@ -280,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rule", required=True, help="av|pav|ccav|sav|msav|triv|thiele:...|bswav:...")
         p.add_argument("--k", type=int, required=True, help="committee size")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampling modes")
-        p.add_argument("--threads", type=int, default=1, help="cap on internal parallelism (never affects output)")
 
     p = sub.add_parser("winners", help="compute the full tied winner set and its score")
     common(p)
@@ -302,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", action="store_true", help="check consistency over all bipartitions")
     p.add_argument("--max-voters", type=int, default=10)
     p.add_argument("--mode", choices=("all", "sample"), default="all")
+    p.add_argument("--seed", type=int, default=0, help="seed for sample mode")
     p.add_argument("--count", type=int, default=20, help="samples in sample mode")
     p.add_argument("--lambda-cap", type=int, default=None)
     p.set_defaults(func=cmd_check)
@@ -316,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separations", help="run the fixed separation battery")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_separations)
 
     p = sub.add_parser("fit", help="fit scoring parameters to observed choice sets")
@@ -326,27 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="candidate count (bswav; default from file)")
     p.add_argument("--observations", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_fit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     if getattr(args, "k", 1) < 1:
         print("error: --k must be at least 1", file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .profiles import (
     ChoiceSet,
     Profile,
+    ProfileFormatError,
     ProfileVector,
     index_ballot,
     parse_profile,
@@ -54,6 +55,8 @@ class Observation:
         for committee in self.chosen:
             if len(committee) != self.k:
                 raise ValueError("observed committees must all have size k")
+            if any(b <= a for a, b in zip(committee, committee[1:])):
+                raise ValueError("observed committees must be strictly increasing index lists")
             if any(not 0 <= c < self.vector.m for c in committee):
                 raise ValueError("committee members out of range")
 
@@ -386,25 +389,31 @@ def fit_bswav(observations: list[Observation], m: int, k: int) -> FitResult:
 # observed committees as sorted index lists.
 # ---------------------------------------------------------------------------
 
-_CHOSEN_RE = re.compile(r"\{([0-9,]+)\}")
+_CHOSEN_RE = re.compile(r"\{([0-9]+(?:,[0-9]+)*)\}")
 
 
 def parse_observations(text: str, k: int) -> list[Observation]:
+    """Observations in file order; every error names its line in `text`."""
     observations = []
     block: list[str] = []
-    for line in text.split("\n"):
-        if line.strip().startswith("chosen:"):
-            profile = parse_profile("\n".join(block))
-            listed = _CHOSEN_RE.findall(line.split(":", 1)[1])
-            if not listed:
-                raise ValueError(f"no committees in line {line!r}")
-            chosen = frozenset(tuple(int(c) for c in item.split(",")) for item in listed)
-            observations.append(Observation.from_profile(profile, chosen, k))
-            block = []
-        else:
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip().startswith("chosen:"):
             block.append(line)
-    if any(line.strip() and not line.strip().startswith("#") for line in block):
-        raise ValueError("trailing profile block without a 'chosen:' line")
+            continue
+        try:
+            profile = parse_profile("\n".join(block))
+        except ProfileFormatError as err:  # renumber from the block's first line
+            raise ProfileFormatError(line_no - len(block) + err.line_no - 1, err.message) from None
+        listed = _CHOSEN_RE.findall(line.split(":", 1)[1])
+        chosen = frozenset(tuple(int(c) for c in item.split(",")) for item in listed)
+        try:
+            observations.append(Observation.from_profile(profile, chosen, k))
+        except ValueError as err:
+            raise ProfileFormatError(line_no, str(err)) from None
+        block = []
+    for stray, line in enumerate(block, start=line_no - len(block) + 1):
+        if line.strip() and not line.strip().startswith("#"):
+            raise ProfileFormatError(stray, "trailing profile block without a 'chosen:' line")
     return observations
 
 

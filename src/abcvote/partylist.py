@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .axioms import REPLAYERS, AxiomVerdict, as_choice_fn, _fail
-from .profiles import Profile
+from .profiles import Profile, format_profile
+from .verdict import AxiomVerdict, as_choice_fn, fail
 
 
 class NotPartyListError(ValueError):
@@ -81,10 +82,12 @@ def require_party_structure(profile: Profile) -> PartyListStructure:
     return structure
 
 
+def is_party_list(profile: Profile) -> bool:
+    return detect_party_structure(profile) is not None
+
+
 def format_with_parties(profile: Profile) -> str:
     """Core text format with the party structure appended as comment lines."""
-    from .profiles import format_profile
-
     structure = require_party_structure(profile)
     text = format_profile(profile)
     for party, count in zip(structure.parties, structure.counts):
@@ -92,9 +95,13 @@ def format_with_parties(profile: Profile) -> str:
     return text
 
 
-def check_excellence(rule, profile: Profile) -> AxiomVerdict:
-    """A fully elected party may not have strictly fewer supporters than a
-    party that is not fully elected."""
+def _supporters(structure: PartyListStructure, index: int) -> int:
+    return structure.counts[index]
+
+
+def _check_party_order(axiom: str, weight, rule, profile: Profile) -> AxiomVerdict:
+    """A fully elected party may not weigh strictly less than a party that is
+    not fully elected, parties weighed by `weight(structure, index)`."""
     structure = require_party_structure(profile)
     choose = as_choice_fn(rule)
     base = choose(profile)
@@ -105,7 +112,7 @@ def check_excellence(rule, profile: Profile) -> AxiomVerdict:
             if not set(low) <= members:
                 continue
             for j, high in enumerate(structure.parties):
-                if structure.counts[i] >= structure.counts[j]:
+                if weight(structure, i) >= weight(structure, j):
                     continue
                 checked += 1
                 if not set(high) <= members:
@@ -115,34 +122,38 @@ def check_excellence(rule, profile: Profile) -> AxiomVerdict:
                         "contained_party": low,
                         "better_party": high,
                     }
-                    return _fail("excellence", witness, choose, checked)
-    return AxiomVerdict("excellence", True, None, checked)
+                    return fail(axiom, witness, choose, checked, partial(_replay_party_order, weight))
+    return AxiomVerdict(axiom, True, None, checked)
+
+
+def _replay_party_order(weight, w, choose):
+    structure = detect_party_structure(w["profile"])
+    if structure is None:
+        return False
+    members = set(w["committee"])
+    i = structure.parties.index(w["contained_party"])
+    j = structure.parties.index(w["better_party"])
+    return (
+        w["committee"] in choose(w["profile"])
+        and weight(structure, i) < weight(structure, j)
+        and set(w["contained_party"]) <= members
+        and not set(w["better_party"]) <= members
+    )
+
+
+def check_excellence(rule, profile: Profile) -> AxiomVerdict:
+    """A fully elected party may not have strictly fewer supporters than a
+    party that is not fully elected."""
+    return _check_party_order("excellence", _supporters, rule, profile)
 
 
 def check_party_proportionality(rule, profile: Profile) -> AxiomVerdict:
     """Like excellence, but parties compare by voters represented per member."""
-    structure = require_party_structure(profile)
-    choose = as_choice_fn(rule)
-    base = choose(profile)
-    checked = 0
-    for committee in sorted(base):
-        members = set(committee)
-        for i, low in enumerate(structure.parties):
-            if not set(low) <= members:
-                continue
-            for j, high in enumerate(structure.parties):
-                if structure.ratio(i) >= structure.ratio(j):
-                    continue
-                checked += 1
-                if not set(high) <= members:
-                    witness = {
-                        "profile": profile,
-                        "committee": committee,
-                        "contained_party": low,
-                        "better_party": high,
-                    }
-                    return _fail("party-proportionality", witness, choose, checked)
-    return AxiomVerdict("party-proportionality", True, None, checked)
+    return _check_party_order("party-proportionality", PartyListStructure.ratio, rule, profile)
+
+
+replay_excellence = partial(_replay_party_order, _supporters)
+replay_party_proportionality = partial(_replay_party_order, PartyListStructure.ratio)
 
 
 def check_aversion_unanimous(rule, profile: Profile) -> AxiomVerdict:
@@ -165,8 +176,32 @@ def check_aversion_unanimous(rule, profile: Profile) -> AxiomVerdict:
                     "unanimous_party": party,
                     "singleton_party": structure.parties[j],
                 }
-                return _fail("aversion-unanimous", witness, choose, checked)
+                return fail("aversion-unanimous", witness, choose, checked, replay_aversion_unanimous)
     return AxiomVerdict("aversion-unanimous", True, None, checked)
+
+
+def replay_aversion_unanimous(w, choose):
+    structure = detect_party_structure(w["profile"])
+    if structure is None:
+        return False
+    i = structure.parties.index(w["unanimous_party"])
+    j = structure.parties.index(w["singleton_party"])
+    if len(structure.parties[j]) != 1:
+        return False
+    base = choose(w["profile"])
+    return (
+        all(set(committee) <= set(w["unanimous_party"]) for committee in base)
+        and structure.ratio(i) <= structure.counts[j]
+    )
+
+
+def _msav_threshold(structure: PartyListStructure, i: int, k: int) -> bool:
+    """Every other singleton party has fewer than n_i / k supporters."""
+    return all(
+        structure.counts[j] < Fraction(structure.counts[i], k)
+        for j in structure.singleton_indices()
+        if j != i
+    )
 
 
 def check_msav_threshold(rule, profile: Profile, k: int) -> AxiomVerdict:
@@ -185,11 +220,7 @@ def check_msav_threshold(rule, profile: Profile, k: int) -> AxiomVerdict:
     i = large[0]
     base = choose(profile)
     unanimous = all(set(w) <= set(structure.parties[i]) for w in base)
-    threshold = all(
-        structure.counts[j] < Fraction(structure.counts[i], k)
-        for j in structure.singleton_indices()
-        if j != i
-    )
+    threshold = _msav_threshold(structure, i, k)
     if unanimous == threshold:
         return AxiomVerdict("msav-threshold", True, None, 1)
     witness = {
@@ -199,76 +230,17 @@ def check_msav_threshold(rule, profile: Profile, k: int) -> AxiomVerdict:
         "threshold": threshold,
         "k": k,
     }
-    return _fail("msav-threshold", witness, choose, 1)
+    return fail("msav-threshold", witness, choose, 1, replay_msav_threshold)
 
 
-# --- witness replay --------------------------------------------------------
-
-
-def _replay_excellence(w, choose):
-    structure = detect_party_structure(w["profile"])
-    if structure is None:
-        return False
-    members = set(w["committee"])
-    i = structure.parties.index(w["contained_party"])
-    j = structure.parties.index(w["better_party"])
-    return (
-        w["committee"] in choose(w["profile"])
-        and structure.counts[i] < structure.counts[j]
-        and set(w["contained_party"]) <= members
-        and not set(w["better_party"]) <= members
-    )
-
-
-def _replay_party_proportionality(w, choose):
-    structure = detect_party_structure(w["profile"])
-    if structure is None:
-        return False
-    members = set(w["committee"])
-    i = structure.parties.index(w["contained_party"])
-    j = structure.parties.index(w["better_party"])
-    return (
-        w["committee"] in choose(w["profile"])
-        and structure.ratio(i) < structure.ratio(j)
-        and set(w["contained_party"]) <= members
-        and not set(w["better_party"]) <= members
-    )
-
-
-def _replay_aversion(w, choose):
-    structure = detect_party_structure(w["profile"])
-    if structure is None:
-        return False
-    i = structure.parties.index(w["unanimous_party"])
-    j = structure.parties.index(w["singleton_party"])
-    if len(structure.parties[j]) != 1:
-        return False
-    base = choose(w["profile"])
-    return (
-        all(set(committee) <= set(w["unanimous_party"]) for committee in base)
-        and structure.ratio(i) <= structure.counts[j]
-    )
-
-
-def _replay_msav_threshold(w, choose):
+def replay_msav_threshold(w, choose):
     structure = detect_party_structure(w["profile"])
     if structure is None:
         return False
     i = structure.parties.index(w["party"])
     base = choose(w["profile"])
     unanimous = all(set(committee) <= set(w["party"]) for committee in base)
-    threshold = all(
-        structure.counts[j] < Fraction(structure.counts[i], w["k"])
-        for j in structure.singleton_indices()
-        if j != i
-    )
-    return unanimous != threshold
-
-
-REPLAYERS["excellence"] = _replay_excellence
-REPLAYERS["party-proportionality"] = _replay_party_proportionality
-REPLAYERS["aversion-unanimous"] = _replay_aversion
-REPLAYERS["msav-threshold"] = _replay_msav_threshold
+    return unanimous != _msav_threshold(structure, i, w["k"])
 
 
 # --- proof-construction profile generators ---------------------------------

@@ -26,6 +26,7 @@ class ProfileFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 def num_ballots(m: int) -> int:

@@ -179,6 +179,8 @@ def parse_rule_spec(spec: str, k: int, m: int) -> Rule:
     Accepts a library rule name, `thiele:<r0>,...,<rk>`, or
     `bswav:<r1>,...,<rm>`, where each value is an integer or `p/q`.
     """
+    if k < 1:
+        raise ValueError("committee size k must be at least 1")
     spec = spec.strip()
     if spec.lower() in NAMED_RULES:
         return named_rule(spec, k, m)

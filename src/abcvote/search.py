@@ -10,33 +10,16 @@ an exhausted search reports an exact, reproducible instance count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
-from . import axioms, partylist
-from .axioms import AxiomVerdict, replay
+from . import axioms
+from .axioms import Axiom, AxiomVerdict, CheckOptions, replay
 from .profiles import ChoiceSet, Committee, Profile, canonical_form, index_ballot, num_ballots, profile_to_vector
-from .rules import Rule, continuity_lambda_bound, named_rule
+from .rules import named_rule
 
 MAX_SEARCH_M = 6
 MAX_SEARCH_N = 6
-
-SEARCHABLE_AXIOMS = (
-    "anonymity",
-    "neutrality",
-    "consistency",
-    "continuity",
-    "weak-efficiency",
-    "independence-of-losers",
-    "choice-set-convexity",
-    "excellence",
-    "party-proportionality",
-    "aversion-unanimous",
-    "msav-threshold",
-)
-
-PAIR_AXIOMS = ("consistency", "continuity")
-PARTY_AXIOMS = ("excellence", "party-proportionality", "aversion-unanimous", "msav-threshold")
 
 
 @dataclass(frozen=True)
@@ -114,55 +97,13 @@ class SearchResult:
     instances: int
 
 
-def _check_instance(rule_obj, axiom: str, profile: Profile, k: int, bounds: SearchBounds) -> AxiomVerdict | None:
-    """Run one checker; None means the axiom does not apply to this instance."""
-    if axiom == "anonymity":
-        return axioms.check_anonymity(rule_obj, profile)
-    if axiom == "neutrality":
-        return axioms.check_neutrality(rule_obj, profile)
-    if axiom == "weak-efficiency":
-        return axioms.check_weak_efficiency(rule_obj, profile)
-    if axiom == "independence-of-losers":
-        try:
-            return axioms.check_independence_of_losers(rule_obj, profile, cap=bounds.iol_cap)
-        except ValueError:
-            # documented fallback when the reduction product overflows the cap
-            return axioms.check_independence_of_losers(rule_obj, profile, mode="sample", seed=0)
-    if axiom == "choice-set-convexity":
-        return axioms.check_choice_set_convexity(rule_obj, profile)
-    if axiom in PARTY_AXIOMS:
-        if partylist.detect_party_structure(profile) is None:
-            return None
-        if axiom == "excellence":
-            return partylist.check_excellence(rule_obj, profile)
-        if axiom == "party-proportionality":
-            return partylist.check_party_proportionality(rule_obj, profile)
-        if axiom == "aversion-unanimous":
-            return partylist.check_aversion_unanimous(rule_obj, profile)
-        return partylist.check_msav_threshold(rule_obj, profile, k)
-    raise ValueError(f"unknown axiom {axiom!r}")
-
-
-def _check_pair(rule_obj, axiom: str, a: Profile, b: Profile, bounds: SearchBounds) -> AxiomVerdict:
-    if axiom == "consistency":
-        return axioms.check_consistency_pair(rule_obj, a, b)
-    # continuity: a violation here means no lambda within the cap, reported
-    # as not-found rather than asserted as a true failure
-    cap = bounds.lambda_cap
-    if isinstance(rule_obj, Rule):
-        cap = min(cap, continuity_lambda_bound(rule_obj, a, b))
-    lam = axioms.find_min_continuity_lambda(rule_obj, a, b, cap)
-    if lam is not None:
-        return AxiomVerdict("continuity", True, None, lam)
-    witness = {"left": a, "right": b, "lambda_cap": cap}
-    return AxiomVerdict("continuity", False, witness, cap)
-
-
-def _replay_continuity(w, choose):
-    return axioms.find_min_continuity_lambda(choose, w["left"], w["right"], w["lambda_cap"]) is None
-
-
-axioms.REPLAYERS["continuity"] = _replay_continuity
+def _check(axiom: Axiom, rule_obj, profiles: tuple[Profile, ...], options: CheckOptions) -> AxiomVerdict:
+    try:
+        return axiom.check(rule_obj, *profiles, options)
+    except axioms.CapExceeded:
+        # documented fallback: an exhaustive walk over its cap (independence
+        # of losers at larger m, n) is sampled with the fixed seed instead
+        return axiom.check(rule_obj, *profiles, replace(options, mode="sample"))
 
 
 def _confirm(verdict: AxiomVerdict, rule_obj) -> None:
@@ -170,54 +111,52 @@ def _confirm(verdict: AxiomVerdict, rule_obj) -> None:
         raise RuntimeError(f"{verdict.axiom} witness does not replay against the rule")
 
 
-def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBounds) -> SearchResult:
-    """First witness in stream order, or exhausted with the instance count.
+def _pairs(m: int, n: int) -> Iterator[tuple[Profile, Profile]]:
+    for n_left in range(1, n):
+        lefts = list(enumerate_profiles(m, n_left))
+        rights = list(enumerate_profiles(m, n - n_left))
+        yield from itertools.product(lefts, rights)
 
-    `rule` is a library rule name or a factory (m, k) -> evaluable rule.
-    A returned witness has always been independently re-confirmed by
-    replaying it against the rule.
-    """
-    if axiom not in SEARCHABLE_AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r}; expected one of {SEARCHABLE_AXIOMS}")
-    factory = library_factory(rule) if isinstance(rule, str) else rule
-    name = rule if isinstance(rule, str) else getattr(rule, "__name__", "custom")
-    instances = 0
 
-    if axiom in PAIR_AXIOMS:
-        for total in range(2, bounds.n_max + 1):
-            for m in range(2, bounds.m_max + 1):
-                ks = [k for k in bounds.k_set if k <= m - 1]
-                if not ks:
-                    continue
-                for n_left in range(1, total):
-                    lefts = list(enumerate_profiles(m, n_left))
-                    rights = list(enumerate_profiles(m, total - n_left))
-                    for a, b in itertools.product(lefts, rights):
-                        for k in ks:
-                            rule_obj = factory(m, k)
-                            verdict = _check_pair(rule_obj, axiom, a, b, bounds)
-                            instances += 1
-                            if not verdict.passed:
-                                _confirm(verdict, rule_obj)
-                                return SearchResult(name, axiom, True, verdict, instances)
-        return SearchResult(name, axiom, False, None, instances)
-
-    for n in range(1, bounds.n_max + 1):
+def _instances(arity: int, bounds: SearchBounds) -> Iterator[tuple[int, int, tuple[Profile, ...]]]:
+    """(m, k, profiles) in stream order: single profiles by voter count, or
+    pairs of profiles by their total voter count and then the left count."""
+    for n in range(arity, bounds.n_max + 1):
         for m in range(2, bounds.m_max + 1):
             ks = [k for k in bounds.k_set if k <= m - 1]
             if not ks:
                 continue
-            for profile in enumerate_profiles(m, n):
+            groups = ((p,) for p in enumerate_profiles(m, n)) if arity == 1 else _pairs(m, n)
+            for profiles in groups:
                 for k in ks:
-                    rule_obj = factory(m, k)
-                    verdict = _check_instance(rule_obj, axiom, profile, k, bounds)
-                    if verdict is None:
-                        continue
-                    instances += 1
-                    if not verdict.passed:
-                        _confirm(verdict, rule_obj)
-                        return SearchResult(name, axiom, True, verdict, instances)
-    return SearchResult(name, axiom, False, None, instances)
+                    yield m, k, profiles
+
+
+def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBounds) -> SearchResult:
+    """First witness in stream order, or exhausted with the instance count.
+
+    `rule` is a library rule name or a factory (m, k) -> evaluable rule.
+    Instances outside the axiom's domain are skipped and not counted.  A
+    returned witness has always been independently re-confirmed by
+    replaying it against the rule.
+    """
+    spec = axioms.lookup(axiom)
+    factory = library_factory(rule) if isinstance(rule, str) else rule
+    name = rule if isinstance(rule, str) else getattr(rule, "__name__", "custom")
+    options = {
+        k: CheckOptions(k, iol_cap=bounds.iol_cap, lambda_cap=bounds.lambda_cap) for k in bounds.k_set
+    }
+    instances = 0
+    for m, k, profiles in _instances(spec.arity, bounds):
+        rule_obj = factory(m, k)
+        if spec.domain is not None and not spec.domain(profiles[0]):
+            continue
+        verdict = _check(spec, rule_obj, profiles, options[k])
+        instances += 1
+        if not verdict.passed:
+            _confirm(verdict, rule_obj)
+            return SearchResult(name, spec.name, True, verdict, instances)
+    return SearchResult(name, spec.name, False, None, instances)
 
 
 # --- separation suite -------------------------------------------------------
@@ -322,7 +261,7 @@ def separation_suite(factories: dict[str, RuleFactory] | None = None) -> Separat
     def instance_entry(rule: str, axiom: str, expected: str, degenerate=False):
         profile = unanimity_threshold_instance()
         rule_obj = lib[rule](profile.m, 2)
-        verdict = _check_instance(rule_obj, axiom, profile, 2, grid)
+        verdict = _check(axioms.lookup(axiom), rule_obj, (profile,), CheckOptions(2, iol_cap=grid.iol_cap))
         observed = "none" if verdict.passed else "violation"
         detail = "passed" if verdict.passed else _witness_summary(verdict)
         report.entries.append(

@@ -212,10 +212,24 @@ class TestFitCommand:
         path.write_text("m=3\n0 1\n")
         assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # a repeated member, which no committee of size k has
+            ("m=3\n0 1\n2\nchosen: {0,0}\n", 4),
+            # committees are sorted index lists; {1,0} is not one
+            ("m=3\n0 1\n2\nchosen: {0,1},{1,0}\n", 4),
+            # a bad ballot in the second block is located within the file
+            ("m=3\n0 1\n2\nchosen: {0,1}\nm=3\n0 +1\nchosen: {0,1}\n", 6),
+        ],
+    )
+    def test_malformed_observations_located_by_file_line(self, tmp_path, text, line, capsys):
+        path = tmp_path / "obs.txt"
+        path.write_text(text)
+        assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
 
 class TestFlags:
-    def test_threads_validated(self, example):
-        assert main(["winners", "--rule", "av", "--k", "2", "--profile", example, "--threads", "0"]) == 2
-
     def test_missing_file(self):
         assert main(["winners", "--rule", "av", "--k", "2", "--profile", "/nonexistent.abc"]) == 2

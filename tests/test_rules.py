@@ -328,6 +328,11 @@ class TestRuleSpecSyntax:
         with pytest.raises(ValueError):
             parse_rule_spec("bswav:1,1/2", 2, 4)
 
+    @pytest.mark.parametrize("spec, k", [("av", -1), ("msav", 0), ("thiele:0", 0)])
+    def test_committee_size_below_one_rejected(self, spec, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            parse_rule_spec(spec, k, 4)
+
     def test_rationals(self):
         assert parse_rational("3/2") == F(3, 2)
         assert parse_rational("-2") == F(-2)
