@@ -34,7 +34,7 @@ from .profiles import (
     format_profile,
     scale_profile,
 )
-from .rules import Rule, scaled_pair_winners, winners
+from .rules import Rule, least_continuity_lambda
 from .verdict import AxiomVerdict, Replayer, as_choice_fn, fail
 
 IOL_EXHAUSTIVE_CAP = 2**16
@@ -48,19 +48,20 @@ def _committee_image(choices: ChoiceSet, tau: tuple[int, ...]) -> ChoiceSet:
     return frozenset(tuple(sorted(tau[c] for c in w)) for w in choices)
 
 
-def _voter_permutations(labels: tuple[int, ...], mode: str, seed: int, count: int):
-    ordered = sorted(labels)
+def _permutations(items, mode: str, seed: int, count: int, too_many: str):
+    """Every ordering of `items` (mode "all", at most 8 items) or `count`
+    seeded shuffles (mode "sample"), each as a tuple."""
+    ordered = list(items)
     if mode == "all":
         if len(ordered) > 8:
-            raise CapExceeded("exhaustive mode over voter permutations needs at most 8 voters")
-        for image in itertools.permutations(ordered):
-            yield dict(zip(ordered, image))
+            raise CapExceeded(too_many)
+        yield from itertools.permutations(ordered)
     elif mode == "sample":
         rng = random.Random(seed)
         for _ in range(count):
             image = ordered[:]
             rng.shuffle(image)
-            yield dict(zip(ordered, image))
+            yield tuple(image)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -70,8 +71,11 @@ def check_anonymity(rule, profile: Profile, mode: str = "all", seed: int = 0, co
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
-    for mapping in _voter_permutations(profile.labels(), mode, seed, count):
+    labels = sorted(profile.labels())
+    too_many = "exhaustive mode over voter permutations needs at most 8 voters"
+    for image in _permutations(labels, mode, seed, count, too_many):
         checked += 1
+        mapping = dict(zip(labels, image))
         permuted = profile.relabel(mapping)
         if choose(permuted) != base:
             witness = {
@@ -89,27 +93,13 @@ def _replay_anonymity(w, choose):
     return choose(w["profile"]) != choose(w["permuted_profile"])
 
 
-def _candidate_permutations(m: int, mode: str, seed: int, count: int):
-    if mode == "all":
-        if m > 8:
-            raise CapExceeded("exhaustive mode over candidate permutations needs m <= 8")
-        yield from itertools.permutations(range(m))
-    elif mode == "sample":
-        rng = random.Random(seed)
-        for _ in range(count):
-            tau = list(range(m))
-            rng.shuffle(tau)
-            yield tuple(tau)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-
 def check_neutrality(rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20) -> AxiomVerdict:
     """Renaming candidates by tau must map the choice set to its tau-image."""
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
-    for tau in _candidate_permutations(profile.m, mode, seed, count):
+    too_many = "exhaustive mode over candidate permutations needs m <= 8"
+    for tau in _permutations(range(profile.m), mode, seed, count, too_many):
         checked += 1
         renamed = apply_candidate_permutation(profile, tau)
         expected = _committee_image(base, tau)
@@ -189,17 +179,15 @@ def check_consistency_splits(rule, profile: Profile, max_voters: int = 10) -> Ax
 def find_min_continuity_lambda(rule, a: Profile, b: Profile, lambda_cap: int) -> int | None:
     """Smallest lambda <= lambda_cap with winners(lambda*a + b) ⊆ winners(a), else None.
 
-    For library rules the scaled profile is never materialized; scores are
-    combined linearly, which is exact and bit-identical to the direct path.
+    For library rules the least lambda is read off the two score vectors
+    (`least_continuity_lambda`); other rules are run on each materialized
+    lambda*a + b in turn.
     """
     if lambda_cap < 1:
         raise ValueError("lambda cap must be at least 1")
     if isinstance(rule, Rule):
-        target = winners(rule, a)
-        for lam in range(1, lambda_cap + 1):
-            if scaled_pair_winners(rule, a, b, lam) <= target:
-                return lam
-        return None
+        lam = least_continuity_lambda(rule, a, b)
+        return lam if lam <= lambda_cap else None
     choose = as_choice_fn(rule)
     target = choose(a)
     for lam in range(1, lambda_cap + 1):
@@ -278,15 +266,15 @@ def _reductions_for(ballot: Ballot, committee_members: frozenset[int]):
 def check_independence_of_losers(
     rule,
     profile: Profile,
-    mode: str = "exhaustive",
+    mode: str = "all",
     seed: int = 0,
     count: int = 200,
     cap: int = IOL_EXHAUSTIVE_CAP,
 ) -> AxiomVerdict:
     """Winners must stay winning when voters disapprove non-members.
 
-    Exhaustive mode walks, for every winner, the product of all per-voter
-    reductions (capped); sample mode draws `count` seeded random reductions.
+    Mode "all" walks, for every winner, the product of all per-voter
+    reductions (capped); "sample" draws `count` seeded random reductions.
     """
     choose = as_choice_fn(rule)
     base = choose(profile)
@@ -295,7 +283,7 @@ def check_independence_of_losers(
     for committee in sorted(base):
         members = frozenset(committee)
         options = [_reductions_for(ballot, members) for _, ballot in profile.ballots]
-        if mode == "exhaustive":
+        if mode == "all":
             total = 1
             for _, ballot in profile.ballots:
                 total *= 2 ** len(ballot - members)
@@ -431,11 +419,6 @@ class Axiom:
     replay: Replayer
 
 
-def _check_iol(rule, profile, o):
-    mode = "sample" if o.mode == "sample" else "exhaustive"
-    return check_independence_of_losers(rule, profile, mode=mode, seed=o.seed, count=o.count, cap=o.iol_cap)
-
-
 _party_list = partylist.is_party_list
 
 AXIOMS: tuple[Axiom, ...] = (
@@ -450,7 +433,7 @@ AXIOMS: tuple[Axiom, ...] = (
     Axiom("weak-efficiency", (), 1, None,
           lambda r, p, o: check_weak_efficiency(r, p), _replay_weak_efficiency),
     Axiom("independence-of-losers", ("iol",), 1, None,
-          _check_iol, _replay_iol),
+          lambda r, p, o: check_independence_of_losers(r, p, o.mode, o.seed, o.count, o.iol_cap), _replay_iol),
     Axiom("choice-set-convexity", ("convexity",), 1, None,
           lambda r, p, o: check_choice_set_convexity(r, p), _replay_convexity),
     Axiom("excellence", (), 1, _party_list,

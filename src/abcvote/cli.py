@@ -71,7 +71,11 @@ def cmd_winners(args) -> int:
 def cmd_score(args) -> int:
     profile = _read_profile(args.profile)
     rule = parse_rule_spec(args.rule, args.k, profile.m)
-    committee = tuple(sorted(int(tok) for tok in args.committee.replace(",", " ").split()))
+    tokens = args.committee.replace(",", " ").split()
+    # plain ASCII digits only, as in profile files: int() would also take "+1", "1_0" and "١"
+    if not (args.committee.isascii() and "".join(tokens).isdigit()):
+        raise UsageError(f"committee {args.committee!r} must list plain digits, none outside 0..{profile.m - 1}")
+    committee = tuple(sorted(int(tok) for tok in tokens))
     score = committee_score(rule, profile, committee)
     if args.format == "json":
         _emit_json(
@@ -178,7 +182,7 @@ def cmd_fit(args) -> int:
     if args.family == "thiele":
         result = identify.fit_thiele(observations, args.k)
     else:
-        result = identify.fit_bswav(observations, args.m or observations[0].m, args.k)
+        result = identify.fit_bswav(observations, observations[0].m, args.k)
     rendered = identify.format_fit(result, args.family)
     if args.format == "json":
         payload = {"family": args.family, "feasible": result.feasible, "fit": rendered}
@@ -243,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit scoring parameters to observed choice sets")
     p.add_argument("--family", choices=("thiele", "bswav"), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, default=None, help="candidate count (bswav; default from file)")
     p.add_argument("--observations", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_fit)

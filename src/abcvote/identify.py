@@ -334,32 +334,30 @@ class FitResult:
     system: ConstraintSystem | None = None
 
 
-def _verify_fit(rule: Rule, observations: list[Observation]) -> None:
-    for obs in observations:
-        got = winners_from_vector(rule, obs.vector, obs.k)
-        if got != obs.chosen:
-            raise AssertionError("fitted rule fails to reproduce an observation")
-
-
-def fit_thiele(observations: list[Observation], k: int) -> FitResult:
-    """A Thiele scoring vector reproducing every observation, or infeasible.
-
-    The result is normalized to s_1 = 1 when s_1 > 0 (the argmax is
-    invariant under positive scaling) and re-verified against each
-    observation before being returned.
-    """
-    if any(obs.k != k for obs in observations):
-        raise ValueError("observations disagree with the requested k")
-    system = build_system(observations, "thiele", k=k)
+def _fit(observations: list[Observation], family: str, k: int, m: int | None, make_rule) -> FitResult:
+    """Solve the family's system, scale the first parameter to 1 when it is
+    positive (the argmax is invariant under positive scaling), build the
+    rule with `make_rule` and re-verify it against each observation."""
+    if any(obs.k != k or m not in (None, obs.m) for obs in observations):
+        raise ValueError(f"observations disagree with the requested {'k' if m is None else 'm, k'}")
+    system = build_system(observations, family, k=k, m=m)
     result = solve_feasibility(system)
     if not result.feasible:
         return FitResult(False, None, result.certificate, system)
-    values = [Fraction(0), *result.point]
-    if values[1] > 0:
-        values = [v / values[1] for v in values]
-    rule = Rule("thiele-fit", k, ThieleScore(k, tuple(values)))
-    _verify_fit(rule, observations)
+    point = result.point
+    if point[0] > 0:
+        point = tuple(v / point[0] for v in point)
+    rule = make_rule(point)
+    if any(winners_from_vector(rule, obs.vector, obs.k) != obs.chosen for obs in observations):
+        raise AssertionError("fitted rule fails to reproduce an observation")
     return FitResult(True, rule, None, system)
+
+
+def fit_thiele(observations: list[Observation], k: int) -> FitResult:
+    """A Thiele scoring vector reproducing every observation, or infeasible;
+    normalized to s_1 = 1 when s_1 > 0."""
+    return _fit(observations, "thiele", k, None,
+                lambda s: Rule("thiele-fit", k, ThieleScore(k, (Fraction(0), *s))))
 
 
 def fit_bswav(observations: list[Observation], m: int, k: int) -> FitResult:
@@ -368,19 +366,7 @@ def fit_bswav(observations: list[Observation], m: int, k: int) -> FitResult:
     Normalized to alpha_1 = 1 when positive; the inert full-ballot weight is
     pinned to alpha_1 / m by convention.
     """
-    if any(obs.k != k or obs.m != m for obs in observations):
-        raise ValueError("observations disagree with the requested m, k")
-    system = build_system(observations, "bswav", m=m)
-    result = solve_feasibility(system)
-    if not result.feasible:
-        return FitResult(False, None, result.certificate, system)
-    alpha = list(result.point)
-    if alpha[0] > 0:
-        alpha = [a / alpha[0] for a in alpha]
-    alpha.append(alpha[0] / m)
-    rule = Rule("bswav-fit", k, BswavWeights(m, tuple(alpha)))
-    _verify_fit(rule, observations)
-    return FitResult(True, rule, None, system)
+    return _fit(observations, "bswav", k, m, lambda a: Rule("bswav-fit", k, BswavWeights(m, (*a, a[0] / m))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ the separating instances for wrong scoring parameters are drawn.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -57,22 +58,12 @@ def detect_party_structure(profile: Profile) -> PartyListStructure | None:
     are completed into singleton parties with count zero, so the parties
     partition the candidate set.
     """
-    counts: dict[frozenset[int], int] = {}
-    for _, ballot in profile.ballots:
-        counts[ballot] = counts.get(ballot, 0) + 1
-    distinct = sorted(counts, key=sorted)
-    for i, a in enumerate(distinct):
-        for b in distinct[i + 1:]:
-            if a & b:
-                return None
-    covered = frozenset().union(*distinct)
-    parties = [tuple(sorted(b)) for b in distinct]
-    parties += [(c,) for c in range(profile.m) if c not in covered]
-    tallies = [counts.get(frozenset(p), 0) for p in parties]
-    order = sorted(range(len(parties)), key=lambda i: parties[i])
-    return PartyListStructure(
-        tuple(parties[i] for i in order), tuple(tallies[i] for i in order)
-    )
+    counts = Counter(ballot for _, ballot in profile.ballots)
+    covered = frozenset().union(*counts)
+    if sum(map(len, counts)) != len(covered):  # some candidate is on two distinct ballots
+        return None
+    parties = sorted([tuple(sorted(b)) for b in counts] + [(c,) for c in range(profile.m) if c not in covered])
+    return PartyListStructure(tuple(parties), tuple(counts[frozenset(p)] for p in parties))
 
 
 def require_party_structure(profile: Profile) -> PartyListStructure:
@@ -246,11 +237,22 @@ def replay_msav_threshold(w, choose):
 # --- proof-construction profile generators ---------------------------------
 
 
-def _party_list_profile(m: int, party_size: int, party_ballots: int, singleton_count: int) -> Profile:
-    party = frozenset(range(party_size))
-    ballots = [party] * party_ballots
-    for c in range(party_size, m):
-        ballots.extend([frozenset({c})] * singleton_count)
+def _witness_profile(family: str, l: int, t: int, k: int, m: int, case: str, party_voters: int) -> Profile:
+    """`party_voters` voters approve the party {0..l-1}; every other candidate
+    is approved alone by t+1 (high) or t-1 (low) voters.  Thiele witnesses
+    take 2 <= l <= k < m, ballot-size witnesses 2 <= l <= m-1."""
+    l_max, l_bound = (k, "k") if family == "thiele" else (m - 1, "m-1")
+    if not 2 <= l <= l_max:
+        raise ValueError(f"need 2 <= l <= {l_bound}")
+    if t < 2:
+        raise ValueError("need t >= 2")
+    if family == "thiele" and m <= k:
+        raise ValueError("need m > k")
+    if case not in ("high", "low"):
+        raise ValueError("case must be 'high' or 'low'")
+    ballots = [frozenset(range(l))] * party_voters
+    for c in range(l, m):
+        ballots.extend([frozenset({c})] * (t + 1 if case == "high" else t - 1))
     return Profile.from_ballots(m, ballots)
 
 
@@ -259,40 +261,18 @@ def gen_excellence_witness_profile(l: int, t: int, k: int, m: int, case: str) ->
     approved by t+1 (high) or t-1 (low) voters.  Any Thiele rule with
     s(l) != l*s(1) elects either the whole party or never the whole party on
     one of the two cases, breaking the excellence criterion."""
-    if not 2 <= l <= k:
-        raise ValueError("need 2 <= l <= k")
-    if t < 2:
-        raise ValueError("need t >= 2")
-    if m <= k:
-        raise ValueError("need m > k")
-    if case not in ("high", "low"):
-        raise ValueError("case must be 'high' or 'low'")
-    return _party_list_profile(m, l, t, t + 1 if case == "high" else t - 1)
+    return _witness_profile("thiele", l, t, k, m, case, t)
 
 
 def gen_pav_witness_profile(l: int, t: int, k: int, m: int, case: str) -> Profile:
     """l*t voters approve the party {0..l-1}; singleton parties get t+1 (high)
     or t-1 (low) voters.  Falsifies party-proportionality for any Thiele rule
     whose s(l) is not the l-th harmonic number (given t*l*delta > 1)."""
-    if not 2 <= l <= k:
-        raise ValueError("need 2 <= l <= k")
-    if t < 2:
-        raise ValueError("need t >= 2")
-    if m <= k:
-        raise ValueError("need m > k")
-    if case not in ("high", "low"):
-        raise ValueError("case must be 'high' or 'low'")
-    return _party_list_profile(m, l, l * t, t + 1 if case == "high" else t - 1)
+    return _witness_profile("thiele", l, t, k, m, case, l * t)
 
 
 def gen_sav_witness_profile(l: int, t: int, k: int, m: int, case: str) -> Profile:
     """l*t voters approve the party {0..l-1}; each outside candidate gets t+1
     (high) or t-1 (low) voters.  Falsifies party-proportionality or aversion
     to unanimous committees for any ballot-size weighting with alpha_l != 1/l."""
-    if not 2 <= l <= m - 1:
-        raise ValueError("need 2 <= l <= m-1")
-    if t < 2:
-        raise ValueError("need t >= 2")
-    if case not in ("high", "low"):
-        raise ValueError("case must be 'high' or 'low'")
-    return _party_list_profile(m, l, l * t, t + 1 if case == "high" else t - 1)
+    return _witness_profile("bswav", l, t, k, m, case, l * t)

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 
 from .profiles import (
     ChoiceSet,
@@ -25,8 +25,11 @@ from .profiles import (
     index_ballot,
 )
 
-# Guards runaway winner enumerations; desk-scale inputs stay far below it.
-DEFAULT_M_CAP = 24
+# Most committees, C(m, k), that any scoring entry point enumerates.  A
+# cached committee (tuple plus bitmask) took about 170 B at C(20, 10) =
+# 184,756 (CPython 3.11, tracemalloc), so one (m, k) at the limit holds about
+# 34 MB, and scoring it against 100 distinct ballots took about 1.7 s.
+MAX_COMMITTEES = 200_000
 
 NAMED_RULES = ("av", "pav", "ccav", "sav", "msav", "triv")
 
@@ -154,6 +157,8 @@ def bswav_rule(name: str, k: int, alpha) -> Rule:
 
 def named_rule(name: str, k: int, m: int) -> Rule:
     """Construct one of the library rules for committee size k over m candidates."""
+    if k < 1:
+        raise ValueError("committee size k must be at least 1")
     name = name.lower()
     if name == "av":
         return thiele_rule("av", [Fraction(x) for x in range(k + 1)])
@@ -179,8 +184,6 @@ def parse_rule_spec(spec: str, k: int, m: int) -> Rule:
     Accepts a library rule name, `thiele:<r0>,...,<rk>`, or
     `bswav:<r1>,...,<rm>`, where each value is an integer or `p/q`.
     """
-    if k < 1:
-        raise ValueError("committee size k must be at least 1")
     spec = spec.strip()
     if spec.lower() in NAMED_RULES:
         return named_rule(spec, k, m)
@@ -260,22 +263,33 @@ def _kernel(rule: Rule, m: int, terms: list[tuple[int, int]], committee_masks) -
     return scale, [sum([row[(mask & cm).bit_count()] for mask, row in rows]) for cm in committee_masks]
 
 
-def _profile_scores(rule: Rule, profile: Profile) -> tuple[tuple[Committee, ...], int, list[int]]:
+def _scores(rule: Rule, m: int, terms: list[tuple[int, int]], weight_scale: int = 1):
     """(committees, D, scores) with scores[i] / D the exact score of committees[i]."""
-    _check_dimensions(rule, profile.m)
-    committees, masks = _committee_masks(profile.m, rule.k)
-    scale, scores = _kernel(rule, profile.m, _profile_terms(profile), masks)
-    return committees, scale, scores
+    _check_dimensions(rule, m)
+    if comb(m, rule.k) > MAX_COMMITTEES:
+        raise ValueError(f"C({m},{rule.k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
+    committees, masks = _committee_masks(m, rule.k)
+    scale, scores = _kernel(rule, m, terms, masks)
+    return committees, scale * weight_scale, scores
+
+
+def _profile_scores(rule: Rule, profile: Profile) -> tuple[tuple[Committee, ...], int, list[int]]:
+    return _scores(rule, profile.m, _profile_terms(profile))
 
 
 def _vector_scores(rule: Rule, vector: ProfileVector, k: int) -> tuple[tuple[Committee, ...], int, list[int]]:
-    _check_dimensions(rule, vector.m)
     if k != rule.k:
         raise ValueError(f"requested k={k} does not match rule k={rule.k}")
-    committees, masks = _committee_masks(vector.m, k)
     weight_scale, terms = _vector_terms(vector)
-    scale, scores = _kernel(rule, vector.m, terms, masks)
-    return committees, scale * weight_scale, scores
+    return _scores(rule, vector.m, terms, weight_scale)
+
+
+def _pair_scores(rule: Rule, a: Profile, b: Profile) -> tuple[tuple[Committee, ...], list[int], list[int]]:
+    """(committees, scores of a, scores of b), both on the table's one integer scale."""
+    if a.m != b.m:
+        raise ValueError("profiles must share the candidate count")
+    committees, _, scores_a = _profile_scores(rule, a)
+    return committees, scores_a, _profile_scores(rule, b)[2]
 
 
 def _argmax(committees: tuple[Committee, ...], scores: list[int]) -> ChoiceSet:
@@ -301,10 +315,8 @@ def committee_scores(rule: Rule, profile: Profile) -> list[tuple[Committee, Frac
     return [(w, Fraction(score, scale)) for w, score in zip(committees, scores)]
 
 
-def winners(rule: Rule, profile: Profile, m_cap: int = DEFAULT_M_CAP) -> ChoiceSet:
+def winners(rule: Rule, profile: Profile) -> ChoiceSet:
     """The full argmax set of committees; never empty, no tie-breaking."""
-    if profile.m > m_cap:
-        raise ValueError(f"m={profile.m} exceeds the enumeration cap {m_cap}")
     committees, _, scores = _profile_scores(rule, profile)
     return _argmax(committees, scores)
 
@@ -315,17 +327,12 @@ def vector_scores(rule: Rule, vector: ProfileVector, k: int) -> list[tuple[Commi
     return [(w, Fraction(score, scale)) for w, score in zip(committees, scores)]
 
 
-def winners_from_vector(rule: Rule, vector: ProfileVector, k: int, m_cap: int = DEFAULT_M_CAP) -> ChoiceSet:
+def winners_from_vector(rule: Rule, vector: ProfileVector, k: int) -> ChoiceSet:
     """Argmax over committees for a rational (possibly negative) profile vector.
 
     For the vector of an actual profile this agrees exactly with
     :func:`winners` on that profile.
     """
-    if vector.m > m_cap:
-        raise ValueError(f"m={vector.m} exceeds the enumeration cap {m_cap}")
-    if not vector.entries:
-        # the zero vector scores every committee 0
-        return frozenset(_committee_masks(vector.m, k)[0])
     committees, _, scores = _vector_scores(rule, vector, k)
     return _argmax(committees, scores)
 
@@ -337,18 +344,26 @@ def continuity_lambda_bound(rule: Rule, a: Profile, b: Profile) -> int:
     winners(rule, a): scaling a's smallest winner/non-winner gap past b's
     largest score spread makes a's losers stay losers.
     """
-    if a.m != b.m:
-        raise ValueError("profiles must share the candidate count")
-    # both score lists share the table's scale, so their ratio is exact
-    _, _, scores_a = _profile_scores(rule, a)
+    _, scores_a, scores_b = _pair_scores(rule, a, b)
     best_a = max(scores_a)
     loser_scores = [score for score in scores_a if score != best_a]
     if not loser_scores:
         return 1
     gap_a = best_a - max(loser_scores)
-    _, _, scores_b = _profile_scores(rule, b)
     spread_b = max(scores_b) - min(scores_b)
     return 1 + -(-spread_b // gap_a)
+
+
+def least_continuity_lambda(rule: Rule, a: Profile, b: Profile) -> int:
+    """The least lambda >= 1 with winners(rule, lambda*a + b) ⊆ winners(rule, a).
+
+    That holds iff every loser L of a falls behind a's best winner on b:
+    lambda * (best_a - s_a(L)) > s_b(L) - max of s_b over a's winners.
+    """
+    _, scores_a, scores_b = _pair_scores(rule, a, b)
+    best_a = max(scores_a)
+    top_b = max(sb for sa, sb in zip(scores_a, scores_b) if sa == best_a)
+    return max([1] + [(sb - top_b) // (best_a - sa) + 1 for sa, sb in zip(scores_a, scores_b) if sa != best_a])
 
 
 def scaled_pair_winners(rule: Rule, a: Profile, b: Profile, lam: int) -> ChoiceSet:
@@ -357,6 +372,5 @@ def scaled_pair_winners(rule: Rule, a: Profile, b: Profile, lam: int) -> ChoiceS
     Committee scores are additive over voters, so the scaled profile never
     needs to be materialized; results are bit-identical to the direct path.
     """
-    committees, _, scores_a = _profile_scores(rule, a)
-    _, _, scores_b = _profile_scores(rule, b)
+    committees, scores_a, scores_b = _pair_scores(rule, a, b)
     return _argmax(committees, [lam * sa + sb for sa, sb in zip(scores_a, scores_b)])

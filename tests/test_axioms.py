@@ -25,6 +25,7 @@ from abcvote.profiles import (
     parse_profile,
     profile_to_vector,
 )
+from abcvote import rules
 from abcvote.rules import committee_scores, continuity_lambda_bound, named_rule, winners
 
 from conftest import raw_profiles
@@ -235,6 +236,17 @@ class TestContinuity:
                 bound = continuity_lambda_bound(rule, a, b)
                 lam = find_min_continuity_lambda(rule, a, b, bound)
                 assert lam is not None and lam <= bound
+
+    def test_min_lambda_scores_each_profile_once(self, monkeypatch):
+        # lambda*2 > lambda*1 + 5 first holds at lambda = 6
+        a = Profile.from_ballots(2, [fs(0), fs(0), fs(1)])
+        b = Profile.from_ballots(2, [fs(1)] * 5)
+        calls = []
+        kernel = rules._kernel
+        monkeypatch.setattr(rules, "_kernel", lambda *args: calls.append(args) or kernel(*args))
+        assert find_min_continuity_lambda(named_rule("av", 1, 2), a, b, 64) == 6
+        assert len(calls) == 2
+        assert find_min_continuity_lambda(named_rule("av", 1, 2), a, b, 5) is None
 
     def test_generic_path_matches_rule_path(self):
         a = Profile.from_ballots(3, [fs(0), fs(1, 2)])

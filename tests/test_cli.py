@@ -60,6 +60,18 @@ class TestWinners:
         assert main(["winners", "--rule", "av", "--k", "1", "--profile", str(path)]) == 2
         assert "line " in capsys.readouterr().err
 
+    def test_over_committee_limit_exits_2(self, tmp_path, capsys):
+        # C(24, 12) = 2,704,156 committees, over rules.MAX_COMMITTEES
+        path = tmp_path / "wide.abc"
+        path.write_text("m=24\n0\n1 2\n")
+        assert main(["winners", "--rule", "av", "--k", "12", "--profile", str(path)]) == 2
+        assert "enumeration limit" in capsys.readouterr().err
+        for cap in ([], ["--lambda-cap", "3"]):
+            argv = ["check", "--axiom", "continuity", "--rule", "av", "--k", "12",
+                    "--profile", str(path), "--profile2", str(path), *cap]
+            assert main(argv) == 2
+            assert "enumeration limit" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, example, capsys):
         main(["winners", "--rule", "sav", "--k", "2", "--profile", example])
         first = capsys.readouterr().out
@@ -80,6 +92,20 @@ class TestScore:
         argv = ["score", "--rule", "pav", "--k", "2", "--profile", example, "--committee", committee]
         assert main(argv) == 2
         assert "outside 0..3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("committee", ["0 \u0661", "+0 1_0", "0 +1", "0\u20031", "0 1.0"])
+    def test_loose_integers_exit_2(self, example, committee, capsys):
+        # the profile parser's rule: plain ASCII digits only
+        argv = ["score", "--rule", "pav", "--k", "2", "--profile", example, "--committee", committee]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must list plain digits" in captured.err
+
+    def test_comma_separated(self, example, capsys):
+        argv = ["score", "--rule", "pav", "--k", "2", "--profile", example, "--committee", "1,0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "{0,1}  score 5/2\n"
 
 
 class TestCheck:
@@ -132,6 +158,17 @@ class TestCheck:
         code = main(["check", "--axiom", "consistency", "--rule", "pav", "--k", "2",
                      "--profile", example, "--splits"])
         assert code == 0
+
+    @pytest.mark.parametrize("cap", [[], ["--lambda-cap", "5"]])
+    def test_continuity_profiles_must_share_m(self, tmp_path, cap, capsys):
+        a = tmp_path / "a.abc"
+        b = tmp_path / "b.abc"
+        a.write_text("m=3\n0\n1 2\n")
+        b.write_text("m=4\n3\n3\n3\n1\n")
+        argv = ["check", "--axiom", "continuity", "--rule", "av", "--k", "1",
+                "--profile", str(a), "--profile2", str(b), *cap]
+        assert main(argv) == 2
+        assert "share the candidate count" in capsys.readouterr().err
 
     def test_continuity_lambda(self, tmp_path, capsys):
         a = tmp_path / "a.abc"
@@ -211,6 +248,15 @@ class TestFitCommand:
         path = tmp_path / "obs.txt"
         path.write_text("m=3\n0 1\n")
         assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
+
+    def test_no_m_option(self, tmp_path, capsys):
+        # the candidate count always comes from the observations file
+        path = tmp_path / "obs.txt"
+        path.write_text("m=3\n0 1\n2\nchosen: {0},{1}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--family", "bswav", "--k", "1", "--m", "3", "--observations", str(path)])
+        assert exc.value.code == 2
+        assert main(["fit", "--family", "bswav", "--k", "1", "--observations", str(path)]) == 0
 
     @pytest.mark.parametrize(
         "text, line",

@@ -160,12 +160,10 @@ def test_cli_check(workdir, axiom, rule, k, profile, profile2, extra):
 @FUZZ
 @given(
     st.sampled_from(["thiele", "bswav"]), st.integers(0, 3).map(str), observation_texts(),
-    st.one_of(st.none(), st.integers(1, 5).map(str)), st.sampled_from(["text", "json"]),
+    st.sampled_from(["text", "json"]),
 )
-def test_cli_fit(workdir, family, k, text, m, fmt):
+def test_cli_fit(workdir, family, k, text, fmt):
     path = workdir / "obs.txt"
     path.write_text(text)
     argv = ["fit", "--family", family, "--k", k, "--observations", str(path), "--format", fmt]
-    if m is not None:
-        argv += ["--m", m]
     assert run(argv) in (0, 1, 2)

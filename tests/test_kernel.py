@@ -7,6 +7,7 @@ from math import ceil
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcvote.axioms import find_min_continuity_lambda
 from abcvote.profiles import Profile, ProfileVector
 from abcvote.rules import (
     NAMED_RULES,
@@ -16,6 +17,7 @@ from abcvote.rules import (
     committee_score,
     committee_scores,
     continuity_lambda_bound,
+    least_continuity_lambda,
     named_rule,
     parse_rule_spec,
     scaled_pair_winners,
@@ -23,6 +25,7 @@ from abcvote.rules import (
     winners,
     winners_from_vector,
 )
+from abcvote.verdict import as_choice_fn
 
 from conftest import (
     oracle_argmax,
@@ -166,3 +169,23 @@ def test_continuity_bound_matches_oracle(instance):
     weighted = [(ballot, bound) for _, ballot in a.ballots] + [(ballot, 1) for _, ballot in b.ballots]
     chosen = oracle_argmax(oracle_scores(rule.score, weighted, a.m, rule.k))
     assert chosen <= oracle_winners(rule.score, a, rule.k)
+
+
+@PROPERTY
+@given(pair_instances(), st.integers(1, 24))
+def test_min_continuity_lambda_matches_generic_path_and_oracle(instance, cap):
+    rule, a, b, _ = instance
+    target = oracle_winners(rule.score, a, rule.k)
+    expected = None
+    for lam in range(1, cap + 1):
+        weighted = [(ballot, lam) for _, ballot in a.ballots] + [(ballot, 1) for _, ballot in b.ballots]
+        if oracle_argmax(oracle_scores(rule.score, weighted, a.m, rule.k)) <= target:
+            expected = lam
+            break
+    assert find_min_continuity_lambda(rule, a, b, cap) == expected
+    # the materialized lambda*a + b path, run through the rule as a plain choice function
+    assert find_min_continuity_lambda(as_choice_fn(rule), a, b, cap) == expected
+    if expected is None:
+        assert least_continuity_lambda(rule, a, b) > cap
+    else:
+        assert least_continuity_lambda(rule, a, b) == expected

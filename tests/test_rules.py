@@ -16,6 +16,7 @@ from abcvote.profiles import (
     scale_profile,
     add_profiles,
 )
+from abcvote import rules
 from abcvote.rules import (
     AbcScoringTable,
     BswavWeights,
@@ -169,9 +170,24 @@ class TestWinners:
                             assert winners(rule, profile)
 
     def test_enumeration_cap(self):
-        profile = Profile.from_ballots(30, [fs(0)])
-        with pytest.raises(ValueError):
-            winners(named_rule("av", 2, 30), profile)
+        # C(24, 12) = 2,704,156 committees: rejected before any is built
+        profile = Profile.from_ballots(24, [fs(0)])
+        rule = named_rule("av", 12, 24)
+        cached = rules._committee_masks.cache_info().currsize
+        with pytest.raises(ValueError, match="enumeration limit"):
+            winners(rule, profile)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            winners_from_vector(rule, profile_to_vector(profile), 12)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            continuity_lambda_bound(rule, profile, profile)
+        assert rules._committee_masks.cache_info().currsize == cached
+
+    def test_many_candidates_small_committee(self):
+        # the limit is on C(m, k), not on m: C(30, 2) = 435 committees
+        rng = random.Random(30)
+        profile = Profile.from_ballots(30, [fs(*rng.sample(range(30), rng.randint(1, 4))) for _ in range(12)])
+        for rule in library_rules(30, 2):
+            assert winners(rule, profile) == oracle_winners(rule.score, profile, 2)
 
     def test_av_cross_family_agreement(self):
         for m in range(2, 5):
@@ -332,6 +348,11 @@ class TestRuleSpecSyntax:
     def test_committee_size_below_one_rejected(self, spec, k):
         with pytest.raises(ValueError, match="at least 1"):
             parse_rule_spec(spec, k, 4)
+
+    @pytest.mark.parametrize("name, k, m", [("msav", 0, 4), ("av", -1, 0)])
+    def test_named_rule_rejects_committee_size_below_one(self, name, k, m):
+        with pytest.raises(ValueError, match="at least 1"):
+            named_rule(name, k, m)
 
     def test_rationals(self):
         assert parse_rational("3/2") == F(3, 2)
