@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .profiles import (
     ChoiceSet,
@@ -30,6 +31,7 @@ from .profiles import (
     profile_to_vector,
 )
 from .rules import (
+    MAX_COMMITTEES,
     BswavWeights,
     Rule,
     ThieleScore,
@@ -173,6 +175,9 @@ def build_system(
 
     if len(unknowns) > MAX_UNKNOWNS:
         raise ValueError(f"{len(unknowns)} unknowns exceed the elimination cap {MAX_UNKNOWNS}")
+    if observations and comb(m, k) > MAX_COMMITTEES:
+        # every observation contributes rows for all C(m, k) committees
+        raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
 
     weak = list(side)
     strict: list[tuple[Fraction, ...]] = []

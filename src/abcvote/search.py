@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 from . import axioms
 from .axioms import Axiom, AxiomVerdict, CheckOptions, replay
-from .profiles import ChoiceSet, Committee, Profile, canonical_form, index_ballot, num_ballots, profile_to_vector
+from .profiles import ChoiceSet, Committee, Profile, all_ballots, ballot_permutation_tables
 from .rules import named_rule
 
 MAX_SEARCH_M = 6
@@ -43,18 +43,25 @@ def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profi
     """All multisets of n non-empty ballots over m candidates, in stream order.
 
     With canonical=True only one representative per candidate-permutation
-    orbit is yielded (the profile whose vector is its own canonical form).
+    orbit is yielded: the profile whose vector is its own canonical form.
+    A multiset from `combinations_with_replacement` is a sorted ballot-index
+    tuple, and it is canonical iff no candidate permutation's ballot table
+    maps it to a lexicographically greater sorted tuple (see
+    :func:`canonical_form`).  Each candidate costs at most m! - 1 table
+    lookups of n entries with a sort each, stopping at the first table that
+    rejects it; only accepted candidates are built into profiles.
     """
     if not 2 <= m <= MAX_SEARCH_M:
         raise ValueError(f"m must lie in 2..{MAX_SEARCH_M}")
     if not 1 <= n <= MAX_SEARCH_N:
         raise ValueError(f"n must lie in 1..{MAX_SEARCH_N}")
-    ballots = [index_ballot(i, m) for i in range(num_ballots(m))]
+    ballots = all_ballots(m)
+    tables = ballot_permutation_tables(m) if canonical else ()
     for combo in itertools.combinations_with_replacement(range(len(ballots)), n):
-        profile = Profile.from_ballots(m, [ballots[i] for i in combo])
-        if canonical and canonical_form(profile) != profile_to_vector(profile):
+        combo_list = list(combo)
+        if any(sorted(map(table.__getitem__, combo)) > combo_list for table in tables):
             continue
-        yield profile
+        yield Profile.from_ballots(m, [ballots[i] for i in combo])
 
 
 RuleFactory = Callable[[int, int], object]

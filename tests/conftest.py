@@ -3,13 +3,17 @@
 The scoring oracles are naive `Fraction` loops over `itertools.combinations`
 and import nothing from `abcvote.rules`; they take a rule's score function
 s(x, y) and nothing else, so the kernel is always checked against the
-scoring definition itself.
+scoring definition itself.  Likewise the canonical-form oracle renames the
+candidates of the profile itself under all m! permutations and compares
+dense count vectors, without the ballot tables of `abcvote.profiles` or
+anything from `abcvote.search`.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
-from abcvote.profiles import Profile
+from abcvote.profiles import Profile, ProfileVector
 
 
 def all_subsets_nonempty(m):
@@ -25,6 +29,19 @@ def raw_profiles(m, n):
     pool = sorted(all_subsets_nonempty(m), key=lambda b: (len(b), sorted(b)))
     for combo in itertools.combinations_with_replacement(pool, n):
         yield Profile.from_ballots(m, combo)
+
+
+def oracle_canonical_form(profile):
+    """The lexicographically least dense count vector over all m! candidate
+    renamings of the profile, each renaming built from scratch."""
+    ballots = all_subsets_nonempty(profile.m)
+    best = None
+    for tau in itertools.permutations(range(profile.m)):
+        counts = Counter(frozenset(tau[c] for c in ballot) for _, ballot in profile.ballots)
+        dense = tuple(counts[ballot] for ballot in ballots)
+        if best is None or dense < best:
+            best = dense
+    return ProfileVector.from_dict(profile.m, dict(enumerate(best)))
 
 
 def oracle_scores(score_fn, weighted_ballots, m, k):

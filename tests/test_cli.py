@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from abcvote import cli
 from abcvote.cli import main
 from abcvote.identify import Observation, format_observations
 from abcvote.profiles import parse_profile, profile_to_vector
@@ -274,6 +278,26 @@ class TestFitCommand:
         path.write_text(text)
         assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+    def test_over_committee_limit_exits_2(self, tmp_path):
+        # C(30, 8) = 5,852,925 committees, over rules.MAX_COMMITTEES: the limit
+        # must stop the fit before any constraint row is built, so the child
+        # runs under a 20 s timeout and a 1 GB address-space limit
+        path = tmp_path / "wide.txt"
+        path.write_text("m=30\n0 1 2\n3\nchosen: {0,1,2,3,4,5,6,7}\n")
+        argv = ["fit", "--family", "thiele", "--k", "8", "--observations", str(path)]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            f"import resource, sys; sys.path.insert(0, {src!r}); "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            f"from abcvote.cli import main; sys.exit(main({argv!r}))"
+        )
+        try:
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+        except subprocess.TimeoutExpired:
+            pytest.fail("fit over the committee limit did not exit within 20 s")
+        assert out.returncode == 2
+        assert out.stderr == "error: C(30,8) committees exceed the enumeration limit 200000\n"
 
 
 class TestFlags:

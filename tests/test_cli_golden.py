@@ -7,6 +7,12 @@ from the implementation before the axiom table replaced the per-verb
 dispatch, and must not change unless a change means to alter the output.
 `@name` arguments stand for profile files written from its `profiles`.
 
+`golden/search_corpus.json` likewise pins `abcvote search` (witnesses
+found and searches exhausted, pair axioms included, m <= 5) and
+`abcvote separations`, in text and JSON.  It was captured from the m!
+dense-vector canonical scan that the ballot tables replaced, so it pins the
+first witness in stream order and every exhausted instance count.
+
 Every verb's `--format json` payload must validate against
 docs/cli-output.schema.json.
 """
@@ -22,6 +28,7 @@ from abcvote.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads((Path(__file__).parent / "golden" / "check_corpus.json").read_text(encoding="utf-8"))
+SEARCH_CORPUS = json.loads((Path(__file__).parent / "golden" / "search_corpus.json").read_text(encoding="utf-8"))
 SCHEMA = json.loads((ROOT / "docs" / "cli-output.schema.json").read_text(encoding="utf-8"))
 
 
@@ -44,6 +51,12 @@ def test_corpus_covers_every_name_and_alias():
 @pytest.mark.parametrize("case", CORPUS["cases"], ids=lambda case: " ".join(case["argv"][1:3] + case["argv"][-1:]))
 def test_check_output_pinned(case, profiles, capsys):
     assert main(_resolve(case["argv"], profiles)) == case["code"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", SEARCH_CORPUS["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_search_output_pinned(case, capsys):
+    assert main(case["argv"]) == case["code"]
     assert capsys.readouterr().out == case["stdout"]
 
 

@@ -1,11 +1,17 @@
 
+import itertools
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcvote import search
 from abcvote.axioms import replay
-from abcvote.profiles import Profile, canonical_form, profile_to_vector
+from abcvote.profiles import MAX_CANONICAL_M, Profile, canonical_form, profile_to_vector
 from abcvote.rules import named_rule, thiele_rule, winners
 from abcvote.search import (
     SearchBounds,
@@ -17,7 +23,7 @@ from abcvote.search import (
     separation_suite,
 )
 
-from conftest import raw_profiles
+from conftest import all_subsets_nonempty, oracle_canonical_form, raw_profiles
 
 
 def fs(*xs):
@@ -75,6 +81,78 @@ class TestEnumerateProfiles:
             list(enumerate_profiles(3, 7))
         with pytest.raises(ValueError):
             SearchBounds(m_max=7)
+
+
+def burnside_orbit_count(m, n):
+    """Candidate-renaming orbits of n-multisets of ballots, by Burnside's lemma.
+
+    A permutation fixes a multiset iff the multiset is constant on every
+    cycle of the ballot permutation it induces, so it fixes the coefficient
+    of x^n in the product over those cycles of 1 / (1 - x^length).
+    """
+    ballots = all_subsets_nonempty(m)
+    position = {ballot: i for i, ballot in enumerate(ballots)}
+    perms = list(itertools.permutations(range(m)))
+    fixed = 0
+    for tau in perms:
+        image = [position[frozenset(tau[c] for c in ballot)] for ballot in ballots]
+        series = [1] + [0] * n
+        seen = set()
+        for start in range(len(ballots)):
+            if start in seen:
+                continue
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i = image[i]
+                length += 1
+            for d in range(length, n + 1):
+                series[d] += series[d - length]
+        fixed += series[n]
+    if fixed % len(perms):
+        raise ValueError("Burnside sum is not a multiple of the group order")
+    return fixed // len(perms)
+
+
+class TestCanonicalOracles:
+    """The table-driven canonicity test against representative-independent
+    orbit counts and against the naive m! dense-vector scan."""
+
+    @pytest.mark.parametrize(
+        "m, n", [(m, n) for m in (2, 3, 4, 5) for n in (1, 2, 3, 4)] + [(6, 1), (6, 2), (6, 3)]
+    )
+    def test_orbit_count_matches_burnside(self, m, n):
+        assert len(list(enumerate_profiles(m, n))) == burnside_orbit_count(m, n)
+
+    def test_known_m6_counts(self):
+        assert [burnside_orbit_count(6, n) for n in (2, 3)] == [43, 336]
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in (2, 3, 4) for n in (1, 2, 3)] + [(5, 2)])
+    def test_stream_is_raw_filtered_by_oracle(self, m, n):
+        expected = [p.ballots for p in raw_profiles(m, n) if oracle_canonical_form(p) == profile_to_vector(p)]
+        assert [p.ballots for p in enumerate_profiles(m, n)] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_canonical_form_matches_oracle(self, data):
+        m = data.draw(st.integers(2, 5))
+        pool = data.draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=3))
+        ballots = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+        labels = data.draw(st.permutations(range(len(ballots))))
+        profile = Profile(m, tuple(zip(labels, map(frozenset, ballots))))
+        assert canonical_form(profile) == oracle_canonical_form(profile)
+
+    def test_canonical_form_m_capped(self):
+        wide = Profile.from_ballots(MAX_CANONICAL_M + 1, [fs(0)])
+        with pytest.raises(ValueError, match="canonical forms need"):
+            canonical_form(wide)
+
+    def test_tables_not_built_at_import(self):
+        src = str(Path(search.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import abcvote as a; "
+        code += "print(a.profiles.ballot_permutation_tables.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert out.stdout == "0\n"
 
 
 class TestFindCounterexample:
