@@ -256,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "k", 1) < 1:
-        print("error: --k must be at least 1", file=sys.stderr)
-        return 2
+    for flag in ("k", "count"):
+        if getattr(args, flag, 1) < 1:
+            print(f"error: --{flag} must be at least 1", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except ValueError as err:

@@ -7,10 +7,11 @@ constraints (chosen committees score at least as much as everything) and
 strict constraints against the non-chosen committees.  Strictness is
 encoded as margin >= 1, which is sound here because the constraint family
 is scale-invariant: any strictly feasible parameter vector scales to clear
-margin one.  Feasibility is decided by exact Fourier-Motzkin elimination
-over rationals, with midpoint back-substitution so fitted values are
-deterministic; infeasibility comes with a checkable non-negative
-combination of the constraints that sums to an impossible row.
+margin one.  Feasibility is decided by an exact rational LP (dual
+simplex, Bland's rule), and each unknown in turn is fixed to the midpoint
+of its feasible interval so fitted values are deterministic; infeasibility
+comes with a checkable non-negative combination of the constraints that
+sums to an impossible row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .profiles import (
     ChoiceSet,
@@ -174,7 +175,7 @@ def build_system(
             side.append(tuple(row))  # alpha_y >= 0
 
     if len(unknowns) > MAX_UNKNOWNS:
-        raise ValueError(f"{len(unknowns)} unknowns exceed the elimination cap {MAX_UNKNOWNS}")
+        raise ValueError(f"{len(unknowns)} unknowns exceed the solver cap {MAX_UNKNOWNS}")
     if observations and comb(m, k) > MAX_COMMITTEES:
         # every observation contributes rows for all C(m, k) committees
         raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
@@ -195,122 +196,189 @@ class FeasibilityResult:
     certificate: dict[int, Fraction] | None = None
 
 
-@dataclass
-class _Row:
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
-    cert: dict[int, Fraction]
+def _tightest(rows):
+    """Per direction, the row with the largest right-hand side.
+
+    `rows` holds (coefficients, rhs, source) with integer coefficients, not
+    all zero.  Each row is divided by the gcd of its coefficients, so rows
+    fall into the same classes as when divided by the absolute value of
+    their leading coefficient, and within a class the first of the largest
+    right-hand sides wins.  Returns (direction, rhs, source, gcd) tuples in
+    order of first appearance.
+    """
+    best: dict[tuple[int, ...], tuple] = {}
+    for coeffs, rhs, source in rows:
+        h = gcd(*coeffs)
+        if h != 1:
+            coeffs, rhs = [c // h for c in coeffs], rhs / h
+        key = tuple(coeffs)
+        if key not in best or rhs > best[key][1]:
+            best[key] = (key, rhs, source, h)
+    return list(best.values())
 
 
-def _scaled(row: _Row, factor: Fraction) -> _Row:
-    return _Row(
-        tuple(c * factor for c in row.coeffs),
-        row.rhs * factor,
-        {i: v * factor for i, v in row.cert.items()},
-    )
+def _integer_costs(costs: list[Fraction]) -> tuple[list[int], int]:
+    """The costs times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(c.denominator for c in costs))
+    return [c.numerator * (scale // c.denominator) for c in costs], scale
 
 
-def _combine(pos: _Row, neg: _Row, var: int) -> _Row:
-    a = _scaled(pos, -neg.coeffs[var])
-    b = _scaled(neg, pos.coeffs[var])
-    cert = dict(a.cert)
-    for i, v in b.cert.items():
-        cert[i] = cert.get(i, Fraction(0)) + v
-    return _Row(
-        tuple(x + y for x, y in zip(a.coeffs, b.coeffs)),
-        a.rhs + b.rhs,
-        cert,
-    )
+def _simplex(columns: list[tuple[int, ...]], rhs: tuple[int, ...], costs: list[int] | None = None):
+    """Exact two-phase simplex with Bland's rule on an integer tableau.
+
+    Maximizes costs . y subject to sum_i y_i * columns[i] = rhs and y >= 0,
+    with integer columns, rhs and costs.  Returns None when no such y exists,
+    else (optimum, {column: y_column > 0}); with costs None only phase 1 runs
+    and the optimum is 0.  The tableau is kept fraction-free (Edmonds'
+    integer pivoting): its true entries are the stored integers over the
+    common denominator `denom`, and every division below is exact.
+    Artificial variables are never re-entered, and Bland's smallest-index
+    rule rules out cycling.
+    """
+    ncols = len(columns)
+    tableau = []
+    for r, b in enumerate(rhs):
+        sign = -1 if b < 0 else 1
+        tableau.append([sign * col[r] for col in columns] + [sign * b])
+    basis = [ncols + r for r in range(len(tableau))]  # artificials first
+    denom = 1
+    # phase 1 maximizes minus the sum of the artificials
+    z = [sum(entries) for entries in zip(*tableau)]
+
+    def pivot(r: int, c: int) -> None:
+        nonlocal denom, z
+        prow = tableau[r]
+        p = prow[c]
+        for i, row in enumerate(tableau):
+            if i != r:
+                tableau[i] = _eliminate(row, prow, p, row[c], denom)
+        z = _eliminate(z, prow, p, z[c], denom)
+        basis[r] = c
+        denom = p
+        if p < 0:
+            for i, row in enumerate(tableau):
+                tableau[i] = [-a for a in row]
+            z = [-a for a in z]
+            denom = -p
+
+    def run() -> bool:
+        """Bland pivots until optimal (True) or unbounded (False)."""
+        while True:
+            c = next((j for j in range(ncols) if z[j] > 0), None)
+            if c is None:
+                return True
+            leave = None
+            for i, row in enumerate(tableau):
+                a = row[c]
+                if a > 0:
+                    if leave is None:
+                        leave = i
+                        continue
+                    here, there = row[-1] * tableau[leave][c], tableau[leave][-1] * a
+                    if here < there or (here == there and basis[i] < basis[leave]):
+                        leave = i
+            if leave is None:
+                return False
+            pivot(leave, c)
+
+    run()
+    if z[-1]:  # an artificial stays positive
+        return None
+    if costs is None:
+        return Fraction(0), _solution(tableau, basis, denom, ncols)
+    for r in reversed(range(len(tableau))):
+        if basis[r] >= ncols:  # a zero artificial: pivot it out, or drop its redundant row
+            c = next((j for j in range(ncols) if tableau[r][j]), None)
+            if c is None:
+                del tableau[r], basis[r]
+            else:
+                pivot(r, c)
+    z = [denom * cost for cost in costs] + [0]
+    for row, b in zip(tableau, basis):
+        if costs[b]:
+            z = [a - costs[b] * x for a, x in zip(z, row)]
+    if not run():
+        raise ArithmeticError("the linear program is unbounded")
+    return Fraction(-z[-1], denom), _solution(tableau, basis, denom, ncols)
 
 
-def _dedupe(rows: list[_Row]) -> list[_Row]:
-    """Keep, per coefficient direction, only the strongest right-hand side."""
-    best: dict[tuple[Fraction, ...], _Row] = {}
-    order: list[tuple[Fraction, ...]] = []
-    for row in rows:
-        lead = next((c for c in row.coeffs if c != 0), None)
-        if lead is None:
-            continue
-        scale = 1 / abs(lead)
-        canon = _scaled(row, scale)
-        key = canon.coeffs
-        if key not in best:
-            best[key] = canon
-            order.append(key)
-        elif canon.rhs > best[key].rhs:
-            best[key] = canon
-    return [best[key] for key in order]
+def _solution(tableau: list[list[int]], basis: list[int], denom: int, ncols: int) -> dict[int, Fraction]:
+    return {b: Fraction(row[-1], denom) for row, b in zip(tableau, basis) if row[-1] and b < ncols}
+
+
+def _eliminate(row: list[int], prow: list[int], p: int, f: int, denom: int) -> list[int]:
+    if not f:
+        return row if p == denom else [p * a // denom for a in row]
+    return [(p * a - f * b) // denom for a, b in zip(row, prow)]
 
 
 def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
-    """Exact Fourier-Motzkin elimination with midpoint back-substitution.
+    """Exact rational LP (dual simplex, Bland's rule) with the midpoint rule.
 
     Feasible systems yield the deterministic point obtained by fixing
     variables in index order to the midpoint of their residual interval
     (lower + 1 when unbounded above, upper - 1 when unbounded below, 0 when
-    unconstrained).  Infeasible systems yield a certificate: non-negative
-    multipliers over original row indices combining to 0 >= positive.
+    unconstrained).  Each end of the interval is the optimum of the dual LP
+    max{b'.y : A'^T y = +-e_0, y >= 0} over the rows with the earlier
+    variables substituted; an infeasible dual means that end is unbounded.
+    Infeasible systems yield a certificate: non-negative multipliers over
+    original row indices combining to 0 >= positive, read off a feasible
+    y >= 0 with A^T y = 0 and b.y = 1 (Farkas).
     """
     n = len(system.unknowns)
     if n > MAX_UNKNOWNS:
-        raise ValueError(f"{n} unknowns exceed the elimination cap {MAX_UNKNOWNS}")
-    rows = [
-        _Row(tuple(coeffs), rhs, {i: Fraction(1)})
-        for i, (coeffs, rhs) in enumerate(system.all_rows())
-    ]
+        raise ValueError(f"{n} unknowns exceed the solver cap {MAX_UNKNOWNS}")
+    rows = []
+    for i, (coeffs, rhs) in enumerate(system.all_rows()):
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        if not any(ints):
+            if rhs > 0:
+                return FeasibilityResult(False, None, {i: Fraction(1)})
+            continue
+        rows.append((ints, rhs * den, (i, den)))
+    distinct = _tightest(rows)
 
-    def contradiction(candidates: list[_Row]) -> _Row | None:
-        for row in candidates:
-            if all(c == 0 for c in row.coeffs) and row.rhs > 0:
-                return row
-        return None
+    costs, scale = _integer_costs([rhs for _, rhs, *_ in distinct])
+    farkas = _simplex([key + (c,) for (key, *_), c in zip(distinct, costs)], (0,) * n + (scale,))
+    if farkas is not None:
+        certificate = {}
+        for col, y in farkas[1].items():
+            _, _, (i, den), h = distinct[col]
+            certificate[i] = y * den / h
+        if not verify_certificate(system, certificate):
+            raise AssertionError("the LP produced an invalid certificate")
+        return FeasibilityResult(False, None, certificate)
 
-    bad = contradiction(rows)
-    if bad is not None:
-        return FeasibilityResult(False, None, bad.cert)
-
-    rows = _dedupe(rows)
-    frames: list[tuple[int, list[_Row]]] = []
-    for var in range(n - 1, -1, -1):
-        frames.append((var, rows))
-        pos = [r for r in rows if r.coeffs[var] > 0]
-        neg = [r for r in rows if r.coeffs[var] < 0]
-        zero = [r for r in rows if r.coeffs[var] == 0]
-        combined = [_combine(p, ng, var) for p in pos for ng in neg]
-        bad = contradiction(combined)
-        if bad is not None:
-            return FeasibilityResult(False, None, bad.cert)
-        rows = _dedupe(zero + combined)
-
-    values: list[Fraction] = [Fraction(0)] * n
-    for var, var_rows in reversed(frames):
-        lower: Fraction | None = None
-        upper: Fraction | None = None
-        for row in var_rows:
-            c = row.coeffs[var]
-            if c == 0:
-                continue
-            rest = sum(
-                (row.coeffs[i] * values[i] for i in range(var) if row.coeffs[i] != 0),
-                Fraction(0),
-            )
-            bound = (row.rhs - rest) / c
-            if c > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
+    values: list[Fraction] = []
+    stage = distinct
+    for j in range(n):
+        columns = [key for key, *_ in stage]
+        costs, scale = _integer_costs([rhs for _, rhs, *_ in stage])
+        unit = (0,) * (n - j - 1)
+        ends = []
+        for sign in (1, -1):
+            optimum = _simplex(columns, (sign, *unit), costs)
+            ends.append(None if optimum is None else sign * optimum[0] / scale)
+        lower, upper = ends
         if lower is not None and upper is not None:
-            values[var] = (lower + upper) / 2
+            value = (lower + upper) / 2
         elif lower is not None:
-            values[var] = lower + 1
+            value = lower + 1
         elif upper is not None:
-            values[var] = upper - 1
+            value = upper - 1
+        else:
+            value = Fraction(0)
+        values.append(value)
+        # substituting x_j keeps parallel rows parallel: again keep the tightest
+        stage = _tightest((key[1:], rhs - key[0] * value, None) for key, rhs, *_ in stage if any(key[1:]))
 
     point = tuple(values)
-    for coeffs, rhs in system.all_rows():
-        total = sum((c * v for c, v in zip(coeffs, point) if c != 0), Fraction(0))
-        if total < rhs:
-            raise AssertionError("back-substitution produced an infeasible point")
+    scale = lcm(*(v.denominator for v in point))
+    scaled = [v.numerator * (scale // v.denominator) for v in point]
+    for ints, rhs, _ in rows:  # every row but the all-zero ones, times a positive integer
+        if sum(c * v for c, v in zip(ints, scaled)) < rhs * scale:
+            raise AssertionError("the LP produced an infeasible point")
     return FeasibilityResult(True, point, None)
 
 

@@ -37,6 +37,9 @@ class SearchBounds:
             raise ValueError(f"n_max must lie in 1..{MAX_SEARCH_N}")
         if not self.k_set or any(k < 1 for k in self.k_set):
             raise ValueError("k_set must contain positive sizes")
+        if min(self.k_set) > self.m_max - 1:
+            # committees have size k <= m - 1, so no instance would be searched
+            raise ValueError(f"k_set {list(self.k_set)} needs m_max of at least {min(self.k_set) + 1}")
 
 
 def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profile]:

@@ -6,7 +6,9 @@ s(x, y) and nothing else, so the kernel is always checked against the
 scoring definition itself.  Likewise the canonical-form oracle renames the
 candidates of the profile itself under all m! permutations and compares
 dense count vectors, without the ballot tables of `abcvote.profiles` or
-anything from `abcvote.search`.
+anything from `abcvote.search`.  The Fourier-Motzkin oracle eliminates the
+unknowns of a constraint system one by one and back-substitutes midpoints,
+without linear programming.
 """
 
 import itertools
@@ -78,3 +80,71 @@ def oracle_winners(score_fn, profile, k):
 
 def oracle_vector_winners(score_fn, vector, k):
     return oracle_argmax(oracle_vector_scores(score_fn, vector, k))
+
+
+def _fm_scaled(row, factor):
+    coeffs, rhs = row
+    return tuple(c * factor for c in coeffs), rhs * factor
+
+
+def _fm_combine(pos, neg, var):
+    a = _fm_scaled(pos, -neg[0][var])
+    b = _fm_scaled(neg, pos[0][var])
+    return tuple(x + y for x, y in zip(a[0], b[0])), a[1] + b[1]
+
+
+def _fm_dedupe(rows):
+    """Per coefficient direction (row over |leading coefficient|), the largest rhs."""
+    best = {}
+    for row in rows:
+        lead = next((c for c in row[0] if c != 0), None)
+        if lead is None:
+            continue
+        canon = _fm_scaled(row, 1 / abs(lead))
+        if canon[0] not in best or canon[1] > best[canon[0]][1]:
+            best[canon[0]] = canon
+    return list(best.values())
+
+
+def _fm_contradiction(rows):
+    return any(not any(coeffs) and rhs > 0 for coeffs, rhs in rows)
+
+
+def oracle_fm_solve(system):
+    """The point of `system`, or None when it is infeasible, by exact
+    Fourier-Motzkin elimination of its unknowns, last first, and
+    back-substitution of each unknown, first first, at the midpoint of its
+    interval (lower + 1 or upper - 1 when one end is open, 0 when both are)."""
+    n = len(system.unknowns)
+    rows = [(tuple(coeffs), rhs) for coeffs, rhs in system.all_rows()]
+    if _fm_contradiction(rows):
+        return None
+    rows = _fm_dedupe(rows)
+    frames = []
+    for var in range(n - 1, -1, -1):
+        frames.append((var, rows))
+        pos = [r for r in rows if r[0][var] > 0]
+        neg = [r for r in rows if r[0][var] < 0]
+        combined = [_fm_combine(p, q, var) for p in pos for q in neg]
+        if _fm_contradiction(combined):
+            return None
+        rows = _fm_dedupe([r for r in rows if r[0][var] == 0] + combined)
+    values = [Fraction(0)] * n
+    for var, var_rows in reversed(frames):
+        lower = upper = None
+        for coeffs, rhs in var_rows:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            bound = (rhs - sum(coeffs[i] * values[i] for i in range(var))) / c
+            if c > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is not None and upper is not None:
+            values[var] = (lower + upper) / 2
+        elif lower is not None:
+            values[var] = lower + 1
+        elif upper is not None:
+            values[var] = upper - 1
+    return tuple(values)

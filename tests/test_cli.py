@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 from abcvote import cli
 from abcvote.cli import main
 from abcvote.identify import Observation, format_observations
-from abcvote.profiles import parse_profile, profile_to_vector
-from abcvote.rules import named_rule, winners
+from abcvote.profiles import Profile, parse_profile, profile_to_vector
+from abcvote.rules import named_rule, parse_rule_spec, winners
 from abcvote.search import enumerate_profiles
 
 
@@ -122,6 +123,17 @@ class TestCheck:
         assert "violation: independence-of-losers" in out
         assert "m=3" in out  # witness profile rendered in core format
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_sample_count_below_one_exits_2(self, tmp_path, count, capsys):
+        path = tmp_path / "ce.abc"
+        path.write_text(SAV_CE)
+        code = main(["check", "--axiom", "iol", "--rule", "sav", "--k", "1", "--profile", str(path),
+                     "--mode", "sample", "--count", count])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --count must be at least 1\n"
+
     def test_witness_profile_reparses(self, tmp_path, capsys):
         path = tmp_path / "ce.abc"
         path.write_text(SAV_CE)
@@ -203,6 +215,14 @@ class TestSearchCommand:
                      "--max-m", "4", "--max-n", "2"])
         assert code == 1
         assert "exhausted" in capsys.readouterr().out
+
+    def test_no_admissible_committee_size_exits_2(self, capsys):
+        # committees have size k <= m - 1, so --k 5 needs --max-m 6: nothing to search
+        code = main(["search", "--axiom", "convexity", "--rule", "av", "--k", "5", "--max-m", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k_set [5] needs m_max of at least 6\n"
 
     def test_json_mode(self, capsys):
         main(["search", "--axiom", "iol", "--rule", "sav", "--k", "1", "--max-m", "3",
@@ -298,6 +318,35 @@ class TestFitCommand:
             pytest.fail("fit over the committee limit did not exit within 20 s")
         assert out.returncode == 2
         assert out.stderr == "error: C(30,8) committees exceed the enumeration limit 200000\n"
+
+
+    def test_pav_k5_fit_is_reached(self, tmp_path):
+        # 10 seeded PAV profiles of 8 voters at m = 8, each candidate approved
+        # with probability 0.4: 1,267 rows (233 distinct) over five unknowns.
+        # Eliminating the unknowns one by one takes over a minute here; the LP
+        # takes well under a second, and the child runs under a 60 s timeout
+        rng = random.Random(5)
+        rule = named_rule("pav", 5, 8)
+
+        def ballot():
+            return frozenset(c for c in range(8) if rng.random() < 0.4) or fs(rng.randrange(8))
+
+        profiles = [Profile.from_ballots(8, [ballot() for _ in range(8)]) for _ in range(10)]
+        obs = [Observation.from_profile(p, winners(rule, p), 5) for p in profiles]
+        path = tmp_path / "pav_k5.txt"
+        path.write_text(format_observations(obs))
+        argv = ["fit", "--family", "thiele", "--k", "5", "--observations", str(path)]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); from abcvote.cli import main; sys.exit(main({argv!r}))"
+        try:
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the k = 5 PAV fit did not finish within 60 s")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("s: ")
+        fitted = parse_rule_spec("thiele:" + out.stdout[3:].strip(), 5, 8)
+        for ob, profile in zip(obs, profiles):
+            assert winners(fitted, profile) == ob.chosen
 
 
 class TestFlags:

@@ -3,6 +3,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcvote.identify import (
     ConstraintSystem,
@@ -17,8 +19,10 @@ from abcvote.identify import (
     verify_certificate,
 )
 from abcvote.profiles import Profile, all_ballots, profile_to_vector
-from abcvote.rules import named_rule, winners, winners_from_vector
+from abcvote.rules import BswavWeights, Rule, ThieleScore, named_rule, winners, winners_from_vector
 from abcvote.search import enumerate_profiles
+
+from conftest import oracle_fm_solve
 
 F = Fraction
 
@@ -117,6 +121,58 @@ class TestSolveFeasibility:
         result = solve_feasibility(system)
         x, y = result.point
         assert 2 * x == 3 * y
+
+
+increments = st.builds(F, st.integers(0, 6), st.integers(1, 4))
+
+
+@st.composite
+def small_systems(draw):
+    """A fit system of either family at m = 3-5, k <= 3, from 1-5 observations
+    of a hidden Thiele or ballot-size rule (either family, so some systems
+    are infeasible); some choice sets are truncated to a proper subset of
+    the tied winners, which often makes the system infeasible too."""
+    family = draw(st.sampled_from(["thiele", "bswav"]))
+    m = draw(st.integers(3, 5))
+    k = draw(st.integers(1, min(3, m - 1)))
+    if draw(st.booleans()):
+        steps = draw(st.lists(increments, min_size=k, max_size=k))
+        scoring = ThieleScore(k, tuple(sum(steps[:x], F(0)) for x in range(k + 1)))
+    else:
+        scoring = BswavWeights(m, tuple(draw(st.lists(increments, min_size=m, max_size=m))))
+    rule = Rule("hidden", k, scoring)
+    ballots = st.sets(st.integers(0, m - 1), min_size=1, max_size=m).map(frozenset)
+    observations = []
+    for _ in range(draw(st.integers(1, 5))):
+        profile = Profile.from_ballots(m, draw(st.lists(ballots, min_size=1, max_size=6)))
+        chosen = sorted(winners(rule, profile))
+        if len(chosen) > 1 and draw(st.integers(0, 3)) == 0:
+            chosen = draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=len(chosen) - 1, unique=True))
+        observations.append(Observation.from_profile(profile, frozenset(chosen), k))
+    return build_system(observations, family)
+
+
+@st.composite
+def raw_systems(draw):
+    """Up to ten random rows over one to three unknowns: unlike fit systems,
+    these leave unknowns unbounded below or on both sides."""
+    n = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-3, 3).map(F)] * n)
+    weak = draw(st.lists(row, max_size=6))
+    strict = draw(st.lists(row, max_size=4))
+    return ConstraintSystem(tuple(f"x_{i}" for i in range(n)), weak, strict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_systems(), raw_systems()))
+def test_lp_point_matches_fourier_motzkin(system):
+    point = oracle_fm_solve(system)
+    result = solve_feasibility(system)
+    assert result.feasible == (point is not None)
+    if result.feasible:
+        assert result.point == point
+    else:
+        assert verify_certificate(system, result.certificate)
 
 
 class TestFitThiele:

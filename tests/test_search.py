@@ -81,6 +81,10 @@ class TestEnumerateProfiles:
             list(enumerate_profiles(3, 7))
         with pytest.raises(ValueError):
             SearchBounds(m_max=7)
+        # committees have size k <= m - 1: no m <= 3 admits k = 4
+        with pytest.raises(ValueError, match="needs m_max of at least 5"):
+            SearchBounds(m_max=3, k_set=(4, 5))
+        assert SearchBounds(m_max=3, k_set=(2, 5)).k_set == (2, 5)
 
 
 def burnside_orbit_count(m, n):
