@@ -7,11 +7,14 @@ constraints (chosen committees score at least as much as everything) and
 strict constraints against the non-chosen committees.  Strictness is
 encoded as margin >= 1, which is sound here because the constraint family
 is scale-invariant: any strictly feasible parameter vector scales to clear
-margin one.  Feasibility is decided by an exact rational LP (dual
-simplex, Bland's rule), and each unknown in turn is fixed to the midpoint
-of its feasible interval so fitted values are deterministic; infeasibility
-comes with a checkable non-negative combination of the constraints that
-sums to an impossible row.
+margin one.  Rows are built on the scoring kernel's ballot and committee
+bitmasks, and their entries are exact rationals: `int`, or `Fraction` only
+when an observation's vector has fractional entries.  Feasibility is
+decided by an exact rational LP (dual simplex, Bland's rule), and each
+unknown in turn is fixed to the midpoint of its feasible interval so
+fitted values are deterministic; infeasibility comes with a checkable
+non-negative combination of the constraints that sums to an impossible
+row.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import sub
 
 from .profiles import (
     ChoiceSet,
     Profile,
     ProfileFormatError,
     ProfileVector,
-    index_ballot,
     parse_profile,
     format_profile,
     profile_to_vector,
@@ -36,7 +39,8 @@ from .rules import (
     BswavWeights,
     Rule,
     ThieleScore,
-    enumerate_committees,
+    _committee_masks,
+    _vector_terms,
     format_rational,
     winners_from_vector,
 )
@@ -53,6 +57,8 @@ class Observation:
     k: int
 
     def __post_init__(self):
+        if not 1 <= self.k <= self.m - 1:
+            raise ValueError(f"committee size k={self.k} must satisfy 1 <= k <= m-1={self.m - 1}")
         if not self.chosen:
             raise ValueError("observed choice set must be non-empty")
         for committee in self.chosen:
@@ -77,61 +83,55 @@ class ConstraintSystem:
     """Homogeneous inequalities over named unknowns.
 
     Rows are coefficient tuples c meaning c . u >= 0 (weak) or c . u >= 1
-    (strict).  Row indices used by infeasibility certificates count weak
-    rows first, then strict rows.
+    (strict).  Entries are exact rationals: `int`, or `Fraction` only where
+    an observation's vector has fractional entries.  Row indices used by
+    infeasibility certificates count weak rows first, then strict rows.
     """
 
     unknowns: tuple[str, ...]
-    weak: list[tuple[Fraction, ...]]
-    strict: list[tuple[Fraction, ...]]
+    weak: list[tuple[int | Fraction, ...]]
+    strict: list[tuple[int | Fraction, ...]]
 
-    def all_rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        rows = [(c, Fraction(0)) for c in self.weak]
-        rows += [(c, Fraction(1)) for c in self.strict]
+    def all_rows(self) -> list[tuple[tuple[int | Fraction, ...], int]]:
+        rows = [(c, 0) for c in self.weak]
+        rows += [(c, 1) for c in self.strict]
         return rows
 
 
-def _thiele_coefficients(vector: ProfileVector, members: frozenset[int], k: int) -> tuple[Fraction, ...]:
-    # coefficient of s_x is the (rational) number of ballots meeting W in x candidates
-    coeffs = [Fraction(0)] * k
-    for idx, weight in vector.entries:
-        x = len(index_ballot(idx, vector.m) & members)
-        if x >= 1:
-            coeffs[x - 1] += weight
-    return tuple(coeffs)
-
-
-def _bswav_coefficients(vector: ProfileVector, members: frozenset[int]) -> tuple[Fraction, ...]:
-    # coefficient of alpha_y collects |ballot ∩ W| over size-y ballots; full
-    # ballots are skipped since they add the same constant to every committee
-    m = vector.m
-    coeffs = [Fraction(0)] * (m - 1)
-    for idx, weight in vector.entries:
-        ballot = index_ballot(idx, m)
-        if len(ballot) < m:
-            coeffs[len(ballot) - 1] += weight * len(ballot & members)
-    return tuple(coeffs)
-
-
 def _observation_rows(obs: Observation, family: str):
-    committees = enumerate_committees(obs.m, obs.k)
+    """Weak and strict rows of one observation, on the kernel's bitmasks.
+
+    With the vector's entries scaled by L (the lcm of their denominators) to
+    integer weights w, a committee W's row is integral: Thiele adds w to the
+    coefficient of s_x, x = |A & W| >= 1; ballot-size weights add w * |A & W|
+    to that of alpha_|A|, skipping full ballots, which add the same constant
+    to every committee.  Rows are differences of these, over L only when
+    L > 1.  Cost: C(m, k) committees times the distinct ballots.
+    """
+    m, k = obs.m, obs.k
+    committees, masks = _committee_masks(m, k)
+    scale, terms = _vector_terms(obs.vector)
+    table = []
     if family == "thiele":
-        table = [_thiele_coefficients(obs.vector, frozenset(w), obs.k) for w in committees]
+        for cm in masks:
+            coeffs = [0] * (k + 1)
+            for mask, w in terms:
+                coeffs[(mask & cm).bit_count()] += w
+            table.append(coeffs[1:])
     else:
-        table = [_bswav_coefficients(obs.vector, frozenset(w)) for w in committees]
-    by_committee = dict(zip(committees, table))
-    chosen = [w for w in committees if w in obs.chosen]
-    designated = chosen[0]
-    weak, strict = [], []
-    for winner in chosen:
-        wrow = by_committee[winner]
-        for other in committees:
-            if other != winner:
-                weak.append(tuple(a - b for a, b in zip(wrow, by_committee[other])))
-    drow = by_committee[designated]
-    for other in committees:
-        if other not in obs.chosen:
-            strict.append(tuple(a - b for a, b in zip(drow, by_committee[other])))
+        sized = [(mask, w, mask.bit_count() - 1) for mask, w in terms if mask.bit_count() < m]
+        for cm in masks:
+            coeffs = [0] * (m - 1)
+            for mask, w, y in sized:
+                coeffs[y] += w * (mask & cm).bit_count()
+            table.append(coeffs)
+    chosen = [i for i, w in enumerate(committees) if w in obs.chosen]
+    weak = [tuple(map(sub, table[i], other)) for i in chosen for j, other in enumerate(table) if j != i]
+    designated = table[chosen[0]]
+    strict = [tuple(map(sub, designated, other)) for w, other in zip(committees, table) if w not in obs.chosen]
+    if scale != 1:
+        weak = [tuple(Fraction(a, scale) for a in row) for row in weak]
+        strict = [tuple(Fraction(a, scale) for a in row) for row in strict]
     return weak, strict
 
 
@@ -158,20 +158,20 @@ def build_system(
     if family == "thiele":
         unknowns = tuple(f"s_{x}" for x in range(1, k + 1))
         side = []
-        first = [Fraction(0)] * k
-        first[0] = Fraction(1)
+        first = [0] * k
+        first[0] = 1
         side.append(tuple(first))  # s_1 >= s_0 = 0
         for x in range(1, k):
-            row = [Fraction(0)] * k
-            row[x] = Fraction(1)
-            row[x - 1] = Fraction(-1)
+            row = [0] * k
+            row[x] = 1
+            row[x - 1] = -1
             side.append(tuple(row))  # s_{x+1} >= s_x
     else:
         unknowns = tuple(f"alpha_{y}" for y in range(1, m))
         side = []
         for y in range(m - 1):
-            row = [Fraction(0)] * (m - 1)
-            row[y] = Fraction(1)
+            row = [0] * (m - 1)
+            row[y] = 1
             side.append(tuple(row))  # alpha_y >= 0
 
     if len(unknowns) > MAX_UNKNOWNS:
@@ -181,7 +181,7 @@ def build_system(
         raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
 
     weak = list(side)
-    strict: list[tuple[Fraction, ...]] = []
+    strict: list[tuple[int | Fraction, ...]] = []
     for obs in observations:
         w, s = _observation_rows(obs, family)
         weak.extend(w)
@@ -210,7 +210,7 @@ def _tightest(rows):
     for coeffs, rhs, source in rows:
         h = gcd(*coeffs)
         if h != 1:
-            coeffs, rhs = [c // h for c in coeffs], rhs / h
+            coeffs, rhs = [c // h for c in coeffs], Fraction(rhs, h)
         key = tuple(coeffs)
         if key not in best or rhs > best[key][1]:
             best[key] = (key, rhs, source, h)
@@ -328,8 +328,11 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
     n = len(system.unknowns)
     if n > MAX_UNKNOWNS:
         raise ValueError(f"{n} unknowns exceed the solver cap {MAX_UNKNOWNS}")
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(system.all_rows()):
+        first.setdefault(row, i)  # equal rows collapse to their first index
     rows = []
-    for i, (coeffs, rhs) in enumerate(system.all_rows()):
+    for (coeffs, rhs), i in first.items():
         den = lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (den // c.denominator) for c in coeffs]
         if not any(ints):
@@ -376,7 +379,7 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
     point = tuple(values)
     scale = lcm(*(v.denominator for v in point))
     scaled = [v.numerator * (scale // v.denominator) for v in point]
-    for ints, rhs, _ in rows:  # every row but the all-zero ones, times a positive integer
+    for ints, rhs, _ in rows:  # every distinct row but the all-zero ones, times a positive integer
         if sum(c * v for c, v in zip(ints, scaled)) < rhs * scale:
             raise AssertionError("the LP produced an infeasible point")
     return FeasibilityResult(True, point, None)
@@ -445,10 +448,12 @@ def fit_bswav(observations: list[Observation], m: int, k: int) -> FitResult:
 # ---------------------------------------------------------------------------
 # Observations file format: repeated blocks of a profile in the core text
 # format, each followed by one line `chosen: {i,j},{i,k},...` listing the
-# observed committees as sorted index lists.
+# observed committees as sorted index lists, comma-separated, with no spaces
+# inside the list.
 # ---------------------------------------------------------------------------
 
-_CHOSEN_RE = re.compile(r"\{([0-9]+(?:,[0-9]+)*)\}")
+_COMMITTEE = r"\{[0-9]+(?:,[0-9]+)*\}"
+_CHOSEN_RE = re.compile(rf"{_COMMITTEE}(?:,{_COMMITTEE})*")
 
 
 def parse_observations(text: str, k: int) -> list[Observation]:
@@ -463,12 +468,18 @@ def parse_observations(text: str, k: int) -> list[Observation]:
             profile = parse_profile("\n".join(block))
         except ProfileFormatError as err:  # renumber from the block's first line
             raise ProfileFormatError(line_no - len(block) + err.line_no - 1, err.message) from None
-        listed = _CHOSEN_RE.findall(line.split(":", 1)[1])
-        chosen = frozenset(tuple(int(c) for c in item.split(",")) for item in listed)
+        listed = line.split(":", 1)[1].strip()
+        if not _CHOSEN_RE.fullmatch(listed):
+            raise ProfileFormatError(line_no, f"invalid chosen line {line.strip()!r}")
+        chosen = frozenset(tuple(map(int, item.split(","))) for item in listed[1:-1].split("},{"))
         try:
-            observations.append(Observation.from_profile(profile, chosen, k))
+            obs = Observation.from_profile(profile, chosen, k)
         except ValueError as err:
             raise ProfileFormatError(line_no, str(err)) from None
+        if observations and obs.m != observations[0].m:
+            first_m = observations[0].m
+            raise ProfileFormatError(line_no, f"observations must share m and k: m={obs.m} here, m={first_m} before")
+        observations.append(obs)
         block = []
     for stray, line in enumerate(block, start=line_no - len(block) + 1):
         if line.strip() and not line.strip().startswith("#"):

@@ -8,7 +8,9 @@ candidates of the profile itself under all m! permutations and compares
 dense count vectors, without the ballot tables of `abcvote.profiles` or
 anything from `abcvote.search`.  The Fourier-Motzkin oracle eliminates the
 unknowns of a constraint system one by one and back-substitutes midpoints,
-without linear programming.
+without linear programming, and the observation-row oracle builds a fit's
+constraint rows from decoded ballots with `Fraction` arithmetic, without
+bitmasks.
 """
 
 import itertools
@@ -82,6 +84,48 @@ def oracle_vector_winners(score_fn, vector, k):
     return oracle_argmax(oracle_vector_scores(score_fn, vector, k))
 
 
+def _oracle_committee_row(ballots, vector, members, family):
+    """A committee's coefficient row: Thiele counts the (rational) weight of
+    ballots meeting it in x candidates under s_x; ballot-size weights sum
+    weight * |ballot ∩ W| over size-y ballots under alpha_y, full ballots
+    skipped since they add the same constant to every committee."""
+    m = vector.m
+    if family == "thiele":
+        coeffs = [Fraction(0)] * len(members)
+        for idx, weight in vector.entries:
+            x = len(ballots[idx] & members)
+            if x >= 1:
+                coeffs[x - 1] += weight
+    else:
+        coeffs = [Fraction(0)] * (m - 1)
+        for idx, weight in vector.entries:
+            if len(ballots[idx]) < m:
+                coeffs[len(ballots[idx]) - 1] += weight * len(ballots[idx] & members)
+    return tuple(coeffs)
+
+
+def oracle_observation_rows(obs, family):
+    """(weak, strict) rows of one observation: every chosen committee against
+    every other committee, then the least chosen one against each committee
+    not chosen, committees in lexicographic order."""
+    ballots = all_subsets_nonempty(obs.m)
+    committees = list(itertools.combinations(range(obs.m), obs.k))
+    table = {w: _oracle_committee_row(ballots, obs.vector, frozenset(w), family) for w in committees}
+    chosen = [w for w in committees if w in obs.chosen]
+    weak = [
+        tuple(a - b for a, b in zip(table[winner], table[other]))
+        for winner in chosen
+        for other in committees
+        if other != winner
+    ]
+    strict = [
+        tuple(a - b for a, b in zip(table[chosen[0]], table[other]))
+        for other in committees
+        if other not in obs.chosen
+    ]
+    return weak, strict
+
+
 def _fm_scaled(row, factor):
     coeffs, rhs = row
     return tuple(c * factor for c in coeffs), rhs * factor
@@ -116,7 +160,7 @@ def oracle_fm_solve(system):
     back-substitution of each unknown, first first, at the midpoint of its
     interval (lower + 1 or upper - 1 when one end is open, 0 when both are)."""
     n = len(system.unknowns)
-    rows = [(tuple(coeffs), rhs) for coeffs, rhs in system.all_rows()]
+    rows = [(tuple(map(Fraction, coeffs)), Fraction(rhs)) for coeffs, rhs in system.all_rows()]
     if _fm_contradiction(rows):
         return None
     rows = _fm_dedupe(rows)

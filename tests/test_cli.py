@@ -299,6 +299,29 @@ class TestFitCommand:
         assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
+    @pytest.mark.parametrize(
+        "listed", ["{0,1}{1,2}", "{0,1} junk {9,9}", "{0, 1}", "", "{0,1},", "{}", "{0,1};{0,2}", "{0,1} # tie"]
+    )
+    def test_chosen_line_outside_the_grammar_exits_2(self, tmp_path, listed, capsys):
+        # `{i,...}` groups separated by commas, nothing else
+        path = tmp_path / "obs.txt"
+        path.write_text(f"m=3\n0 1\n2\nchosen: {listed}\n")
+        assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line 4: invalid chosen line {f'chosen: {listed}'.strip()!r}\n"
+
+    @pytest.mark.parametrize("family", ["thiele", "bswav"])
+    def test_mixed_m_located_by_file_line(self, tmp_path, family, capsys):
+        path = tmp_path / "obs.txt"
+        path.write_text("m=3\n0 1\n2\nchosen: {0,1}\n# a second election\nm=4\n0 1\n2 3\nchosen: {0,1}\n")
+        assert main(["fit", "--family", family, "--k", "2", "--observations", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 9: observations must share m and k: m=4 here, m=3 before\n"
+
+    def test_committee_of_all_candidates_located_by_file_line(self, tmp_path, capsys):
+        path = tmp_path / "obs.txt"
+        path.write_text("m=3\n0 1\n2\nchosen: {0,1,2}\n")
+        assert main(["fit", "--family", "thiele", "--k", "3", "--observations", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 4: committee size k=3 must satisfy 1 <= k <= m-1=2\n"
+
     def test_over_committee_limit_exits_2(self, tmp_path):
         # C(30, 8) = 5,852,925 committees, over rules.MAX_COMMITTEES: the limit
         # must stop the fit before any constraint row is built, so the child

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -18,11 +19,11 @@ from abcvote.identify import (
     solve_feasibility,
     verify_certificate,
 )
-from abcvote.profiles import Profile, all_ballots, profile_to_vector
+from abcvote.profiles import Profile, ProfileVector, all_ballots, profile_to_vector
 from abcvote.rules import BswavWeights, Rule, ThieleScore, named_rule, winners, winners_from_vector
 from abcvote.search import enumerate_profiles
 
-from conftest import oracle_fm_solve
+from conftest import oracle_fm_solve, oracle_observation_rows
 
 F = Fraction
 
@@ -81,7 +82,49 @@ class TestBuildSystem:
             build_system([obs], "thiele")
 
 
+entries = st.one_of(st.integers(-3, 5), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@st.composite
+def rational_observations(draw):
+    """One to three observations sharing m = 2-5 and k, on profile vectors
+    whose entries may be fractional or negative, each with an arbitrary
+    non-empty choice set, often of several tied committees."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, m - 1))
+    committees = list(itertools.combinations(range(m), k))
+    observations = []
+    for _ in range(draw(st.integers(1, 3))):
+        vector = ProfileVector.from_dict(m, draw(st.dictionaries(st.integers(0, 2**m - 2), entries, max_size=6)))
+        chosen = draw(st.sets(st.sampled_from(committees), min_size=1))
+        observations.append(Observation(vector, frozenset(chosen), k))
+    return observations
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
+def test_rows_match_fraction_oracle(observations, family):
+    system = build_system(observations, family)
+    weak, strict = [], []
+    for obs in observations:
+        w, s = oracle_observation_rows(obs, family)
+        weak += w
+        strict += s
+    assert system.weak[len(system.unknowns):] == weak
+    assert system.strict == strict
+    rows = system.weak + system.strict
+    if all(value.denominator == 1 for obs in observations for _, value in obs.vector.entries):
+        assert all(type(c) is int for row in rows for c in row)
+
+
 class TestSolveFeasibility:
+    def test_integer_rows_divide_exactly(self):
+        # x - y >= 1/2 and y >= 0, given as integer rows with gcd 2
+        system = ConstraintSystem(("x", "y"), weak=[(0, 2)], strict=[(2, -2)])
+        result = solve_feasibility(system)
+        assert result.point == (F(3, 2), F(1, 2))
+        assert all(type(v) is Fraction for v in result.point)
+
     def test_contradiction(self):
         system = ConstraintSystem(("x",), weak=[(F(-1),)], strict=[(F(1),)])
         result = solve_feasibility(system)
@@ -173,6 +216,30 @@ def test_lp_point_matches_fourier_motzkin(system):
         assert result.point == point
     else:
         assert verify_certificate(system, result.certificate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_systems(), raw_systems()), st.data())
+def test_repeated_rows_give_same_point_and_certificate(system, data):
+    """Repeating rows, every copy after its row's first place, changes
+    neither the point nor the certificate, whose indices move with the rows."""
+    moved = {}
+
+    def repeat(rows, offset, start):
+        out = []
+        for i, row in enumerate(rows):
+            moved[offset + i] = start + len(out)
+            out += [row] * data.draw(st.integers(1, 3))
+        if rows:
+            out += data.draw(st.lists(st.sampled_from(rows), max_size=4))
+        return out
+
+    weak = repeat(system.weak, 0, 0)
+    strict = repeat(system.strict, len(system.weak), len(weak))
+    once, repeated = solve_feasibility(system), solve_feasibility(ConstraintSystem(system.unknowns, weak, strict))
+    assert (repeated.feasible, repeated.point) == (once.feasible, once.point)
+    if not once.feasible:
+        assert repeated.certificate == {moved[i]: y for i, y in once.certificate.items()}
 
 
 class TestFitThiele:
@@ -301,6 +368,17 @@ class TestObservationsFormat:
         assert len(obs) == 1
         assert obs[0].chosen == fs((0, 1))
         assert obs[0].vector == profile_to_vector(Profile.from_ballots(3, [fs(0, 1), fs(0, 1), fs(2)]))
+
+    @pytest.mark.parametrize(
+        "line, chosen",
+        [
+            ("chosen:{0,1}", fs((0, 1))),
+            ("  chosen: {0,1},{0,2}  ", fs((0, 1), (0, 2))),
+            ("chosen: {0,1},{0,1}", fs((0, 1))),
+        ],
+    )
+    def test_chosen_grammar_accepts(self, line, chosen):
+        assert parse_observations(f"m=3\n0 1\n2\n{line}\n", 2)[0].chosen == chosen
 
     def test_trailing_block_rejected(self):
         with pytest.raises(ValueError):
