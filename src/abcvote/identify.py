@@ -330,7 +330,7 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
         raise ValueError(f"{n} unknowns exceed the solver cap {MAX_UNKNOWNS}")
     first: dict[tuple, int] = {}
     for i, row in enumerate(system.all_rows()):
-        first.setdefault(row, i)  # equal rows collapse to their first index
+        first.setdefault(row, i)  # equal rows collapse to the first copy, which certificates name
     rows = []
     for (coeffs, rhs), i in first.items():
         den = lcm(*(c.denominator for c in coeffs))

@@ -118,13 +118,6 @@ def test_rows_match_fraction_oracle(observations, family):
 
 
 class TestSolveFeasibility:
-    def test_integer_rows_divide_exactly(self):
-        # x - y >= 1/2 and y >= 0, given as integer rows with gcd 2
-        system = ConstraintSystem(("x", "y"), weak=[(0, 2)], strict=[(2, -2)])
-        result = solve_feasibility(system)
-        assert result.point == (F(3, 2), F(1, 2))
-        assert all(type(v) is Fraction for v in result.point)
-
     def test_contradiction(self):
         system = ConstraintSystem(("x",), weak=[(F(-1),)], strict=[(F(1),)])
         result = solve_feasibility(system)
