@@ -34,7 +34,7 @@ from .profiles import (
     format_profile,
     scale_profile,
 )
-from .rules import Rule, least_continuity_lambda
+from .rules import Rule, format_rational, least_continuity_lambda
 from .verdict import AxiomVerdict, Replayer, as_choice_fn, fail
 
 IOL_EXHAUSTIVE_CAP = 2**16
@@ -478,7 +478,7 @@ def _encode(value):
     if isinstance(value, Profile):
         return format_profile(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value)
+        return format_rational(value)
     if isinstance(value, frozenset):
         items = sorted(value)
         return [_encode(v) for v in items]

@@ -256,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("k", "count"):
-        if getattr(args, flag, 1) < 1:
-            print(f"error: --{flag} must be at least 1", file=sys.stderr)
+    for flag in ("k", "count", "lambda_cap"):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
+            print(f"error: --{flag.replace('_', '-')} must be at least 1", file=sys.stderr)
             return 2
     try:
         return args.func(args)

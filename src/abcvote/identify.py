@@ -2,19 +2,20 @@
 
 Given observations (profile, full tied winner set), membership of a
 committee in the winner set is linear in the unknown Thiele scores or
-ballot-size weights.  Each observation therefore contributes weak
-constraints (chosen committees score at least as much as everything) and
-strict constraints against the non-chosen committees.  Strictness is
-encoded as margin >= 1, which is sound here because the constraint family
-is scale-invariant: any strictly feasible parameter vector scales to clear
-margin one.  Rows are built on the scoring kernel's ballot and committee
-bitmasks, and their entries are exact rationals: `int`, or `Fraction` only
-when an observation's vector has fractional entries.  Feasibility is
-decided by an exact rational LP (dual simplex, Bland's rule), and each
-unknown in turn is fixed to the midpoint of its feasible interval so
-fitted values are deterministic; infeasibility comes with a checkable
-non-negative combination of the constraints that sums to an impossible
-row.
+ballot-size weights.  Each observation therefore contributes ties (a weak
+row each way) between the designated committee, the least chosen one, and
+every other chosen committee, and strict rows putting the designated
+committee above each committee not chosen; rows these imply are not
+stated, and each row is kept once.  Strictness is encoded as margin >= 1,
+which is sound here because the constraint family is scale-invariant: any
+strictly feasible parameter vector scales to clear margin one.  Rows are
+built on the scoring kernel's ballot and committee bitmasks, and their
+entries are exact rationals: `int`, or `Fraction` only when an
+observation's vector has fractional entries.  Feasibility is decided by an
+exact rational LP (dual simplex, Bland's rule), and each unknown in turn
+is fixed to the midpoint of its feasible interval so fitted values are
+deterministic; infeasibility comes with a checkable non-negative
+combination of the rows of that system that sums to an impossible row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import sub
 
 from .profiles import (
@@ -31,11 +32,12 @@ from .profiles import (
     ProfileFormatError,
     ProfileVector,
     parse_profile,
+    format_committee,
     format_profile,
     profile_to_vector,
+    vector_to_profile,
 )
 from .rules import (
-    MAX_COMMITTEES,
     BswavWeights,
     Rule,
     ThieleScore,
@@ -83,9 +85,11 @@ class ConstraintSystem:
     """Homogeneous inequalities over named unknowns.
 
     Rows are coefficient tuples c meaning c . u >= 0 (weak) or c . u >= 1
-    (strict).  Entries are exact rationals: `int`, or `Fraction` only where
-    an observation's vector has fractional entries.  Row indices used by
-    infeasibility certificates count weak rows first, then strict rows.
+    (strict): in a fit, the side constraints and each observation's ties
+    with its designated committee, then that committee against the rest,
+    each row once.  Entries are exact rationals: `int`, or `Fraction` only
+    where an observation's vector has fractional entries.  Certificates
+    name rows of this system, counting weak rows first, then strict rows.
     """
 
     unknowns: tuple[str, ...]
@@ -99,7 +103,7 @@ class ConstraintSystem:
 
 
 def _observation_rows(obs: Observation, family: str):
-    """Weak and strict rows of one observation, on the kernel's bitmasks.
+    """Tie rows (weak) and strict rows of one observation, on the kernel's bitmasks.
 
     With the vector's entries scaled by L (the lcm of their denominators) to
     integer weights w, a committee W's row is integral: Thiele adds w to the
@@ -125,9 +129,8 @@ def _observation_rows(obs: Observation, family: str):
             for mask, w, y in sized:
                 coeffs[y] += w * (mask & cm).bit_count()
             table.append(coeffs)
-    chosen = [i for i, w in enumerate(committees) if w in obs.chosen]
-    weak = [tuple(map(sub, table[i], other)) for i in chosen for j, other in enumerate(table) if j != i]
-    designated = table[chosen[0]]
+    designated, *tied = [row for w, row in zip(committees, table) if w in obs.chosen]
+    weak = [tuple(map(sub, a, b)) for other in tied for a, b in ((designated, other), (other, designated))]
     strict = [tuple(map(sub, designated, other)) for w, other in zip(committees, table) if w not in obs.chosen]
     if scale != 1:
         weak = [tuple(Fraction(a, scale) for a in row) for row in weak]
@@ -176,9 +179,6 @@ def build_system(
 
     if len(unknowns) > MAX_UNKNOWNS:
         raise ValueError(f"{len(unknowns)} unknowns exceed the solver cap {MAX_UNKNOWNS}")
-    if observations and comb(m, k) > MAX_COMMITTEES:
-        # every observation contributes rows for all C(m, k) committees
-        raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
 
     weak = list(side)
     strict: list[tuple[int | Fraction, ...]] = []
@@ -186,7 +186,7 @@ def build_system(
         w, s = _observation_rows(obs, family)
         weak.extend(w)
         strict.extend(s)
-    return ConstraintSystem(unknowns, weak, strict)
+    return ConstraintSystem(unknowns, list(dict.fromkeys(weak)), list(dict.fromkeys(strict)))
 
 
 @dataclass
@@ -328,11 +328,8 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
     n = len(system.unknowns)
     if n > MAX_UNKNOWNS:
         raise ValueError(f"{n} unknowns exceed the solver cap {MAX_UNKNOWNS}")
-    first: dict[tuple, int] = {}
-    for i, row in enumerate(system.all_rows()):
-        first.setdefault(row, i)  # equal rows collapse to the first copy, which certificates name
     rows = []
-    for (coeffs, rhs), i in first.items():
+    for i, (coeffs, rhs) in enumerate(system.all_rows()):
         den = lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (den // c.denominator) for c in coeffs]
         if not any(ints):
@@ -379,7 +376,7 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
     point = tuple(values)
     scale = lcm(*(v.denominator for v in point))
     scaled = [v.numerator * (scale // v.denominator) for v in point]
-    for ints, rhs, _ in rows:  # every distinct row but the all-zero ones, times a positive integer
+    for ints, rhs, _ in rows:  # every row but the all-zero ones, times a positive integer
         if sum(c * v for c, v in zip(ints, scaled)) < rhs * scale:
             raise AssertionError("the LP produced an infeasible point")
     return FeasibilityResult(True, point, None)
@@ -488,15 +485,10 @@ def parse_observations(text: str, k: int) -> list[Observation]:
 
 
 def format_observations(observations: list[Observation]) -> str:
-    from .profiles import vector_to_profile
-
     parts = []
     for obs in observations:
         parts.append(format_profile(vector_to_profile(obs.vector)))
-        committees = ",".join(
-            "{" + ",".join(str(c) for c in committee) + "}" for committee in sorted(obs.chosen)
-        )
-        parts.append(f"chosen: {committees}\n")
+        parts.append(f"chosen: {','.join(map(format_committee, sorted(obs.chosen)))}\n")
     return "".join(parts)
 
 

@@ -106,10 +106,9 @@ class ProfileVector:
     entries: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        limit = num_ballots(self.m)
         last = -1
         for idx, value in self.entries:
-            if not 0 <= idx < limit:
+            if not (0 <= idx and (idx + 1).bit_length() <= self.m):  # idx < 2**m - 1, without 2**m
                 raise ValueError(f"ballot index {idx} out of range for m={self.m}")
             if idx <= last:
                 raise ValueError("entries must be sorted by ballot index")
@@ -183,7 +182,7 @@ def ballot_index(ballot: Ballot, m: int) -> int:
 
 def index_ballot(index: int, m: int) -> Ballot:
     """Inverse of :func:`ballot_index`."""
-    if not 0 <= index < num_ballots(m):
+    if not (0 <= index and (index + 1).bit_length() <= m):  # index < 2**m - 1, without 2**m
         raise ValueError(f"ballot index {index} out of range for m={m}")
     size = 1
     while index >= comb(m, size):

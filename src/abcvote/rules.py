@@ -10,6 +10,7 @@ identities like harmonic sums come out exactly.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +37,14 @@ NAMED_RULES = ("av", "pav", "ccav", "sav", "msav", "triv")
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
-    if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    # plain ASCII digits only, as in profile files: int() would also take "+1", "1_0" and "١"
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+    if not match:
+        raise ValueError(f"invalid rational {text!r}: expected p or p/q in plain digits")
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -159,6 +162,7 @@ def named_rule(name: str, k: int, m: int) -> Rule:
     """Construct one of the library rules for committee size k over m candidates."""
     if k < 1:
         raise ValueError("committee size k must be at least 1")
+    _check_committee_size(k, m)  # before building k + 1 values
     name = name.lower()
     if name == "av":
         return thiele_rule("av", [Fraction(x) for x in range(k + 1)])
@@ -200,11 +204,15 @@ def parse_rule_spec(spec: str, k: int, m: int) -> Rule:
     raise ValueError(f"cannot parse rule spec {spec!r}")
 
 
+def _check_committee_size(k: int, m: int) -> None:
+    if k > m - 1:
+        raise ValueError(f"committee size {k} too large for m={m}")
+
+
 def _check_dimensions(rule: Rule, m: int) -> None:
     if isinstance(rule.scoring, (BswavWeights, AbcScoringTable)) and rule.scoring.m != m:
         raise ValueError(f"rule is parameterized for m={rule.scoring.m}, profile has m={m}")
-    if rule.k > m - 1:
-        raise ValueError(f"committee size {rule.k} too large for m={m}")
+    _check_committee_size(rule.k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +238,10 @@ def _mask(members) -> int:
 
 @lru_cache(maxsize=None)
 def _committee_masks(m: int, k: int) -> tuple[tuple[Committee, ...], tuple[int, ...]]:
-    """All size-k committees in enumerate_committees order, with their bitmasks."""
+    """All size-k committees in enumerate_committees order, with their bitmasks;
+    more than MAX_COMMITTEES are refused before any is built."""
+    if comb(m, k) > MAX_COMMITTEES:
+        raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
     committees = tuple(enumerate_committees(m, k))
     return committees, tuple(_mask(w) for w in committees)
 
@@ -266,8 +277,6 @@ def _kernel(rule: Rule, m: int, terms: list[tuple[int, int]], committee_masks) -
 def _scores(rule: Rule, m: int, terms: list[tuple[int, int]], weight_scale: int = 1):
     """(committees, D, scores) with scores[i] / D the exact score of committees[i]."""
     _check_dimensions(rule, m)
-    if comb(m, rule.k) > MAX_COMMITTEES:
-        raise ValueError(f"C({m},{rule.k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
     committees, masks = _committee_masks(m, rule.k)
     scale, scores = _kernel(rule, m, terms, masks)
     return committees, scale * weight_scale, scores

@@ -8,9 +8,10 @@ candidates of the profile itself under all m! permutations and compares
 dense count vectors, without the ballot tables of `abcvote.profiles` or
 anything from `abcvote.search`.  The Fourier-Motzkin oracle eliminates the
 unknowns of a constraint system one by one and back-substitutes midpoints,
-without linear programming, and the observation-row oracle builds a fit's
+without linear programming, and the observation-row oracles build a fit's
 constraint rows from decoded ballots with `Fraction` arithmetic, without
-bitmasks.
+bitmasks: the tie rows a fit states, and the full rows (every chosen
+committee against every other) that they imply.
 """
 
 import itertools
@@ -104,26 +105,37 @@ def _oracle_committee_row(ballots, vector, members, family):
     return tuple(coeffs)
 
 
-def oracle_observation_rows(obs, family):
-    """(weak, strict) rows of one observation: every chosen committee against
-    every other committee, then the least chosen one against each committee
-    not chosen, committees in lexicographic order."""
+def _oracle_rows(obs, family, pairs):
+    """(weak, strict) rows: row(a) - row(b) for each weak pair (a, b) that
+    `pairs(chosen, committees)` lists, then the least chosen committee
+    against each committee not chosen, committees in lexicographic order."""
     ballots = all_subsets_nonempty(obs.m)
     committees = list(itertools.combinations(range(obs.m), obs.k))
     table = {w: _oracle_committee_row(ballots, obs.vector, frozenset(w), family) for w in committees}
     chosen = [w for w in committees if w in obs.chosen]
-    weak = [
-        tuple(a - b for a, b in zip(table[winner], table[other]))
-        for winner in chosen
-        for other in committees
-        if other != winner
-    ]
+    weak = [tuple(a - b for a, b in zip(table[x], table[y])) for x, y in pairs(chosen, committees)]
     strict = [
         tuple(a - b for a, b in zip(table[chosen[0]], table[other]))
         for other in committees
         if other not in obs.chosen
     ]
     return weak, strict
+
+
+def oracle_full_observation_rows(obs, family):
+    """Every chosen committee against every other committee as weak rows,
+    which the tie and strict rows imply, plus the strict rows."""
+    return _oracle_rows(obs, family, lambda chosen, committees: [
+        (winner, other) for winner in chosen for other in committees if other != winner
+    ])
+
+
+def oracle_tie_observation_rows(obs, family):
+    """Ties as weak rows: the least chosen committee minus each other chosen
+    committee, then the reverse, one pair at a time; plus the strict rows."""
+    return _oracle_rows(obs, family, lambda chosen, committees: [
+        pair for other in chosen[1:] for pair in ((chosen[0], other), (other, chosen[0]))
+    ])
 
 
 def _fm_scaled(row, factor):

@@ -23,6 +23,22 @@ SAV_CE = "m=3\n0 1\n0 1\n2\n"
 NOT_PARTY = "m=3\n0 1\n1 2\n"
 
 
+def run_limited(argv, timeout, address_space=1 << 30):
+    """Run `main(argv)` in a child under `timeout` seconds and an address-space
+    limit, so an input that allocates before it is refused fails the test
+    quickly instead of exhausting memory; None on a timeout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import resource, sys; sys.path.insert(0, {src!r}); "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space})); "
+        f"from abcvote.cli import main; sys.exit(main({argv!r}))"
+    )
+    try:
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
+
+
 @pytest.fixture
 def example(tmp_path):
     path = tmp_path / "ex.abc"
@@ -64,6 +80,21 @@ class TestWinners:
         path.write_text(text, encoding="utf-8")
         assert main(["winners", "--rule", "av", "--k", "1", "--profile", str(path)]) == 2
         assert "line " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["\u0661", "1_0", "+1", "1/ 2", "0x1"])
+    def test_rule_spec_token_outside_plain_digits_exits_2(self, example, token, capsys):
+        # int() would read "١" as 1, "1_0" as 10 and "+1" as 1
+        assert main(["winners", "--rule", f"thiele:0,{token}", "--k", "1", "--profile", example]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid rational {token!r}: expected p or p/q in plain digits\n"
+
+    @pytest.mark.parametrize("rule, k", [("ccav", 50_000_000), ("pav", 30_000)])
+    def test_committee_size_over_m_exits_2_before_allocating(self, example, rule, k):
+        # the k + 1 Thiele values used to be built before k was compared with m
+        out = run_limited(["winners", "--rule", rule, "--k", str(k), "--profile", example], timeout=10)
+        assert out is not None, f"winners --rule {rule} --k {k} did not exit within 10 s"
+        assert (out.returncode, out.stderr) == (2, f"error: committee size {k} too large for m=4\n")
 
     def test_over_committee_limit_exits_2(self, tmp_path, capsys):
         # C(24, 12) = 2,704,156 committees, over rules.MAX_COMMITTEES
@@ -328,24 +359,25 @@ class TestFitCommand:
         # runs under a 20 s timeout and a 1 GB address-space limit
         path = tmp_path / "wide.txt"
         path.write_text("m=30\n0 1 2\n3\nchosen: {0,1,2,3,4,5,6,7}\n")
-        argv = ["fit", "--family", "thiele", "--k", "8", "--observations", str(path)]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = (
-            f"import resource, sys; sys.path.insert(0, {src!r}); "
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            f"from abcvote.cli import main; sys.exit(main({argv!r}))"
-        )
-        try:
-            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
-        except subprocess.TimeoutExpired:
-            pytest.fail("fit over the committee limit did not exit within 20 s")
+        out = run_limited(["fit", "--family", "thiele", "--k", "8", "--observations", str(path)], timeout=20)
+        assert out is not None, "fit over the committee limit did not exit within 20 s"
         assert out.returncode == 2
         assert out.stderr == "error: C(30,8) committees exceed the enumeration limit 200000\n"
 
+    def test_huge_candidate_count_exits_2_without_2_to_the_m(self, tmp_path):
+        # ballot indices used to be range-checked against 2**m - 1, a
+        # 20-billion-bit integer here, which the 2 GB address space cannot hold
+        path = tmp_path / "huge.txt"
+        path.write_text("m=20000000000\n0 1\n2\nchosen: {0}\n")
+        argv = ["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]
+        out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
+        assert out is not None, "fit at m = 20000000000 did not exit within 10 s"
+        assert out.returncode == 2
+        assert out.stderr == "error: C(20000000000,1) committees exceed the enumeration limit 200000\n"
 
     def test_pav_k5_fit_is_reached(self, tmp_path):
         # 10 seeded PAV profiles of 8 voters at m = 8, each candidate approved
-        # with probability 0.4: 1,267 rows (233 distinct) over five unknowns.
+        # with probability 0.4: 234 rows over five unknowns.
         # Eliminating the unknowns one by one takes over a minute here; the LP
         # takes well under a second, and the child runs under a 60 s timeout
         rng = random.Random(5)
@@ -375,3 +407,20 @@ class TestFitCommand:
 class TestFlags:
     def test_missing_file(self):
         assert main(["winners", "--rule", "av", "--k", "2", "--profile", "/nonexistent.abc"]) == 2
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # continuity's cap used to fall back to the computed bound at 0
+            ["check", "--axiom", "continuity", "--rule", "av", "--k", "1", "--profile", "{a}", "--profile2", "{a}"],
+            # the search cap used to become 64 at 0, and to be ignored by every other axiom
+            ["search", "--axiom", "convexity", "--rule", "av", "--k", "1", "--max-m", "2", "--max-n", "2"],
+        ],
+    )
+    def test_lambda_cap_below_one_exits_2(self, tmp_path, argv, cap, capsys):
+        path = tmp_path / "a.abc"
+        path.write_text("m=2\n0\n")
+        assert main([str(path) if arg == "{a}" else arg for arg in argv] + ["--lambda-cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --lambda-cap must be at least 1\n")

@@ -23,7 +23,7 @@ from abcvote.profiles import Profile, ProfileVector, all_ballots, profile_to_vec
 from abcvote.rules import BswavWeights, Rule, ThieleScore, named_rule, winners, winners_from_vector
 from abcvote.search import enumerate_profiles
 
-from conftest import oracle_fm_solve, oracle_observation_rows
+from conftest import oracle_fm_solve, oracle_full_observation_rows, oracle_tie_observation_rows
 
 F = Fraction
 
@@ -101,20 +101,42 @@ def rational_observations(draw):
     return observations
 
 
+def oracle_system(observations, family, oracle_rows):
+    """The side rows and each observation's oracle rows, in order and with every copy."""
+    side = build_system([], family, k=observations[0].k, m=observations[0].m)
+    weak, strict = side.weak, []
+    for obs in observations:
+        w, s = oracle_rows(obs, family)
+        weak += w
+        strict += s
+    return ConstraintSystem(side.unknowns, weak, strict)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
 def test_rows_match_fraction_oracle(observations, family):
     system = build_system(observations, family)
-    weak, strict = [], []
-    for obs in observations:
-        w, s = oracle_observation_rows(obs, family)
-        weak += w
-        strict += s
-    assert system.weak[len(system.unknowns):] == weak
-    assert system.strict == strict
+    oracle = oracle_system(observations, family, oracle_tie_observation_rows)
+    assert system.weak == list(dict.fromkeys(oracle.weak))
+    assert system.strict == list(dict.fromkeys(oracle.strict))
     rows = system.weak + system.strict
     if all(value.denominator == 1 for obs in observations for _, value in obs.vector.entries):
         assert all(type(c) is int for row in rows for c in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
+def test_tie_rows_keep_the_full_feasible_set(observations, family):
+    """Dropping the weak rows that the ties and strict rows imply keeps the
+    feasible set: the same verdict and midpoint as the full system, solved
+    by the LP and by Fourier-Motzkin."""
+    system = build_system(observations, family)
+    full = oracle_system(observations, family, oracle_full_observation_rows)
+    result, full_result = solve_feasibility(system), solve_feasibility(full)
+    assert result.feasible == full_result.feasible
+    assert result.point == full_result.point == oracle_fm_solve(full)
+    if not result.feasible:
+        assert verify_certificate(system, result.certificate)
 
 
 class TestSolveFeasibility:

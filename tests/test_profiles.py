@@ -89,6 +89,17 @@ class TestBallotBijection:
         with pytest.raises(ValueError):
             ballot_index(frozenset(), 3)
 
+    @pytest.mark.parametrize("m", [2, 3, 7, 64])
+    def test_index_range_ends_at_the_full_ballot(self, m):
+        # the range check uses bit lengths, not 2**m - 1 itself
+        assert index_ballot(2**m - 2, m) == frozenset(range(m))
+        assert ProfileVector(m, ((0, Fraction(1)), (2**m - 2, Fraction(1)))).entries[-1][0] == 2**m - 2
+        for index in (-1, 2**m - 1, 2**m):
+            with pytest.raises(ValueError, match="out of range"):
+                index_ballot(index, m)
+            with pytest.raises(ValueError, match="out of range"):
+                ProfileVector(m, ((index, Fraction(1)),))
+
 
 class TestProfileVector:
     def test_direct_count(self):
