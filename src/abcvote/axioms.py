@@ -18,6 +18,7 @@ the search driver and `replay` all look axioms up there.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .profiles import (
     format_profile,
     scale_profile,
 )
-from .rules import Rule, format_rational, least_continuity_lambda
+from .rules import Rule, format_rational, least_continuity_lambda, survives_every_reduction
 from .verdict import AxiomVerdict, Replayer, as_choice_fn, fail
 
 IOL_EXHAUSTIVE_CAP = 2**16
@@ -263,6 +264,14 @@ def _reductions_for(ballot: Ballot, committee_members: frozenset[int]):
     return out
 
 
+def _check_walk_size(profile: Profile, members: frozenset[int], committee: Committee, cap: int) -> None:
+    total = 1
+    for _, ballot in profile.ballots:
+        total *= 2 ** len(ballot - members)
+    if total > cap:
+        raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
+
+
 def check_independence_of_losers(
     rule,
     profile: Profile,
@@ -273,22 +282,34 @@ def check_independence_of_losers(
 ) -> AxiomVerdict:
     """Winners must stay winning when voters disapprove non-members.
 
-    Mode "all" walks, for every winner, the product of all per-voter
-    reductions (capped); "sample" draws `count` seeded random reductions.
+    Mode "all" covers, for every winner, the product of all per-voter
+    reductions, and raises CapExceeded for a winner with more than `cap` of
+    them; "sample" draws `count` seeded random reductions.  `checked` counts
+    reduced profiles.  In mode "all" a library `Rule` decides each winner at
+    once with `survives_every_reduction` and walks the product only when one
+    fails, to find the first witness; other rules always walk it.
     """
     choose = as_choice_fn(rule)
     base = choose(profile)
+    if mode == "all" and isinstance(rule, Rule):
+        checked = 0
+        for committee in sorted(base):
+            members = frozenset(committee)
+            _check_walk_size(profile, members, committee, cap)
+            if not survives_every_reduction(rule, profile, committee):
+                break  # the walk below finds the first witness
+            checked += math.prod(
+                2 ** len(ballot - members) - (0 if ballot & members else 1) for _, ballot in profile.ballots
+            )
+        else:
+            return AxiomVerdict("independence-of-losers", True, None, checked)
     checked = 0
     rng = random.Random(seed)
     for committee in sorted(base):
         members = frozenset(committee)
         options = [_reductions_for(ballot, members) for _, ballot in profile.ballots]
         if mode == "all":
-            total = 1
-            for _, ballot in profile.ballots:
-                total *= 2 ** len(ballot - members)
-            if total > cap:
-                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
+            _check_walk_size(profile, members, committee, cap)
             combos = itertools.product(*options)
         elif mode == "sample":
             combos = ([rng.choice(opt) for opt in options] for _ in range(count))

@@ -100,8 +100,16 @@ def _print_witness(verdict) -> None:
             print(f"# {key}: {json.dumps(value, sort_keys=True)}")
 
 
-def cmd_check(args) -> int:
+def _lookup_axiom(args):
+    """The axiom named by --axiom; --lambda-cap is refused for any other than continuity."""
     axiom = axioms.lookup(args.axiom)
+    if args.lambda_cap is not None and axiom.name != "continuity":
+        raise UsageError("--lambda-cap applies only to --axiom continuity")
+    return axiom
+
+
+def cmd_check(args) -> int:
+    axiom = _lookup_axiom(args)
     profiles = [_read_profile(args.profile)]
     # consistency alone can also be checked over the bipartitions of one profile
     splits = axiom.name == "consistency" and args.splits and not args.profile2
@@ -137,7 +145,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    axiom = axioms.lookup(args.axiom)
+    axiom = _lookup_axiom(args)
     bounds = search.SearchBounds(
         m_max=args.max_m,
         k_set=(args.k,),

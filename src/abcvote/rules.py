@@ -375,6 +375,40 @@ def least_continuity_lambda(rule: Rule, a: Profile, b: Profile) -> int:
     return max([1] + [(sb - top_b) // (best_a - sa) + 1 for sa, sb in zip(scores_a, scores_b) if sa != best_a])
 
 
+def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee) -> bool:
+    """Whether `committee` wins every reduction of `profile`: each voter may
+    drop any approved non-members, keeping the ballot non-empty.
+
+    Scores are sums over voters and each voter reduces on their own, so this
+    holds iff, against every committee W', the voters' least margins
+    T[|r|][|r ∩ W|] - T[|r|][|r ∩ W'|], each over that voter's reductions r,
+    sum to at least 0.  Identical ballots share one row of least margins,
+    weighted by their count: the cost is C(m, k) times the reductions of the
+    distinct ballots, with no product over voters.
+    """
+    _check_dimensions(rule, profile.m)
+    _, table = _int_table(rule, profile.m)
+    _, masks = _committee_masks(profile.m, rule.k)
+    own = _mask(committee)
+    totals = [0] * len(masks)
+    for ballot, weight in _profile_terms(profile):
+        kept, droppable = ballot & own, ballot & ~own
+        least = None
+        dropped = droppable  # every subset of the droppable members, all of them first
+        while True:
+            reduced = ballot ^ dropped
+            if reduced:
+                row = table[reduced.bit_count()]
+                own_score = row[kept.bit_count()]
+                margins = [own_score - row[(reduced & cm).bit_count()] for cm in masks]
+                least = margins if least is None else list(map(min, least, margins))
+            if not dropped:
+                break
+            dropped = (dropped - 1) & droppable
+        totals = [total + weight * margin for total, margin in zip(totals, least)]
+    return min(totals) >= 0
+
+
 def scaled_pair_winners(rule: Rule, a: Profile, b: Profile, lam: int) -> ChoiceSet:
     """winners(rule, lam*a + b) computed from the two score vectors.
 

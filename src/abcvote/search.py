@@ -145,10 +145,15 @@ def _instances(arity: int, bounds: SearchBounds) -> Iterator[tuple[int, int, tup
 def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBounds) -> SearchResult:
     """First witness in stream order, or exhausted with the instance count.
 
-    `rule` is a library rule name or a factory (m, k) -> evaluable rule.
-    Instances outside the axiom's domain are skipped and not counted.  A
-    returned witness has always been independently re-confirmed by
-    replaying it against the rule.
+    `rule` is a library rule name or a factory (m, k) -> evaluable rule,
+    called once per (m, k).  Instances outside the axiom's domain are
+    skipped and not counted.  A returned witness has always been
+    independently re-confirmed by replaying it against the rule.
+
+    Profiles are searched only up to candidate renaming, and each as a
+    multiset of ballots, which is sound only for neutral and anonymous
+    rules.  Every library and inline rule is both; a custom factory may not
+    be, and then a violation outside the representatives goes unseen.
     """
     spec = axioms.lookup(axiom)
     factory = library_factory(rule) if isinstance(rule, str) else rule
@@ -156,9 +161,12 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     options = {
         k: CheckOptions(k, iol_cap=bounds.iol_cap, lambda_cap=bounds.lambda_cap) for k in bounds.k_set
     }
+    rules: dict[tuple[int, int], object] = {}
     instances = 0
     for m, k, profiles in _instances(spec.arity, bounds):
-        rule_obj = factory(m, k)
+        if (m, k) not in rules:
+            rules[m, k] = factory(m, k)
+        rule_obj = rules[m, k]
         if spec.domain is not None and not spec.domain(profiles[0]):
             continue
         verdict = _check(spec, rule_obj, profiles, options[k])

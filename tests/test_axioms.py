@@ -1,9 +1,14 @@
+import itertools
 import random
-
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcvote.axioms import (
+    IOL_EXHAUSTIVE_CAP,
+    CapExceeded,
     as_choice_fn,
     check_anonymity,
     check_choice_set_convexity,
@@ -26,9 +31,18 @@ from abcvote.profiles import (
     profile_to_vector,
 )
 from abcvote import rules
-from abcvote.rules import committee_scores, continuity_lambda_bound, named_rule, winners
+from abcvote.rules import (
+    NAMED_RULES,
+    AbcScoringTable,
+    Rule,
+    committee_scores,
+    continuity_lambda_bound,
+    named_rule,
+    winners,
+)
 
 from conftest import raw_profiles
+from test_kernel import tables
 
 
 def fs(*xs):
@@ -314,6 +328,50 @@ class TestIndependenceOfLosers:
         assert a.passed == b.passed
         if not a.passed:
             assert a.witness == b.witness
+
+
+@st.composite
+def small_tables(draw, m, k):
+    """Scoring tables whose row for each ballot size is a non-decreasing run of
+    small integers: ties are common and short ballots may weigh more, so
+    independence of losers often fails."""
+    rows = [
+        list(itertools.accumulate(draw(st.lists(st.integers(0, m - y), min_size=k + 1, max_size=k + 1))))
+        for y in range(m)
+    ]
+    values = tuple(tuple(Fraction(rows[y][x]) for y in range(m)) for x in range(k + 1))
+    return Rule("small-table", k, AbcScoringTable(k, m, values))
+
+
+@st.composite
+def iol_instances(draw):
+    """A library rule or a random scoring table at m <= 5, a profile of 1-3
+    voters and a cap, often a small one."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, m - 1))
+    named = st.sampled_from(NAMED_RULES).map(lambda name: named_rule(name, k, m))
+    rule = draw(st.one_of(named, small_tables(m, k), tables(m, k)))
+    masks = draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=3))
+    profile = Profile.from_ballots(m, [frozenset(c for c in range(m) if mask >> c & 1) for mask in masks])
+    return rule, profile, draw(st.sampled_from((2, 8, 32, IOL_EXHAUSTIVE_CAP, IOL_EXHAUSTIVE_CAP)))
+
+
+def _iol_outcome(rule, profile, cap):
+    try:
+        verdict = check_independence_of_losers(rule, profile, cap=cap)
+    except CapExceeded as err:
+        return "cap exceeded", str(err)
+    return verdict.passed, verdict.checked, verdict.witness
+
+
+@settings(max_examples=400, deadline=None)
+@given(iol_instances())
+def test_iol_least_margins_match_the_walk(instance):
+    """A library rule is decided by per-voter least margins; the same rule as
+    a bare choice function walks every reduced profile.  Verdict, count,
+    witness and cap message must all agree."""
+    rule, profile, cap = instance
+    assert _iol_outcome(rule, profile, cap) == _iol_outcome(as_choice_fn(rule), profile, cap)
 
 
 class TestConvexHull:

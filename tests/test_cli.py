@@ -165,6 +165,20 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: --count must be at least 1\n"
 
+    @pytest.mark.parametrize("rule, checked", [("pav", 24), ("ccav", 136)])
+    def test_iol_exhaustive_pass_counts(self, tmp_path, rule, checked, capsys):
+        # every reduced profile of every winner is counted; a ballot that
+        # misses a winner (such as {3,4} against pav's) must keep one candidate
+        path = tmp_path / "p.abc"
+        path.write_text("m=5\n0 1\n0 1 2\n2\n3 4\n")
+        argv = ["check", "--axiom", "iol", "--mode", "all", "--rule", rule, "--k", "2", "--profile", str(path)]
+        assert main(argv) == 0
+        passed = f"pass: independence-of-losers holds on this instance ({checked} cases checked)\n"
+        assert capsys.readouterr().out == passed
+        assert main(argv + ["--format", "json"]) == 0
+        expected = f'{{"axiom": "independence-of-losers", "checked": {checked}, "passed": true, "witness": null}}\n'
+        assert capsys.readouterr().out == expected
+
     def test_witness_profile_reparses(self, tmp_path, capsys):
         path = tmp_path / "ce.abc"
         path.write_text(SAV_CE)
@@ -424,3 +438,18 @@ class TestFlags:
         assert main([str(path) if arg == "{a}" else arg for arg in argv] + ["--lambda-cap", cap]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --lambda-cap must be at least 1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--axiom", "convexity", "--rule", "av", "--k", "1", "--profile", "{a}"],
+            ["check", "--axiom", "consistency", "--splits", "--rule", "av", "--k", "1", "--profile", "{a}"],
+            ["search", "--axiom", "iol", "--rule", "av", "--k", "1", "--max-m", "2", "--max-n", "2"],
+        ],
+    )
+    def test_lambda_cap_outside_continuity_exits_2(self, tmp_path, argv, capsys):
+        path = tmp_path / "a.abc"
+        path.write_text("m=2\n0\n")
+        assert main([str(path) if arg == "{a}" else arg for arg in argv] + ["--lambda-cap", "7"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --lambda-cap applies only to --axiom continuity\n")
