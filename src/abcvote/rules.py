@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, lcm
 
 from .profiles import (
@@ -135,6 +136,9 @@ class Rule:
     name: str
     k: int
     scoring: Scoring
+    # the kernel's integer tables, one per candidate count m, filled on first use; kept on
+    # the rule so that finding one never hashes or compares the rule's Fractions
+    _tables: dict[int, _IntTable] = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -222,10 +226,16 @@ def _check_dimensions(rule: Rule, m: int) -> None:
 # ballots of s(|A ∩ W|, |A|).  Ballots and committees become bitmasks,
 # identical ballots merge into one (mask, integer weight) term, and the
 # rule becomes the integer table T[y][x] = s(x, y) * D with D the lcm of the
-# table's denominators.  A committee's score is then the integer sum of
-# w * T[|A|][popcount(A & W)] over the distinct ballots, divided by D and by
-# the weights' own scale: exact, with no rational arithmetic per term.  Cost
-# is C(m, k) committees times the number of distinct ballots.
+# rule's denominators.  Scores come out as integers on the scale D times the
+# weights' own scale: exact, with no rational arithmetic per term.
+#
+# Where every ballot size present has a row that is affine on its active
+# range, T[y][x] = b_y + a_y * x, the score is additive over candidates: a
+# constant sum of w * b_|A| plus, for each elected c, its gain, the sum of
+# w * a_|A| over the ballots approving c.  This holds for AV and all
+# ballot-size weights, and costs C(m, k) * k.  Other tables pay
+# w * T[|A|][popcount(A & W)] per distinct ballot: C(m, k) times the distinct
+# ballots.
 # ---------------------------------------------------------------------------
 
 
@@ -246,12 +256,42 @@ def _committee_masks(m: int, k: int) -> tuple[tuple[Committee, ...], tuple[int, 
     return committees, tuple(_mask(w) for w in committees)
 
 
-@lru_cache(maxsize=256)
-def _int_table(rule: Rule, m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, T) with T[y][x] = s(x, y) * D integral for ballot sizes y = 1..m."""
-    rows = [[rule.score(x, y) for x in range(rule.k + 1)] for y in range(1, m + 1)]
-    scale = lcm(*(value.denominator for row in rows for value in row))
-    return scale, ((),) + tuple(tuple(int(value * scale) for value in row) for row in rows)
+class _IntTable(dict):
+    """A rule's integer table on m candidates: ballot size y maps to (T[y], line),
+    T[y][x] = s(x, y) * D for x = 0..k, and line = (b, a) when T[y][x] = b + a * x
+    on the active range, else None.  Rows are built on first use, so only the
+    ballot sizes that occur cost anything, whatever m is."""
+
+    def __init__(self, rule: Rule, m: int):
+        super().__init__()
+        self.scoring, self.k, self.m = rule.scoring, rule.k, m
+        self.scale = lcm(*(value.denominator for value in _parameters(rule.scoring)))
+
+    def __missing__(self, y: int):
+        values = [self.scoring.score(x, y) for x in range(self.k + 1)]
+        row = tuple(value.numerator * (self.scale // value.denominator) for value in values)
+        active = active_range(self.k, self.m, y)
+        lo = active[0]
+        slope = row[lo + 1] - row[lo] if len(active) > 1 else 0
+        affine = all(row[x] == row[lo] + slope * (x - lo) for x in active)
+        self[y] = entry = (row, (row[lo] - slope * lo, slope) if affine else None)
+        return entry
+
+
+def _parameters(scoring: Scoring):
+    """Every rational that defines the rule, so their denominators give D."""
+    if isinstance(scoring, ThieleScore):
+        return scoring.values
+    if isinstance(scoring, BswavWeights):
+        return scoring.alpha
+    return [value for row in scoring.values for value in row]
+
+
+def _int_table(rule: Rule, m: int) -> _IntTable:
+    table = rule._tables.get(m)
+    if table is None:
+        table = rule._tables[m] = _IntTable(rule, m)
+    return table
 
 
 def _profile_terms(profile: Profile) -> list[tuple[int, int]]:
@@ -267,18 +307,32 @@ def _vector_terms(vector: ProfileVector) -> tuple[int, list[tuple[int, int]]]:
     return scale, terms
 
 
-def _kernel(rule: Rule, m: int, terms: list[tuple[int, int]], committee_masks) -> tuple[int, list[int]]:
-    """(D, scores): each committee's score times D, with D the table's scale."""
-    scale, table = _int_table(rule, m)
-    rows = [(mask, tuple(weight * t for t in table[mask.bit_count()])) for mask, weight in terms]
-    return scale, [sum([row[(mask & cm).bit_count()] for mask, row in rows]) for cm in committee_masks]
+def _kernel(rule: Rule, m: int, terms: list[tuple[int, int]], pool, masks) -> tuple[int, list[int]]:
+    """(D, scores): the score times D of every size-k committee drawn from the
+    sorted candidates `pool`, in lexicographic order; `masks` are their bitmasks."""
+    table = _int_table(rule, m)
+    entries = [(mask, weight, table[mask.bit_count()]) for mask, weight in terms]
+    if all(line is not None for _, _, (_, line) in entries):
+        constant, gains = 0, {}
+        for mask, weight, (_, (intercept, slope)) in entries:
+            constant += weight * intercept
+            gain = weight * slope
+            while gain and mask:  # each approved candidate, lowest bit first
+                low = mask & -mask
+                c = low.bit_length() - 1
+                gains[c] = gains.get(c, 0) + gain
+                mask ^= low
+        pool_gains = [gains.get(c, 0) for c in pool]
+        return table.scale, [constant + gain for gain in map(sum, combinations(pool_gains, rule.k))]
+    rows = [(mask, tuple(weight * t for t in row)) for mask, weight, (row, _) in entries]
+    return table.scale, [sum([row[(mask & cm).bit_count()] for mask, row in rows]) for cm in masks]
 
 
 def _scores(rule: Rule, m: int, terms: list[tuple[int, int]], weight_scale: int = 1):
     """(committees, D, scores) with scores[i] / D the exact score of committees[i]."""
     _check_dimensions(rule, m)
     committees, masks = _committee_masks(m, rule.k)
-    scale, scores = _kernel(rule, m, terms, masks)
+    scale, scores = _kernel(rule, m, terms, range(m), masks)
     return committees, scale * weight_scale, scores
 
 
@@ -314,7 +368,7 @@ def committee_score(rule: Rule, profile: Profile, committee: Committee | frozens
         raise ValueError(f"committee size {len(members)} does not match rule k={rule.k}")
     if not all(isinstance(c, int) and 0 <= c < profile.m for c in members):
         raise ValueError(f"committee {sorted(members)} has candidates outside 0..{profile.m - 1}")
-    scale, (score,) = _kernel(rule, profile.m, _profile_terms(profile), (_mask(members),))
+    scale, (score,) = _kernel(rule, profile.m, _profile_terms(profile), sorted(members), (_mask(members),))
     return Fraction(score, scale)
 
 
@@ -387,7 +441,7 @@ def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee)
     distinct ballots, with no product over voters.
     """
     _check_dimensions(rule, profile.m)
-    _, table = _int_table(rule, profile.m)
+    table = _int_table(rule, profile.m)
     _, masks = _committee_masks(profile.m, rule.k)
     own = _mask(committee)
     totals = [0] * len(masks)
@@ -398,7 +452,7 @@ def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee)
         while True:
             reduced = ballot ^ dropped
             if reduced:
-                row = table[reduced.bit_count()]
+                row = table[reduced.bit_count()][0]
                 own_score = row[kept.bit_count()]
                 margins = [own_score - row[(reduced & cm).bit_count()] for cm in masks]
                 least = margins if least is None else list(map(min, least, margins))

@@ -143,6 +143,16 @@ class TestScore:
         assert main(argv) == 0
         assert capsys.readouterr().out == "{0,1}  score 5/2\n"
 
+    def test_huge_candidate_count_builds_only_the_ballot_sizes_present(self, tmp_path):
+        # building a table row for every ballot size 1..m took over 20 s at
+        # this m; a Thiele rule's scale and rows do not depend on m
+        path = tmp_path / "huge.abc"
+        path.write_text("m=20000000000\n0 1\n0\n2\n")
+        argv = ["score", "--rule", "av", "--k", "1", "--profile", str(path), "--committee", "0"]
+        out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
+        assert out is not None, "score at m = 20000000000 did not exit within 10 s"
+        assert (out.returncode, out.stdout) == (0, "{0}  score 2\n")
+
 
 class TestCheck:
     def test_sav_iol_violation(self, tmp_path, capsys):

@@ -95,11 +95,29 @@ def tables(draw, m, k):
 
 
 @st.composite
+def affine_tables(draw, m, k):
+    """Random AbcScoringTable that is b + a * x on each active range, b != 0, and
+    anything off it: the kernel scores these by per-candidate gains."""
+    values = [[None] * m for _ in range(k + 1)]
+    for y in range(1, m + 1):
+        active = set(active_range(k, m, y))
+        intercept = Fraction(draw(st.integers(-12, 12).filter(bool)), draw(st.integers(1, 7)))
+        slope = draw(increments)
+        for x in range(k + 1):
+            if x in active:
+                values[x][y - 1] = intercept + slope * x
+            else:
+                values[x][y - 1] = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 9)))
+    return Rule("affine-table", k, AbcScoringTable(k, m, tuple(tuple(row) for row in values)))
+
+
+@st.composite
 def rules(draw, m, k):
-    kind = draw(st.sampled_from(("named", "thiele", "bswav", "table")))
+    kind = draw(st.sampled_from(("named", "thiele", "bswav", "table", "affine")))
     if kind == "named":
         return named_rule(draw(st.sampled_from(NAMED_RULES)), k, m)
-    return draw({"thiele": thiele_specs, "bswav": bswav_specs, "table": tables}[kind](m, k))
+    strategy = {"thiele": thiele_specs, "bswav": bswav_specs, "table": tables, "affine": affine_tables}[kind]
+    return draw(strategy(m, k))
 
 
 @st.composite

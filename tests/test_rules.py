@@ -182,6 +182,26 @@ class TestWinners:
             continuity_lambda_bound(rule, profile, profile)
         assert rules._committee_masks.cache_info().currsize == cached
 
+    def test_kernel_never_hashes_the_rule(self, monkeypatch):
+        # the integer tables live on the rule, so a kernel call finds its table
+        # without hashing or comparing the rule's Fractions
+        profile = Profile.from_ballots(4, [fs(0, 1), fs(0), fs(2, 3), fs(0, 1), fs(1, 3)])
+        new_sizes = Profile.from_ballots(4, [fs(0, 1, 2), fs(3), fs(1, 2, 3)])
+
+        def refuse(*_):
+            raise AssertionError("the kernel hashed or compared the rule's parameters")
+
+        for name in ("pav", "sav"):
+            rule = named_rule(name, 2, 4)
+            chosen = winners(rule, profile)
+            twin = named_rule(name, 2, 4)
+            assert rule == twin and hash(rule) == hash(twin)
+            monkeypatch.setattr(type(rule.scoring), "__hash__", refuse)
+            monkeypatch.setattr(type(rule.scoring), "__eq__", refuse)
+            assert winners(rule, profile) == chosen
+            assert winners(rule, new_sizes) == oracle_winners(rule.score, new_sizes, 2)
+            monkeypatch.undo()
+
     def test_many_candidates_small_committee(self):
         # the limit is on C(m, k), not on m: C(30, 2) = 435 committees
         rng = random.Random(30)
