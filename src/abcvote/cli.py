@@ -27,7 +27,7 @@ from .rules import (
     continuity_lambda_bound,
     format_rational,
     parse_rule_spec,
-    winners,
+    winners_and_score,
 )
 
 
@@ -52,8 +52,7 @@ def _emit_json(payload) -> None:
 def cmd_winners(args) -> int:
     profile = _read_profile(args.profile)
     rule = parse_rule_spec(args.rule, args.k, profile.m)
-    chosen = winners(rule, profile)
-    score = committee_score(rule, profile, next(iter(chosen)))
+    chosen, score = winners_and_score(rule, profile)
     if args.format == "json":
         _emit_json(
             {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,10 +61,10 @@ class Profile:
             raise ValueError("need at least 2 candidates")
         if not self.ballots:
             raise ValueError("profile must contain at least one ballot")
-        labels = [label for label, _ in self.ballots]
+        labels, ballots = zip(*self.ballots)
         if len(set(labels)) != len(labels):
             raise ValueError("voter labels must be pairwise distinct")
-        for _, ballot in self.ballots:
+        for ballot in dict.fromkeys(ballots):  # each distinct ballot once, in order
             validate_ballot(ballot, self.m)
 
     @classmethod
@@ -328,6 +329,7 @@ def canonical_form(profile: Profile) -> ProfileVector:
 def parse_profile(text: str) -> Profile:
     m: int | None = None
     ballots: list[Ballot] = []
+    parsed: dict[str, Ballot] = {}  # stripped line -> its ballot: each distinct line is checked once
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -342,18 +344,22 @@ def parse_profile(text: str) -> Profile:
             if m < 2:
                 raise ProfileFormatError(line_no, "candidate count must be at least 2")
             continue
+        ballot = parsed.get(line)
+        if ballot is not None:
+            ballots.append(ballot)
+            continue
         tokens = line.split()
         # int() alone would also take "+1", "1_0" and non-ASCII digits
         if not (line.isascii() and "".join(tokens).isdigit()):
             raise ProfileFormatError(line_no, f"invalid ballot line {line!r}")
-        indices = [int(tok) for tok in tokens]
+        indices = list(map(int, tokens))
         if not indices:
             raise ProfileFormatError(line_no, "empty ballot")
-        if any(i2 <= i1 for i1, i2 in zip(indices, indices[1:])):
+        if not all(map(operator.lt, indices, indices[1:])):
             raise ProfileFormatError(line_no, "ballot indices must be strictly increasing")
         if indices[0] < 0 or indices[-1] >= m:
             raise ProfileFormatError(line_no, f"ballot indices must lie in 0..{m - 1}")
-        ballots.append(frozenset(indices))
+        ballots.append(parsed.setdefault(line, frozenset(indices)))
     if m is None:
         raise ProfileFormatError(1, "missing 'm=<int>' line")
     if not ballots:

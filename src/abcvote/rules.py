@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
+from operator import sub
 
 from .profiles import (
     ChoiceSet,
@@ -233,10 +234,31 @@ def _check_dimensions(rule: Rule, m: int) -> None:
 # range, T[y][x] = b_y + a_y * x, the score is additive over candidates: a
 # constant sum of w * b_|A| plus, for each elected c, its gain, the sum of
 # w * a_|A| over the ballots approving c.  This holds for AV and all
-# ballot-size weights, and costs C(m, k) * k.  Other tables pay
-# w * T[|A|][popcount(A & W)] per distinct ballot: C(m, k) times the distinct
-# ballots.
+# ballot-size weights, and costs C(m, k) * k.
+#
+# Other tables (PAV, CCAV, most Thiele vectors) have two evaluations.  Few
+# distinct ballots pay w * T[|A|][popcount(A & W)] each: C(m, k) times the
+# distinct ballots.  Many distinct ballots are bit-sliced: each pool candidate
+# gets one integer with bit i set when distinct ballot i approves it, and a
+# depth-first walk over the committees keeps at[x], the ballots with more than
+# x members chosen so far.  T[|A|][c] = T[|A|][0] + the sum over x < c of
+# T[|A|][x+1] - T[|A|][x], so a committee scores sum(w * T[|A|][0]) plus, for
+# each x, the steps times the weighted popcount of at[x].  Weights are split
+# into bit-planes (negative weights into planes that subtract), one set per
+# row of steps: a handful of big-integer ANDs and popcounts per committee,
+# whatever the number of ballots.
 # ---------------------------------------------------------------------------
+
+# A table that is not affine is bit-sliced when it has more than this many
+# distinct ballots per committee member and per distinct row of steps among the
+# ballot sizes present, and looped over otherwise: a sliced committee costs
+# about one popcount per (x, row of steps, weight plane), a looped one one per
+# distinct ballot.  Timed on CPython 3.11 at (m, k) from (8, 2) to (14, 4),
+# with one row of steps (Thiele rules) the loop is faster below about 10-12
+# distinct ballots per member for PAV and random Thiele vectors and below
+# about 6 for CCAV; tables with 7-11 rows of steps cross over only at about
+# 24-32 per member, which the factor for rows leaves on the loop.
+SLICED_MIN_BALLOTS = 12
 
 
 def _mask(members) -> int:
@@ -324,8 +346,84 @@ def _kernel(rule: Rule, m: int, terms: list[tuple[int, int]], pool, masks) -> tu
                 mask ^= low
         pool_gains = [gains.get(c, 0) for c in pool]
         return table.scale, [constant + gain for gain in map(sum, combinations(pool_gains, rule.k))]
+    least = SLICED_MIN_BALLOTS * rule.k
+    if len(entries) > least:  # the rows of steps are counted only where they can matter
+        step_rows = {tuple(map(sub, row[1:], row[:-1])) for row in {row for _, _, (row, _) in entries}}
+        if len(entries) > least * len(step_rows):
+            return table.scale, _sliced_scores(rule.k, entries, pool)
     rows = [(mask, tuple(weight * t for t in row)) for mask, weight, (row, _) in entries]
     return table.scale, [sum([row[(mask & cm).bit_count()] for mask, row in rows]) for cm in masks]
+
+
+def _sliced_scores(k: int, entries, pool) -> list[int]:
+    """The bit-sliced evaluation of `_kernel`: scores of the size-k committees
+    of `pool`, in lexicographic order, from (mask, weight, (row, line)) entries."""
+    position = {c: p for p, c in enumerate(pool)}
+    columns = [0] * len(pool)  # by pool position: the pool may be a few candidates of a huge m
+    constant, planes = 0, {}  # (row, signed power of two) -> the ballots in that plane
+    for i, (mask, weight, (row, _)) in enumerate(entries):
+        bit = 1 << i
+        constant += weight * row[0]
+        while mask:
+            low = mask & -mask
+            p = position.get(low.bit_length() - 1)
+            if p is not None:
+                columns[p] |= bit
+            mask ^= low
+        sign, magnitude, j = (1 if weight > 0 else -1), abs(weight), 0
+        while magnitude:
+            if magnitude & 1:
+                planes[row, sign << j] = planes.get((row, sign << j), 0) | bit
+            magnitude >>= 1
+            j += 1
+    # weighted[x]: coefficient -> the ballots that add it once they hold more
+    # than x members; planes sharing a coefficient at x are disjoint, so merge
+    weighted = [{} for _ in range(k)]
+    for (row, power), plane in planes.items():
+        for x in range(k):
+            step = row[x + 1] - row[x]
+            if step:
+                weighted[x][step * power] = weighted[x].get(step * power, 0) | plane
+    weighted = [list(by_coefficient.items()) for by_coefficient in weighted]
+    while weighted and not weighted[-1]:  # at[x] past the last step that scores is never read
+        weighted.pop()
+
+    full, scores = (1 << len(entries)) - 1, []
+    levels = [([], constant)]  # levels[d]: (at, score) after the first d members of the prefix
+    last = ()
+    for prefix in combinations(range(len(pool) - 1), k - 1):
+        d = 0
+        while d < len(last) and last[d] == prefix[d]:
+            d += 1
+        del levels[d + 1:]
+        for p in prefix[d:]:  # extend the shared levels by the new members
+            at, score = levels[-1]
+            column, below, grown = columns[p], full, []
+            for x in range(min(len(at) + 1, len(weighted))):
+                held = at[x] if x < len(at) else 0
+                gained = below & column & ~held  # exactly x members so far, and approve p
+                for coefficient, plane in weighted[x]:
+                    score += coefficient * (gained & plane).bit_count()
+                grown.append(held | (below & column))
+                below = held
+            levels.append((grown, score))
+        last = prefix
+        at, score = levels[-1]
+        # the last member: a ballot holding exactly x members gains the coefficients at x
+        exact, below = [], full
+        for x in range(len(weighted)):
+            held = at[x] if x < len(at) else 0
+            for coefficient, plane in weighted[x]:
+                ballots = below & ~held & plane
+                if ballots:
+                    exact.append((ballots, coefficient))
+            below = held
+        for column in columns[prefix[-1] + 1 if prefix else 0:]:
+            total = score
+            for ballots, coefficient in exact:
+                total += coefficient * (ballots & column).bit_count()
+            scores.append(total)
+    return scores
 
 
 def _scores(rule: Rule, m: int, terms: list[tuple[int, int]], weight_scale: int = 1):
@@ -368,7 +466,13 @@ def committee_score(rule: Rule, profile: Profile, committee: Committee | frozens
         raise ValueError(f"committee size {len(members)} does not match rule k={rule.k}")
     if not all(isinstance(c, int) and 0 <= c < profile.m for c in members):
         raise ValueError(f"committee {sorted(members)} has candidates outside 0..{profile.m - 1}")
-    scale, (score,) = _kernel(rule, profile.m, _profile_terms(profile), sorted(members), (_mask(members),))
+    counts = Counter(ballot for _, ballot in profile.ballots)
+    # rename the candidates that occur to 0, 1, ...: a mask is then as wide as
+    # their count, not as the largest index, and every ballot keeps its size
+    dense = {c: i for i, c in enumerate(members.union(*counts))}
+    terms = [(_mask(map(dense.__getitem__, ballot)), count) for ballot, count in counts.items()]
+    pool = sorted(map(dense.__getitem__, members))
+    scale, (score,) = _kernel(rule, profile.m, terms, pool, (_mask(pool),))
     return Fraction(score, scale)
 
 
@@ -382,6 +486,12 @@ def winners(rule: Rule, profile: Profile) -> ChoiceSet:
     """The full argmax set of committees; never empty, no tie-breaking."""
     committees, _, scores = _profile_scores(rule, profile)
     return _argmax(committees, scores)
+
+
+def winners_and_score(rule: Rule, profile: Profile) -> tuple[ChoiceSet, Fraction]:
+    """The full argmax set of committees and their exact common score, from one scoring."""
+    committees, scale, scores = _profile_scores(rule, profile)
+    return _argmax(committees, scores), Fraction(max(scores), scale)
 
 
 def vector_scores(rule: Rule, vector: ProfileVector, k: int) -> list[tuple[Committee, Fraction]]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from abcvote import cli
+from abcvote import cli, rules
 from abcvote.cli import main
 from abcvote.identify import Observation, format_observations
 from abcvote.profiles import Profile, parse_profile, profile_to_vector
@@ -108,6 +108,15 @@ class TestWinners:
             assert main(argv) == 2
             assert "enumeration limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule", ["pav", "sav"])
+    def test_one_kernel_call_per_job(self, example, rule, monkeypatch):
+        # the winners and their score come from one scoring
+        calls = []
+        kernel = rules._kernel
+        monkeypatch.setattr(rules, "_kernel", lambda *args: calls.append(args) or kernel(*args))
+        assert main(["winners", "--rule", rule, "--k", "2", "--profile", example]) == 0
+        assert len(calls) == 1
+
     def test_byte_identical_reruns(self, example, capsys):
         main(["winners", "--rule", "sav", "--k", "2", "--profile", example])
         first = capsys.readouterr().out
@@ -152,6 +161,28 @@ class TestScore:
         out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
         assert out is not None, "score at m = 20000000000 did not exit within 10 s"
         assert (out.returncode, out.stdout) == (0, "{0}  score 2\n")
+
+    @pytest.mark.parametrize(
+        "ballots, rule, committee, expected",
+        [
+            (["0 1", "0", "2"], "av", "19999999999", "{19999999999}  score 0\n"),
+            (["0 19999999999", "19999999999", "2"], "av", "19999999999", "{19999999999}  score 2\n"),
+            # 31 distinct ballots at k = 2: PAV is bit-sliced
+            ([f"{c} 19999999999" for c in range(30)] + ["19999999999"], "pav", "0 19999999999",
+             "{0,19999999999}  score 63/2\n"),
+        ],
+        ids=["committee", "ballots", "sliced"],
+    )
+    def test_huge_candidate_index_builds_no_huge_mask(self, tmp_path, ballots, rule, committee, expected):
+        # a mask with bit 19999999999 set takes 2.5 GB; the candidates that
+        # occur are renamed 0, 1, ... before any mask is built
+        path = tmp_path / "huge.abc"
+        path.write_text("m=20000000000\n" + "".join(f"{ballot}\n" for ballot in ballots))
+        k = str(len(committee.split()))
+        argv = ["score", "--rule", rule, "--k", k, "--profile", str(path), "--committee", committee]
+        out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
+        assert out is not None, "score at m = 20000000000 did not exit within 10 s"
+        assert (out.returncode, out.stdout) == (0, expected)
 
 
 class TestCheck:

@@ -42,16 +42,27 @@ increments = st.builds(Fraction, st.integers(0, 24), st.integers(1, 12))
 
 
 @st.composite
-def sizes(draw):
+def sizes(draw, many):
+    """(m, k).  With `many`, m is 6 or 7 and k is 2 or 3, where enough distinct
+    ballots fit for the kernel to bit-slice a table that is not affine (at
+    k = 1 every row is affine on its active range)."""
+    if many:
+        return draw(st.sampled_from(((6, 2), (6, 3), (7, 2), (7, 3))))
     m = draw(st.integers(2, 7))
     return m, draw(st.integers(1, m - 1))
 
 
 @st.composite
-def profiles(draw, m):
-    """1-40 voters drawn from a pool of at most five ballots, so ballots repeat."""
-    pool = draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=5))
-    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+def profiles(draw, m, many):
+    """1-40 voters drawn from a pool of at most five ballots, so ballots repeat;
+    with `many`, 25-60 distinct ballots, some of them repeated."""
+    if many:
+        distinct = draw(st.integers(25, min(60, 2**m - 1)))
+        pool = sorted(draw(st.sets(st.integers(1, 2**m - 1), min_size=distinct, max_size=distinct)))
+        picks = pool + draw(st.lists(st.sampled_from(pool), max_size=20))
+    else:
+        pool = draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=5))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
     return Profile.from_ballots(m, [frozenset(c for c in range(m) if mask >> c & 1) for mask in picks])
 
 
@@ -112,33 +123,59 @@ def affine_tables(draw, m, k):
 
 
 @st.composite
+def stepped_tables(draw, m, k):
+    """Random AbcScoringTable whose ballot sizes share one of two rows of steps
+    s(x+1, y) - s(x, y), each size with its own s(0, y): it depends on y, yet
+    has few enough rows of steps for the kernel to bit-slice it."""
+    step_rows = draw(st.lists(st.lists(increments, min_size=k, max_size=k), min_size=2, max_size=2))
+    values = [[None] * m for _ in range(k + 1)]
+    for y in range(1, m + 1):
+        level = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 7)))
+        steps = step_rows[draw(st.integers(0, 1))]
+        for x in range(k + 1):
+            values[x][y - 1] = level + sum(steps[:x])
+    return Rule("stepped-table", k, AbcScoringTable(k, m, tuple(tuple(row) for row in values)))
+
+
+@st.composite
 def rules(draw, m, k):
-    kind = draw(st.sampled_from(("named", "thiele", "bswav", "table", "affine")))
+    kind = draw(st.sampled_from(("named", "thiele", "bswav", "table", "affine", "stepped")))
     if kind == "named":
         return named_rule(draw(st.sampled_from(NAMED_RULES)), k, m)
-    strategy = {"thiele": thiele_specs, "bswav": bswav_specs, "table": tables, "affine": affine_tables}[kind]
+    strategy = {
+        "thiele": thiele_specs,
+        "bswav": bswav_specs,
+        "table": tables,
+        "affine": affine_tables,
+        "stepped": stepped_tables,
+    }[kind]
     return draw(strategy(m, k))
 
 
 @st.composite
 def instances(draw):
-    m, k = draw(sizes())
-    return draw(rules(m, k)), draw(profiles(m))
+    many = draw(st.booleans())
+    m, k = draw(sizes(many))
+    return draw(rules(m, k)), draw(profiles(m, many))
 
 
 @st.composite
 def vector_instances(draw):
-    """Rational vectors with negative and fractional entries (possibly all zero)."""
-    m, k = draw(sizes())
+    """Rational vectors with negative and fractional entries (possibly all zero):
+    at most 8 entries, or with `many` 25-60 of them."""
+    many = draw(st.booleans())
+    m, k = draw(sizes(many))
     values = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
-    entries = draw(st.dictionaries(st.integers(0, 2**m - 2), values, max_size=8))
+    distinct = draw(st.integers(25, min(60, 2**m - 1)) if many else st.integers(0, min(8, 2**m - 1)))
+    entries = draw(st.dictionaries(st.integers(0, 2**m - 2), values, min_size=distinct, max_size=distinct))
     return draw(rules(m, k)), ProfileVector.from_dict(m, entries)
 
 
 @st.composite
 def pair_instances(draw):
-    m, k = draw(sizes())
-    return draw(rules(m, k)), draw(profiles(m)), draw(profiles(m)), draw(st.integers(1, 64))
+    many = draw(st.booleans())
+    m, k = draw(sizes(many))
+    return draw(rules(m, k)), draw(profiles(m, many)), draw(profiles(m, many)), draw(st.integers(1, 64))
 
 
 @PROPERTY

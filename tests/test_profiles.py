@@ -252,6 +252,12 @@ class TestTextFormat:
         with pytest.raises(ProfileFormatError):
             parse_profile("m=2\n0 2\n")
 
+    def test_malformed_line_after_repeats_names_its_own_line(self):
+        # each distinct line is checked once; a bad one is reported where it first occurs
+        with pytest.raises(ProfileFormatError) as err:
+            parse_profile("m=3\n" + "0 1\n" * 200 + "0 3\n" + "0 3\n")
+        assert (err.value.line_no, err.value.message) == (202, "ballot indices must lie in 0..2")
+
     @pytest.mark.parametrize(
         "text, line_no",
         [
