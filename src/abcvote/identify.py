@@ -9,7 +9,9 @@ committee above each committee not chosen; rows these imply are not
 stated, and each row is kept once.  Strictness is encoded as margin >= 1,
 which is sound here because the constraint family is scale-invariant: any
 strictly feasible parameter vector scales to clear margin one.  Rows are
-built on the scoring kernel's ballot and committee bitmasks, and their
+built on the scoring kernel's committee bitmasks from the terms each
+observation carries, one (ballot mask, weight) per distinct ballot, and
+the fitted rule is re-checked by the kernel on the same terms.  Row
 entries are exact rationals: `int`, or `Fraction` only when an
 observation's vector has fractional entries.  Feasibility is decided by an
 exact rational LP (dual simplex, Bland's rule), and each unknown in turn
@@ -21,30 +23,34 @@ combination of the rows of that system that sums to an impossible row.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import sub
 
 from .profiles import (
+    Ballot,
     ChoiceSet,
     Profile,
     ProfileFormatError,
     ProfileVector,
+    ballot_index,
     parse_profile,
     format_committee,
     format_profile,
-    profile_to_vector,
     vector_to_profile,
 )
 from .rules import (
     BswavWeights,
     Rule,
     ThieleScore,
+    _argmax,
     _committee_masks,
+    _mask,
+    _scores,
     _vector_terms,
     format_rational,
-    winners_from_vector,
 )
 
 MAX_UNKNOWNS = 8
@@ -57,6 +63,11 @@ class Observation:
     vector: ProfileVector
     chosen: ChoiceSet
     k: int
+    # the vector as the kernel's terms, (L, [(mask, entry * L)]) with L the lcm of the
+    # entries' denominators: set by from_profile, else decoded from the vector on first use
+    _terms: tuple[int, list[tuple[int, int]]] | None = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self):
         if not 1 <= self.k <= self.m - 1:
@@ -72,12 +83,38 @@ class Observation:
                 raise ValueError("committee members out of range")
 
     @classmethod
-    def from_profile(cls, profile: Profile, chosen: ChoiceSet, k: int) -> "Observation":
-        return cls(profile_to_vector(profile), frozenset(chosen), k)
+    def from_profile(
+        cls, profile: Profile, chosen: ChoiceSet, k: int, codes: dict[int, dict[Ballot, tuple[int, int]]] | None = None
+    ) -> "Observation":
+        """The observation of `profile`, with its terms read off the profile's distinct ballots.
+
+        `codes` maps each candidate count to the ballots coded so far and their
+        (ballot index, mask); pass the same dict for every observation of one
+        file, and each distinct ballot is coded once.
+        """
+        m = profile.m
+        coded = {} if codes is None else codes.setdefault(m, {})
+        entries, terms = {}, []
+        for ballot, count in Counter(ballot for _, ballot in profile.ballots).items():
+            code = coded.get(ballot)
+            if code is None:
+                code = coded[ballot] = ballot_index(ballot, m), _mask(ballot)
+            entries[code[0]] = count
+            terms.append((code[1], count))
+        obs = cls(ProfileVector.from_dict(m, entries), frozenset(chosen), k)
+        object.__setattr__(obs, "_terms", (1, terms))
+        return obs
 
     @property
     def m(self) -> int:
         return self.vector.m
+
+    @property
+    def terms(self) -> tuple[int, list[tuple[int, int]]]:
+        """(L, terms): the vector's entries as (mask, entry * L), L the lcm of their denominators."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", _vector_terms(self.vector))
+        return self._terms
 
 
 @dataclass
@@ -114,7 +151,7 @@ def _observation_rows(obs: Observation, family: str):
     """
     m, k = obs.m, obs.k
     committees, masks = _committee_masks(m, k)
-    scale, terms = _vector_terms(obs.vector)
+    scale, terms = obs.terms
     table = []
     if family == "thiele":
         for cm in masks:
@@ -330,8 +367,11 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
         raise ValueError(f"{n} unknowns exceed the solver cap {MAX_UNKNOWNS}")
     rows = []
     for i, (coeffs, rhs) in enumerate(system.all_rows()):
-        den = lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        if all(type(c) is int for c in coeffs):  # every row of a parsed file
+            den, ints = 1, coeffs
+        else:
+            den = lcm(*(c.denominator for c in coeffs))
+            ints = [c.numerator * (den // c.denominator) for c in coeffs]
         if not any(ints):
             if rhs > 0:
                 return FeasibilityResult(False, None, {i: Fraction(1)})
@@ -421,8 +461,10 @@ def _fit(observations: list[Observation], family: str, k: int, m: int | None, ma
     if point[0] > 0:
         point = tuple(v / point[0] for v in point)
     rule = make_rule(point)
-    if any(winners_from_vector(rule, obs.vector, obs.k) != obs.chosen for obs in observations):
-        raise AssertionError("fitted rule fails to reproduce an observation")
+    for obs in observations:  # one kernel call on the observation's own terms
+        committees, _, scores = _scores(rule, obs.m, obs.terms[1])
+        if _argmax(committees, scores) != obs.chosen:
+            raise AssertionError("fitted rule fails to reproduce an observation")
     return FitResult(True, rule, None, system)
 
 
@@ -457,12 +499,14 @@ def parse_observations(text: str, k: int) -> list[Observation]:
     """Observations in file order; every error names its line in `text`."""
     observations = []
     block: list[str] = []
+    lines: dict[int, dict[str, Ballot]] = {}  # ballot lines checked once per file
+    codes: dict[int, dict[Ballot, tuple[int, int]]] = {}  # ballots coded once per file
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip().startswith("chosen:"):
             block.append(line)
             continue
         try:
-            profile = parse_profile("\n".join(block))
+            profile = parse_profile("\n".join(block), lines)
         except ProfileFormatError as err:  # renumber from the block's first line
             raise ProfileFormatError(line_no - len(block) + err.line_no - 1, err.message) from None
         listed = line.split(":", 1)[1].strip()
@@ -470,7 +514,7 @@ def parse_observations(text: str, k: int) -> list[Observation]:
             raise ProfileFormatError(line_no, f"invalid chosen line {line.strip()!r}")
         chosen = frozenset(tuple(map(int, item.split(","))) for item in listed[1:-1].split("},{"))
         try:
-            obs = Observation.from_profile(profile, chosen, k)
+            obs = Observation.from_profile(profile, chosen, k, codes)
         except ValueError as err:
             raise ProfileFormatError(line_no, str(err)) from None
         if observations and obs.m != observations[0].m:

@@ -215,11 +215,8 @@ def all_ballots_profile(m: int) -> Profile:
 
 
 def profile_to_vector(profile: Profile) -> ProfileVector:
-    counts: dict[int, int] = {}
-    for _, ballot in profile.ballots:
-        idx = ballot_index(ballot, profile.m)
-        counts[idx] = counts.get(idx, 0) + 1
-    return ProfileVector.from_dict(profile.m, counts)
+    counts = Counter(ballot for _, ballot in profile.ballots)
+    return ProfileVector.from_dict(profile.m, {ballot_index(b, profile.m): n for b, n in counts.items()})
 
 
 def vector_to_profile(vector: ProfileVector) -> Profile:
@@ -326,10 +323,14 @@ def canonical_form(profile: Profile) -> ProfileVector:
 # ---------------------------------------------------------------------------
 
 
-def parse_profile(text: str) -> Profile:
+def parse_profile(text: str, lines: dict[int, dict[str, Ballot]] | None = None) -> Profile:
+    """The profile in `text`.  Each distinct ballot line is checked once; pass the
+    same `lines` to every block of one file to share those checks among them:
+    it maps each candidate count to its stripped ballot lines and their ballots,
+    since whether a line is valid depends on m."""
     m: int | None = None
     ballots: list[Ballot] = []
-    parsed: dict[str, Ballot] = {}  # stripped line -> its ballot: each distinct line is checked once
+    parsed: dict[str, Ballot] = {}  # stripped line -> its ballot
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -343,6 +344,8 @@ def parse_profile(text: str) -> Profile:
             m = int(count)
             if m < 2:
                 raise ProfileFormatError(line_no, "candidate count must be at least 2")
+            if lines is not None:
+                parsed = lines.setdefault(m, parsed)
             continue
         ballot = parsed.get(line)
         if ballot is not None:

@@ -1,15 +1,17 @@
 import json
 import random
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from abcvote import cli, rules
+from abcvote import cli, identify, rules
+from abcvote import profiles as profiles_module
 from abcvote.cli import main
 from abcvote.identify import Observation, format_observations
-from abcvote.profiles import Profile, parse_profile, profile_to_vector
+from abcvote.profiles import Profile, all_ballots, parse_profile, profile_to_vector
 from abcvote.rules import named_rule, parse_rule_spec, winners
 from abcvote.search import enumerate_profiles
 
@@ -401,6 +403,32 @@ class TestFitCommand:
         path.write_text("m=3\n0 1\n2\nchosen: {0,1}\n# a second election\nm=4\n0 1\n2 3\nchosen: {0,1}\n")
         assert main(["fit", "--family", family, "--k", "2", "--observations", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 9: observations must share m and k: m=4 here, m=3 before\n"
+
+    def test_ballot_lines_are_checked_again_when_m_changes(self, tmp_path, capsys):
+        # `0 5` passed in the m = 6 block; the m = 4 block must not take it from the line cache
+        path = tmp_path / "obs.txt"
+        path.write_text("m=6\n0 5\n1\nchosen: {0}\nm=4\n0 5\n1\nchosen: {0}\n")
+        assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 6: ballot indices must lie in 0..3\n"
+
+    def test_each_ballot_coded_once_and_one_kernel_call_per_observation(self, tmp_path, monkeypatch, capsys):
+        rng = random.Random(200)
+        rule = named_rule("pav", 2, 5)
+        profiles = [Profile.from_ballots(5, [rng.choice(all_ballots(5)) for _ in range(6)]) for _ in range(200)]
+        path = tmp_path / "obs.txt"
+        path.write_text(format_observations([Observation.from_profile(p, winners(rule, p), 2) for p in profiles]))
+        coded, kernel_calls, decoded = Counter(), [], []
+        index, kernel = profiles_module.ballot_index, rules._kernel
+        counting = lambda ballot, m: coded.update([(m, ballot)]) or index(ballot, m)
+        monkeypatch.setattr(identify, "ballot_index", counting)
+        monkeypatch.setattr(profiles_module, "ballot_index", counting)
+        monkeypatch.setattr(rules, "_kernel", lambda *args: kernel_calls.append(args) or kernel(*args))
+        monkeypatch.setattr(rules, "index_ballot", lambda *args: decoded.append(args))
+        assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 0
+        assert capsys.readouterr().out == "s: 0,1,3/2\n"
+        assert set(coded.values()) == {1}
+        assert set(coded) == {(5, ballot) for p in profiles for _, ballot in p.ballots}
+        assert len(kernel_calls) == 200 and decoded == []
 
     def test_committee_of_all_candidates_located_by_file_line(self, tmp_path, capsys):
         path = tmp_path / "obs.txt"

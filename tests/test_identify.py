@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcvote import identify
 from abcvote.identify import (
     ConstraintSystem,
+    FeasibilityResult,
     Observation,
     build_system,
     fit_bswav,
@@ -20,7 +23,7 @@ from abcvote.identify import (
     verify_certificate,
 )
 from abcvote.profiles import Profile, ProfileVector, all_ballots, profile_to_vector
-from abcvote.rules import BswavWeights, Rule, ThieleScore, named_rule, winners, winners_from_vector
+from abcvote.rules import BswavWeights, Rule, ThieleScore, _vector_terms, named_rule, winners, winners_from_vector
 from abcvote.search import enumerate_profiles
 
 from conftest import oracle_fm_solve, oracle_full_observation_rows, oracle_tie_observation_rows
@@ -409,3 +412,77 @@ class TestObservationsFormat:
             2,
         )
         assert format_fit(bad, "bswav") == "infeasible"
+
+
+@st.composite
+def repeated_profiles(draw, m):
+    """A profile over m candidates drawn from a pool of at most six ballots, so most ballots repeat."""
+    pool = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1).map(frozenset), min_size=1, max_size=6))
+    return Profile.from_ballots(m, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)))
+
+
+@st.composite
+def profile_observations(draw):
+    """One to four observations sharing m = 2-8 and k, on profiles with repeated
+    ballots, each with an arbitrary non-empty choice set."""
+    m = draw(st.integers(2, 8))
+    k = draw(st.integers(1, m - 1))
+    committees = list(itertools.combinations(range(m), k))
+    observations, codes = [], {}
+    for _ in range(draw(st.integers(1, 4))):
+        profile = draw(repeated_profiles(m))
+        chosen = frozenset(draw(st.lists(st.sampled_from(committees), min_size=1, max_size=3)))
+        observations.append(Observation.from_profile(profile, chosen, k, codes if draw(st.booleans()) else None))
+    return observations
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda m: st.lists(repeated_profiles(m), min_size=1, max_size=4)), st.booleans())
+def test_profile_terms_match_the_decoded_vector(profiles, share):
+    """Terms read off a profile's distinct ballots, with or without codes shared
+    among the observations of one file, are the terms decoded from its vector."""
+    codes = {} if share else None
+    for profile in profiles:
+        obs = Observation.from_profile(profile, fs((0,)), 1, codes)
+        vector = profile_to_vector(profile)
+        assert obs.vector == vector
+        scale, terms = obs.terms
+        assert scale == 1
+        assert Counter(terms) == Counter(_vector_terms(vector)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_observations(), st.sampled_from(["thiele", "bswav"]))
+def test_observations_round_trip_through_text(observations, family):
+    again = parse_observations(format_observations(observations), observations[0].k)
+    assert again == observations
+    assert build_system(again, family) == build_system(observations, family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
+def test_rational_vector_fits_match_the_oracle(observations, family):
+    """A fit to rational vectors, whose terms are decoded once on first use,
+    lands on the normalized Fourier-Motzkin point of the full rows and
+    reproduces every observation, or is infeasible exactly when that is."""
+    k, m = observations[0].k, observations[0].m
+    result = fit_thiele(observations, k) if family == "thiele" else fit_bswav(observations, m, k)
+    for obs in observations:
+        assert obs.terms is obs.terms and obs.terms == _vector_terms(obs.vector)
+    point = oracle_fm_solve(oracle_system(observations, family, oracle_full_observation_rows))
+    assert result.feasible == (point is not None)
+    if result.feasible:
+        if point[0] > 0:
+            point = tuple(v / point[0] for v in point)
+        fitted = result.rule.scoring.values[1:] if family == "thiele" else result.rule.scoring.alpha[:-1]
+        assert fitted == point
+        assert all(winners_from_vector(result.rule, obs.vector, k) == obs.chosen for obs in observations)
+
+
+def test_fit_recheck_catches_a_wrong_point(monkeypatch):
+    """The kernel re-check stands behind the solver: a feasible point that
+    does not reproduce the observations makes the fit raise."""
+    obs = observe(named_rule("pav", 2, 4), canonical_grid(4, 2), 2)
+    monkeypatch.setattr(identify, "solve_feasibility", lambda system: FeasibilityResult(True, (F(1), F(2))))
+    with pytest.raises(AssertionError, match="fails to reproduce"):
+        fit_thiele(obs, 2)
