@@ -23,6 +23,7 @@ from .profiles import (
     parse_profile,
 )
 from .rules import (
+    check_committee_limit,
     committee_score,
     continuity_lambda_bound,
     format_rational,
@@ -51,6 +52,7 @@ def _emit_json(payload) -> None:
 
 def cmd_winners(args) -> int:
     profile = _read_profile(args.profile)
+    check_committee_limit(profile.m, args.k)  # before the rule, whose weights can number m
     rule = parse_rule_spec(args.rule, args.k, profile.m)
     chosen, score = winners_and_score(rule, profile)
     if args.format == "json":
@@ -99,32 +101,50 @@ def _print_witness(verdict) -> None:
             print(f"# {key}: {json.dumps(value, sort_keys=True)}")
 
 
+_SAMPLED = ("anonymity", "neutrality", "independence-of-losers")
+
+# The `check` and `search` flags that only some checks read: each flag, whether the
+# check at hand reads it, and where it applies, for the error when it does not.
+# An unset flag is None.
+_FLAG_SCOPES = (
+    ("lambda_cap", lambda axiom, args: axiom.name == "continuity", "--axiom continuity"),
+    # consistency alone can also be checked over the bipartitions of one profile
+    ("splits", lambda axiom, args: axiom.name == "consistency" and not args.profile2,
+     "--axiom consistency without --profile2"),
+    ("max_voters", lambda axiom, args: args.splits, "--splits"),
+    ("mode", lambda axiom, args: axiom.name in _SAMPLED, f"--axiom {', '.join(_SAMPLED)}"),
+    ("seed", lambda axiom, args: args.mode == "sample", "--mode sample"),
+    ("count", lambda axiom, args: args.mode == "sample", "--mode sample"),
+)
+
+
 def _lookup_axiom(args):
-    """The axiom named by --axiom; --lambda-cap is refused for any other than continuity."""
+    """The axiom named by --axiom; a flag that its check would not read is refused."""
     axiom = axioms.lookup(args.axiom)
-    if args.lambda_cap is not None and axiom.name != "continuity":
-        raise UsageError("--lambda-cap applies only to --axiom continuity")
+    for flag, reads, scope in _FLAG_SCOPES:
+        if getattr(args, flag, None) is not None and not reads(axiom, args):
+            raise UsageError(f"--{flag.replace('_', '-')} applies only to {scope}")
     return axiom
 
 
 def cmd_check(args) -> int:
     axiom = _lookup_axiom(args)
     profiles = [_read_profile(args.profile)]
-    # consistency alone can also be checked over the bipartitions of one profile
-    splits = axiom.name == "consistency" and args.splits and not args.profile2
-    if axiom.arity == 2 and not splits:
+    if axiom.arity == 2 and not args.splits:
         if not args.profile2:
             alternative = " (or one with --splits)" if axiom.name == "consistency" else ""
             raise UsageError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
         profiles.append(_read_profile(args.profile2))
+    check_committee_limit(profiles[0].m, args.k)  # before the rule, whose weights can number m
     rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
     cap = args.lambda_cap
     if axiom.name == "continuity" and not cap:
         cap = continuity_lambda_bound(rule, *profiles)
-    if splits:
-        verdict = axioms.check_consistency_splits(rule, profiles[0], max_voters=args.max_voters)
+    if args.splits:
+        max_voters = 10 if args.max_voters is None else args.max_voters
+        verdict = axioms.check_consistency_splits(rule, profiles[0], max_voters)
     else:
-        options = axioms.CheckOptions(args.k, args.mode, args.seed, args.count, lambda_cap=cap)
+        options = axioms.CheckOptions(args.k, args.mode or "all", args.seed or 0, args.count or 20, lambda_cap=cap)
         verdict = axiom.check(rule, *profiles, options)
 
     if axiom.name == "continuity":
@@ -231,11 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axiom", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--profile2", help="second profile (consistency, continuity)")
-    p.add_argument("--splits", action="store_true", help="check consistency over all bipartitions")
-    p.add_argument("--max-voters", type=int, default=10)
-    p.add_argument("--mode", choices=("all", "sample"), default="all")
-    p.add_argument("--seed", type=int, default=0, help="seed for sample mode")
-    p.add_argument("--count", type=int, default=20, help="samples in sample mode")
+    p.add_argument("--splits", action="store_true", default=None, help="check consistency over all bipartitions")
+    p.add_argument("--max-voters", type=int, help="most voters for --splits (default 10)")
+    p.add_argument("--mode", choices=("all", "sample"), help="walk all cases (default) or sample them")
+    p.add_argument("--seed", type=int, help="seed for sample mode (default 0)")
+    p.add_argument("--count", type=int, help="samples in sample mode (default 20)")
     p.add_argument("--lambda-cap", type=int, default=None)
     p.set_defaults(func=cmd_check)
 

@@ -13,7 +13,7 @@ built on the scoring kernel's committee bitmasks from the terms each
 observation carries, one (ballot mask, weight) per distinct ballot, and
 the fitted rule is re-checked by the kernel on the same terms.  Row
 entries are exact rationals: `int`, or `Fraction` only when an
-observation's vector has fractional entries.  Feasibility is decided by an
+observation has fractional multiplicities.  Feasibility is decided by an
 exact rational LP (dual simplex, Bland's rule), and each unknown in turn
 is fixed to the midpoint of its feasible interval so fitted values are
 deterministic; infeasibility comes with a checkable non-negative
@@ -23,11 +23,10 @@ combination of the rows of that system that sums to an impossible row.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
+from operator import lt, sub
 
 from .profiles import (
     Ballot,
@@ -47,74 +46,74 @@ from .rules import (
     ThieleScore,
     _argmax,
     _committee_masks,
-    _mask,
+    _profile_terms,
     _scores,
     _vector_terms,
+    check_committee_limit,
     format_rational,
 )
 
 MAX_UNKNOWNS = 8
 
 
+def _check_choice(m: int, chosen: ChoiceSet, k: int) -> None:
+    if not 1 <= k <= m - 1:
+        raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m-1={m - 1}")
+    if not chosen:
+        raise ValueError("observed choice set must be non-empty")
+    for committee in chosen:
+        if len(committee) != k:
+            raise ValueError("observed committees must all have size k")
+        if any(b <= a for a, b in zip(committee, committee[1:])):
+            raise ValueError("observed committees must be strictly increasing index lists")
+        if any(not 0 <= c < m for c in committee):
+            raise ValueError("committee members out of range")
+
+
 @dataclass(frozen=True)
 class Observation:
-    """One observed election: profile vector, the full tied choice set, and k."""
+    """One observed election: its ballots as the kernel's terms, the full tied choice set, and k.
 
-    vector: ProfileVector
+    `terms` is (L, ((mask, weight), ...)), one term per distinct ballot in increasing mask
+    order, weight = multiplicity * L with L the lcm of the multiplicities' denominators (1
+    for a profile), so equal observations compare equal.
+    """
+
+    m: int
+    terms: tuple[int, tuple[tuple[int, int], ...]]
     chosen: ChoiceSet
     k: int
-    # the vector as the kernel's terms, (L, [(mask, entry * L)]) with L the lcm of the
-    # entries' denominators: set by from_profile, else decoded from the vector on first use
-    _terms: tuple[int, list[tuple[int, int]]] | None = field(
-        default=None, init=False, compare=False, hash=False, repr=False
-    )
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.m - 1:
-            raise ValueError(f"committee size k={self.k} must satisfy 1 <= k <= m-1={self.m - 1}")
-        if not self.chosen:
-            raise ValueError("observed choice set must be non-empty")
-        for committee in self.chosen:
-            if len(committee) != self.k:
-                raise ValueError("observed committees must all have size k")
-            if any(b <= a for a, b in zip(committee, committee[1:])):
-                raise ValueError("observed committees must be strictly increasing index lists")
-            if any(not 0 <= c < self.vector.m for c in committee):
-                raise ValueError("committee members out of range")
+        _check_choice(self.m, self.chosen, self.k)
+        scale, terms = self.terms
+        masks = [0, *(mask for mask, _ in terms)]
+        if scale < 1 or not all(map(lt, masks, masks[1:])) or masks[-1].bit_length() > self.m:
+            raise ValueError(f"terms need L >= 1 and ballot masks increasing from 1 to below 2**m, m={self.m}")
+        if not all(weight for _, weight in terms):
+            raise ValueError("zero weights must be omitted")
 
     @classmethod
-    def from_profile(
-        cls, profile: Profile, chosen: ChoiceSet, k: int, codes: dict[int, dict[Ballot, tuple[int, int]]] | None = None
-    ) -> "Observation":
-        """The observation of `profile`, with its terms read off the profile's distinct ballots.
+    def from_profile(cls, profile: Profile, chosen: ChoiceSet, k: int) -> "Observation":
+        """The observation of `profile`, one term per distinct ballot."""
+        _check_choice(profile.m, chosen, k)  # before any mask: k >= m could come with a huge m
+        return cls(profile.m, (1, tuple(sorted(_profile_terms(profile)))), frozenset(chosen), k)
 
-        `codes` maps each candidate count to the ballots coded so far and their
-        (ballot index, mask); pass the same dict for every observation of one
-        file, and each distinct ballot is coded once.
-        """
-        m = profile.m
-        coded = {} if codes is None else codes.setdefault(m, {})
-        entries, terms = {}, []
-        for ballot, count in Counter(ballot for _, ballot in profile.ballots).items():
-            code = coded.get(ballot)
-            if code is None:
-                code = coded[ballot] = ballot_index(ballot, m), _mask(ballot)
-            entries[code[0]] = count
-            terms.append((code[1], count))
-        obs = cls(ProfileVector.from_dict(m, entries), frozenset(chosen), k)
-        object.__setattr__(obs, "_terms", (1, terms))
-        return obs
+    @classmethod
+    def from_vector(cls, vector: ProfileVector, chosen: ChoiceSet, k: int) -> "Observation":
+        """The observation of a rational profile vector, its entries decoded once."""
+        scale, terms = _vector_terms(vector)
+        return cls(vector.m, (scale, tuple(sorted(terms))), frozenset(chosen), k)
 
     @property
-    def m(self) -> int:
-        return self.vector.m
-
-    @property
-    def terms(self) -> tuple[int, list[tuple[int, int]]]:
-        """(L, terms): the vector's entries as (mask, entry * L), L the lcm of their denominators."""
-        if self._terms is None:
-            object.__setattr__(self, "_terms", _vector_terms(self.vector))
-        return self._terms
+    def vector(self) -> ProfileVector:
+        """The terms as a profile vector: each weight over L, at its ballot's index."""
+        scale, terms = self.terms
+        entries = {}
+        for mask, weight in terms:
+            ballot = frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
+            entries[ballot_index(ballot, self.m)] = Fraction(weight, scale)
+        return ProfileVector.from_dict(self.m, entries)
 
 
 @dataclass
@@ -125,7 +124,7 @@ class ConstraintSystem:
     (strict): in a fit, the side constraints and each observation's ties
     with its designated committee, then that committee against the rest,
     each row once.  Entries are exact rationals: `int`, or `Fraction` only
-    where an observation's vector has fractional entries.  Certificates
+    where an observation has fractional multiplicities.  Certificates
     name rows of this system, counting weak rows first, then strict rows.
     """
 
@@ -142,7 +141,7 @@ class ConstraintSystem:
 def _observation_rows(obs: Observation, family: str):
     """Tie rows (weak) and strict rows of one observation, on the kernel's bitmasks.
 
-    With the vector's entries scaled by L (the lcm of their denominators) to
+    With the multiplicities scaled by L (the lcm of their denominators) to
     integer weights w, a committee W's row is integral: Thiele adds w to the
     coefficient of s_x, x = |A & W| >= 1; ballot-size weights add w * |A & W|
     to that of alpha_|A|, skipping full ballots, which add the same constant
@@ -500,7 +499,6 @@ def parse_observations(text: str, k: int) -> list[Observation]:
     observations = []
     block: list[str] = []
     lines: dict[int, dict[str, Ballot]] = {}  # ballot lines checked once per file
-    codes: dict[int, dict[Ballot, tuple[int, int]]] = {}  # ballots coded once per file
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip().startswith("chosen:"):
             block.append(line)
@@ -513,8 +511,9 @@ def parse_observations(text: str, k: int) -> list[Observation]:
         if not _CHOSEN_RE.fullmatch(listed):
             raise ProfileFormatError(line_no, f"invalid chosen line {line.strip()!r}")
         chosen = frozenset(tuple(map(int, item.split(","))) for item in listed[1:-1].split("},{"))
+        check_committee_limit(profile.m, k)  # before any ballot becomes a mask
         try:
-            obs = Observation.from_profile(profile, chosen, k, codes)
+            obs = Observation.from_profile(profile, chosen, k)
         except ValueError as err:
             raise ProfileFormatError(line_no, str(err)) from None
         if observations and obs.m != observations[0].m:

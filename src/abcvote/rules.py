@@ -268,12 +268,19 @@ def _mask(members) -> int:
     return mask
 
 
+def check_committee_limit(m: int, k: int) -> None:
+    """Refuse more than MAX_COMMITTEES size-k committees of m candidates.  comb(m, k) costs
+    about min(k, m - k) products, so it is skipped past 20: C(m, k) >= C(42, 21) > 5 * 10**11
+    is then over the limit anyway."""
+    if min(k, m - k) > 20 or comb(m, k) > MAX_COMMITTEES:
+        raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
+
+
 @lru_cache(maxsize=None)
 def _committee_masks(m: int, k: int) -> tuple[tuple[Committee, ...], tuple[int, ...]]:
     """All size-k committees in enumerate_committees order, with their bitmasks;
     more than MAX_COMMITTEES are refused before any is built."""
-    if comb(m, k) > MAX_COMMITTEES:
-        raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
+    check_committee_limit(m, k)
     committees = tuple(enumerate_committees(m, k))
     return committees, tuple(_mask(w) for w in committees)
 
@@ -435,12 +442,14 @@ def _scores(rule: Rule, m: int, terms: list[tuple[int, int]], weight_scale: int 
 
 
 def _profile_scores(rule: Rule, profile: Profile) -> tuple[tuple[Committee, ...], int, list[int]]:
+    check_committee_limit(profile.m, rule.k)  # before any ballot becomes a mask
     return _scores(rule, profile.m, _profile_terms(profile))
 
 
 def _vector_scores(rule: Rule, vector: ProfileVector, k: int) -> tuple[tuple[Committee, ...], int, list[int]]:
     if k != rule.k:
         raise ValueError(f"requested k={k} does not match rule k={rule.k}")
+    check_committee_limit(vector.m, k)  # before any entry is decoded to a mask
     weight_scale, terms = _vector_terms(vector)
     return _scores(rule, vector.m, terms, weight_scale)
 

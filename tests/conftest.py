@@ -105,35 +105,36 @@ def _oracle_committee_row(ballots, vector, members, family):
     return tuple(coeffs)
 
 
-def _oracle_rows(obs, family, pairs):
-    """(weak, strict) rows: row(a) - row(b) for each weak pair (a, b) that
+def _oracle_rows(vector, chosen, k, family, pairs):
+    """(weak, strict) rows of the observation of `vector` with choice set
+    `chosen`: row(a) - row(b) for each weak pair (a, b) that
     `pairs(chosen, committees)` lists, then the least chosen committee
     against each committee not chosen, committees in lexicographic order."""
-    ballots = all_subsets_nonempty(obs.m)
-    committees = list(itertools.combinations(range(obs.m), obs.k))
-    table = {w: _oracle_committee_row(ballots, obs.vector, frozenset(w), family) for w in committees}
-    chosen = [w for w in committees if w in obs.chosen]
-    weak = [tuple(a - b for a, b in zip(table[x], table[y])) for x, y in pairs(chosen, committees)]
+    ballots = all_subsets_nonempty(vector.m)
+    committees = list(itertools.combinations(range(vector.m), k))
+    table = {w: _oracle_committee_row(ballots, vector, frozenset(w), family) for w in committees}
+    ordered = [w for w in committees if w in chosen]
+    weak = [tuple(a - b for a, b in zip(table[x], table[y])) for x, y in pairs(ordered, committees)]
     strict = [
-        tuple(a - b for a, b in zip(table[chosen[0]], table[other]))
+        tuple(a - b for a, b in zip(table[ordered[0]], table[other]))
         for other in committees
-        if other not in obs.chosen
+        if other not in chosen
     ]
     return weak, strict
 
 
-def oracle_full_observation_rows(obs, family):
+def oracle_full_observation_rows(vector, chosen, k, family):
     """Every chosen committee against every other committee as weak rows,
     which the tie and strict rows imply, plus the strict rows."""
-    return _oracle_rows(obs, family, lambda chosen, committees: [
+    return _oracle_rows(vector, chosen, k, family, lambda chosen, committees: [
         (winner, other) for winner in chosen for other in committees if other != winner
     ])
 
 
-def oracle_tie_observation_rows(obs, family):
+def oracle_tie_observation_rows(vector, chosen, k, family):
     """Ties as weak rows: the least chosen committee minus each other chosen
     committee, then the reverse, one pair at a time; plus the strict rows."""
-    return _oracle_rows(obs, family, lambda chosen, committees: [
+    return _oracle_rows(vector, chosen, k, family, lambda chosen, committees: [
         pair for other in chosen[1:] for pair in ((chosen[0], other), (other, chosen[0]))
     ])
 

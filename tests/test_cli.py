@@ -1,6 +1,5 @@
 import json
 import random
-from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ from abcvote import cli, identify, rules
 from abcvote import profiles as profiles_module
 from abcvote.cli import main
 from abcvote.identify import Observation, format_observations
-from abcvote.profiles import Profile, all_ballots, parse_profile, profile_to_vector
+from abcvote.profiles import Profile, ProfileVector, all_ballots, parse_profile, profile_to_vector
 from abcvote.rules import named_rule, parse_rule_spec, winners
 from abcvote.search import enumerate_profiles
 
@@ -109,6 +108,29 @@ class TestWinners:
                     "--profile", str(path), "--profile2", str(path), *cap]
             assert main(argv) == 2
             assert "enumeration limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, m",
+        [
+            # a mask with bit 19999999999 set takes 2.5 GB: these died of a MemoryError
+            (["winners", "--rule", "av", "--k", "1"], "20000000000"),
+            (["check", "--axiom", "anonymity", "--rule", "av", "--k", "1"], "20000000000"),
+            (["check", "--axiom", "iol", "--rule", "av", "--k", "1"], "20000000000"),
+            # C(m, k) itself is slow to compute at a huge k
+            (["winners", "--rule", "av", "--k", "1000000"], "20000000000"),
+            # a ballot-size rule has m weights: 48 s to build at m = 10^7, past 20 s at m = 2*10^10
+            (["winners", "--rule", "sav", "--k", "1"], "10000000"),
+            (["check", "--axiom", "weak-efficiency", "--rule", "sav", "--k", "1"], "20000000000"),
+        ],
+        ids=["winners", "anonymity", "iol", "huge-k", "sav", "sav-check"],
+    )
+    def test_committee_limit_before_any_mask_or_weight(self, tmp_path, argv, m):
+        path = tmp_path / "huge.abc"
+        path.write_text(f"m={m}\n0 {int(m) - 1}\n2\n")
+        out = run_limited([*argv, "--profile", str(path)], timeout=10, address_space=2_000_000 * 1024)
+        assert out is not None, f"{argv[0]} at m = {m} did not exit within 10 s"
+        k = argv[argv.index("--k") + 1]
+        assert (out.returncode, out.stderr) == (2, f"error: C({m},{k}) committees exceed the enumeration limit 200000\n")
 
     @pytest.mark.parametrize("rule", ["pav", "sav"])
     def test_one_kernel_call_per_job(self, example, rule, monkeypatch):
@@ -411,24 +433,25 @@ class TestFitCommand:
         assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 6: ballot indices must lie in 0..3\n"
 
-    def test_each_ballot_coded_once_and_one_kernel_call_per_observation(self, tmp_path, monkeypatch, capsys):
+    def test_no_ballot_index_or_vector_and_one_kernel_call_per_observation(self, tmp_path, monkeypatch, capsys):
+        # ballots go straight from the parsed lines to kernel terms: no index coding either way,
+        # no profile vector, and the re-check is one kernel call per observation
         rng = random.Random(200)
         rule = named_rule("pav", 2, 5)
         profiles = [Profile.from_ballots(5, [rng.choice(all_ballots(5)) for _ in range(6)]) for _ in range(200)]
         path = tmp_path / "obs.txt"
         path.write_text(format_observations([Observation.from_profile(p, winners(rule, p), 2) for p in profiles]))
-        coded, kernel_calls, decoded = Counter(), [], []
-        index, kernel = profiles_module.ballot_index, rules._kernel
-        counting = lambda ballot, m: coded.update([(m, ballot)]) or index(ballot, m)
-        monkeypatch.setattr(identify, "ballot_index", counting)
-        monkeypatch.setattr(profiles_module, "ballot_index", counting)
+        coded, vectors, kernel_calls = [], [], []
+        kernel = rules._kernel
+        for module, name in [(identify, "ballot_index"), (profiles_module, "ballot_index"),
+                             (profiles_module, "index_ballot"), (rules, "index_ballot")]:
+            monkeypatch.setattr(module, name, lambda *args: coded.append(args))
+        monkeypatch.setattr(ProfileVector, "__post_init__", lambda vector: vectors.append(vector))
         monkeypatch.setattr(rules, "_kernel", lambda *args: kernel_calls.append(args) or kernel(*args))
-        monkeypatch.setattr(rules, "index_ballot", lambda *args: decoded.append(args))
         assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 0
         assert capsys.readouterr().out == "s: 0,1,3/2\n"
-        assert set(coded.values()) == {1}
-        assert set(coded) == {(5, ballot) for p in profiles for _, ballot in p.ballots}
-        assert len(kernel_calls) == 200 and decoded == []
+        assert coded == [] and vectors == []
+        assert len(kernel_calls) == 200
 
     def test_committee_of_all_candidates_located_by_file_line(self, tmp_path, capsys):
         path = tmp_path / "obs.txt"
@@ -457,6 +480,24 @@ class TestFitCommand:
         assert out is not None, "fit at m = 20000000000 did not exit within 10 s"
         assert out.returncode == 2
         assert out.stderr == "error: C(20000000000,1) committees exceed the enumeration limit 200000\n"
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("1", "C(20000000000,1) committees exceed the enumeration limit 200000"),
+            # k >= m passes the limit: k is checked before the 2.5 GB mask of candidate 19999999999
+            ("30000000000", "line 4: committee size k=30000000000 must satisfy 1 <= k <= m-1=19999999999"),
+        ],
+        ids=["limit", "k-over-m"],
+    )
+    def test_huge_candidate_index_exits_2_at_once(self, tmp_path, k, message):
+        # coding the ballot `0 19999999999` to its index looped once per skipped candidate
+        path = tmp_path / "huge.txt"
+        path.write_text("m=20000000000\n0 19999999999\n2\nchosen: {0}\n")
+        argv = ["fit", "--family", "thiele", "--k", k, "--observations", str(path)]
+        out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
+        assert out is not None, "fit on a huge candidate index did not exit within 10 s"
+        assert (out.returncode, out.stderr) == (2, f"error: {message}\n")
 
     def test_pav_k5_fit_is_reached(self, tmp_path):
         # 10 seeded PAV profiles of 8 voters at m = 8, each candidate approved
@@ -522,3 +563,31 @@ class TestFlags:
         assert main([str(path) if arg == "{a}" else arg for arg in argv] + ["--lambda-cap", "7"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --lambda-cap applies only to --axiom continuity\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--axiom", "convexity", "--splits"], "--splits applies only to --axiom consistency without --profile2"),
+            (["--axiom", "consistency", "--profile2", "{a}", "--splits"],
+             "--splits applies only to --axiom consistency without --profile2"),
+            (["--axiom", "consistency", "--profile2", "{a}", "--max-voters", "4"], "--max-voters applies only to --splits"),
+            (["--axiom", "anonymity", "--max-voters", "4"], "--max-voters applies only to --splits"),
+            (["--axiom", "convexity", "--mode", "sample", "--count", "4"],
+             "--mode applies only to --axiom anonymity, neutrality, independence-of-losers"),
+            (["--axiom", "weak-efficiency", "--mode", "all"],
+             "--mode applies only to --axiom anonymity, neutrality, independence-of-losers"),
+            (["--axiom", "convexity", "--seed", "3"], "--seed applies only to --mode sample"),
+            (["--axiom", "anonymity", "--count", "4"], "--count applies only to --mode sample"),
+            (["--axiom", "iol", "--mode", "all", "--seed", "0"], "--seed applies only to --mode sample"),
+        ],
+        ids=["splits", "splits-pair", "max-voters-pair", "max-voters", "mode-sample", "mode-all", "seed", "count",
+             "seed-all"],
+    )
+    def test_check_flag_the_axiom_does_not_read_exits_2(self, tmp_path, argv, message, capsys):
+        # these flags used to be accepted and ignored
+        path = tmp_path / "a.abc"
+        path.write_text("m=2\n0\n")
+        argv = ["check", "--rule", "av", "--k", "1", "--profile", "{a}", *argv]
+        assert main([str(path) if arg == "{a}" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -85,6 +84,31 @@ class TestBuildSystem:
             build_system([obs], "thiele")
 
 
+class TestObservation:
+    def test_terms_are_the_distinct_ballots_in_mask_order(self):
+        profile = Profile.from_ballots(3, [fs(2), fs(0, 1), fs(2), fs(0)])
+        obs = Observation.from_profile(profile, [(0,)], 1)
+        assert obs == Observation(3, (1, ((0b001, 1), (0b011, 1), (0b100, 2))), fs((0,)), 1)
+        assert obs == Observation.from_vector(profile_to_vector(profile), [(0,)], 1)
+        half = Observation.from_vector(ProfileVector.from_dict(3, {0: F(1, 2), 6: F(-1, 3)}), [(0,)], 1)
+        assert half.terms == (6, ((0b001, 3), (0b111, -2)))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            (0, ((1, 1),)),  # L below 1
+            (1, ((0, 1),)),  # the empty ballot
+            (1, ((0b1000, 1),)),  # candidate 3 of m = 3
+            (1, ((2, 1), (1, 1))),  # masks out of order
+            (1, ((1, 1), (1, 2))),  # a ballot twice
+            (1, ((1, 0),)),  # a zero weight
+        ],
+    )
+    def test_malformed_terms_rejected(self, terms):
+        with pytest.raises(ValueError):
+            Observation(3, terms, fs((0,)), 1)
+
+
 entries = st.one_of(st.integers(-3, 5), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
 
 
@@ -92,24 +116,26 @@ entries = st.one_of(st.integers(-3, 5), st.builds(F, st.integers(-6, 6), st.inte
 def rational_observations(draw):
     """One to three observations sharing m = 2-5 and k, on profile vectors
     whose entries may be fractional or negative, each with an arbitrary
-    non-empty choice set, often of several tied committees."""
+    non-empty choice set, often of several tied committees: (vector,
+    observation) pairs, so oracles can read the vector each was built from."""
     m = draw(st.integers(2, 5))
     k = draw(st.integers(1, m - 1))
     committees = list(itertools.combinations(range(m), k))
-    observations = []
+    pairs = []
     for _ in range(draw(st.integers(1, 3))):
         vector = ProfileVector.from_dict(m, draw(st.dictionaries(st.integers(0, 2**m - 2), entries, max_size=6)))
         chosen = draw(st.sets(st.sampled_from(committees), min_size=1))
-        observations.append(Observation(vector, frozenset(chosen), k))
-    return observations
+        pairs.append((vector, Observation.from_vector(vector, chosen, k)))
+    return pairs
 
 
-def oracle_system(observations, family, oracle_rows):
+def oracle_system(pairs, family, oracle_rows):
     """The side rows and each observation's oracle rows, in order and with every copy."""
+    observations = [obs for _, obs in pairs]
     side = build_system([], family, k=observations[0].k, m=observations[0].m)
     weak, strict = side.weak, []
-    for obs in observations:
-        w, s = oracle_rows(obs, family)
+    for vector, obs in pairs:
+        w, s = oracle_rows(vector, obs.chosen, obs.k, family)
         weak += w
         strict += s
     return ConstraintSystem(side.unknowns, weak, strict)
@@ -117,24 +143,24 @@ def oracle_system(observations, family, oracle_rows):
 
 @settings(max_examples=200, deadline=None)
 @given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
-def test_rows_match_fraction_oracle(observations, family):
-    system = build_system(observations, family)
-    oracle = oracle_system(observations, family, oracle_tie_observation_rows)
+def test_rows_match_fraction_oracle(pairs, family):
+    system = build_system([obs for _, obs in pairs], family)
+    oracle = oracle_system(pairs, family, oracle_tie_observation_rows)
     assert system.weak == list(dict.fromkeys(oracle.weak))
     assert system.strict == list(dict.fromkeys(oracle.strict))
     rows = system.weak + system.strict
-    if all(value.denominator == 1 for obs in observations for _, value in obs.vector.entries):
+    if all(value.denominator == 1 for vector, _ in pairs for _, value in vector.entries):
         assert all(type(c) is int for row in rows for c in row)
 
 
 @settings(max_examples=150, deadline=None)
 @given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
-def test_tie_rows_keep_the_full_feasible_set(observations, family):
+def test_tie_rows_keep_the_full_feasible_set(pairs, family):
     """Dropping the weak rows that the ties and strict rows imply keeps the
     feasible set: the same verdict and midpoint as the full system, solved
     by the LP and by Fourier-Motzkin."""
-    system = build_system(observations, family)
-    full = oracle_system(observations, family, oracle_full_observation_rows)
+    system = build_system([obs for _, obs in pairs], family)
+    full = oracle_system(pairs, family, oracle_full_observation_rows)
     result, full_result = solve_feasibility(system), solve_feasibility(full)
     assert result.feasible == full_result.feasible
     assert result.point == full_result.point == oracle_fm_solve(full)
@@ -428,27 +454,24 @@ def profile_observations(draw):
     m = draw(st.integers(2, 8))
     k = draw(st.integers(1, m - 1))
     committees = list(itertools.combinations(range(m), k))
-    observations, codes = [], {}
+    observations = []
     for _ in range(draw(st.integers(1, 4))):
         profile = draw(repeated_profiles(m))
         chosen = frozenset(draw(st.lists(st.sampled_from(committees), min_size=1, max_size=3)))
-        observations.append(Observation.from_profile(profile, chosen, k, codes if draw(st.booleans()) else None))
+        observations.append(Observation.from_profile(profile, chosen, k))
     return observations
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 8).flatmap(lambda m: st.lists(repeated_profiles(m), min_size=1, max_size=4)), st.booleans())
-def test_profile_terms_match_the_decoded_vector(profiles, share):
-    """Terms read off a profile's distinct ballots, with or without codes shared
-    among the observations of one file, are the terms decoded from its vector."""
-    codes = {} if share else None
+@given(st.integers(2, 8).flatmap(lambda m: st.lists(repeated_profiles(m), min_size=1, max_size=4)))
+def test_profile_terms_match_the_decoded_vector(profiles):
+    """Terms read off a profile's distinct ballots are the terms decoded from
+    its vector, in increasing mask order, and give that vector back."""
     for profile in profiles:
-        obs = Observation.from_profile(profile, fs((0,)), 1, codes)
+        obs = Observation.from_profile(profile, fs((0,)), 1)
         vector = profile_to_vector(profile)
+        assert obs.terms == (1, tuple(sorted(_vector_terms(vector)[1])))
         assert obs.vector == vector
-        scale, terms = obs.terms
-        assert scale == 1
-        assert Counter(terms) == Counter(_vector_terms(vector)[1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -461,22 +484,25 @@ def test_observations_round_trip_through_text(observations, family):
 
 @settings(max_examples=150, deadline=None)
 @given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
-def test_rational_vector_fits_match_the_oracle(observations, family):
-    """A fit to rational vectors, whose terms are decoded once on first use,
-    lands on the normalized Fourier-Motzkin point of the full rows and
-    reproduces every observation, or is infeasible exactly when that is."""
+def test_rational_vector_fits_match_the_oracle(pairs, family):
+    """A fit to rational vectors, each decoded to terms once, lands on the
+    normalized Fourier-Motzkin point of the full rows and reproduces every
+    observation, or is infeasible exactly when that is."""
+    observations = [obs for _, obs in pairs]
     k, m = observations[0].k, observations[0].m
     result = fit_thiele(observations, k) if family == "thiele" else fit_bswav(observations, m, k)
-    for obs in observations:
-        assert obs.terms is obs.terms and obs.terms == _vector_terms(obs.vector)
-    point = oracle_fm_solve(oracle_system(observations, family, oracle_full_observation_rows))
+    for vector, obs in pairs:
+        scale, terms = _vector_terms(vector)
+        assert obs.terms == (scale, tuple(sorted(terms)))
+        assert obs.vector == vector
+    point = oracle_fm_solve(oracle_system(pairs, family, oracle_full_observation_rows))
     assert result.feasible == (point is not None)
     if result.feasible:
         if point[0] > 0:
             point = tuple(v / point[0] for v in point)
         fitted = result.rule.scoring.values[1:] if family == "thiele" else result.rule.scoring.alpha[:-1]
         assert fitted == point
-        assert all(winners_from_vector(result.rule, obs.vector, k) == obs.chosen for obs in observations)
+        assert all(winners_from_vector(result.rule, vector, k) == obs.chosen for vector, obs in pairs)
 
 
 def test_fit_recheck_catches_a_wrong_point(monkeypatch):

@@ -169,11 +169,14 @@ class TestWinners:
                         for rule in library_rules(m, k):
                             assert winners(rule, profile)
 
-    def test_enumeration_cap(self):
-        # C(24, 12) = 2,704,156 committees: rejected before any is built
+    def test_enumeration_cap(self, monkeypatch):
+        # C(24, 12) = 2,704,156 committees: rejected before any is built, and
+        # before any ballot becomes a mask, which at a huge m can take gigabytes
         profile = Profile.from_ballots(24, [fs(0)])
         rule = named_rule("av", 12, 24)
         cached = rules._committee_masks.cache_info().currsize
+        for name in ("_profile_terms", "_vector_terms"):
+            monkeypatch.setattr(rules, name, lambda *args: pytest.fail("terms built over the committee limit"))
         with pytest.raises(ValueError, match="enumeration limit"):
             winners(rule, profile)
         with pytest.raises(ValueError, match="enumeration limit"):
@@ -181,6 +184,18 @@ class TestWinners:
         with pytest.raises(ValueError, match="enumeration limit"):
             continuity_lambda_bound(rule, profile, profile)
         assert rules._committee_masks.cache_info().currsize == cached
+
+    def test_committee_limit_is_the_binomial(self):
+        # the limit skips comb() at a large min(k, m - k); it must still refuse exactly C(m, k) > MAX_COMMITTEES
+        for m in [*range(2, 52), 632, 633, 200_000, 200_001]:
+            for k in {*range(1, min(m, 24) + 2), m // 2, m - 2, m - 1, m, m + 1}:
+                refused = comb(m, k) > rules.MAX_COMMITTEES
+                try:
+                    rules.check_committee_limit(m, k)
+                except ValueError as err:
+                    assert refused and str(err) == f"C({m},{k}) committees exceed the enumeration limit 200000"
+                else:
+                    assert not refused, (m, k)
 
     def test_kernel_never_hashes_the_rule(self, monkeypatch):
         # the integer tables live on the rule, so a kernel call finds its table
