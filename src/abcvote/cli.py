@@ -107,6 +107,7 @@ _SAMPLED = ("anonymity", "neutrality", "independence-of-losers")
 # check at hand reads it, and where it applies, for the error when it does not.
 # An unset flag is None.
 _FLAG_SCOPES = (
+    ("profile2", lambda axiom, args: axiom.arity == 2, "--axiom consistency, continuity"),
     ("lambda_cap", lambda axiom, args: axiom.name == "continuity", "--axiom continuity"),
     # consistency alone can also be checked over the bipartitions of one profile
     ("splits", lambda axiom, args: axiom.name == "consistency" and not args.profile2,

@@ -14,7 +14,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -55,6 +55,9 @@ class Profile:
 
     m: int
     ballots: tuple[tuple[int, Ballot], ...]
+    # the kernel's terms, (ballot bitmask, count) per distinct ballot, counted by
+    # `rules._profile_terms` on first use and kept with the profile
+    _terms: tuple[tuple[int, int], ...] | None = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.m < 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -323,10 +324,15 @@ def _int_table(rule: Rule, m: int) -> _IntTable:
     return table
 
 
-def _profile_terms(profile: Profile) -> list[tuple[int, int]]:
-    """Distinct ballots of a profile as (mask, multiplicity)."""
-    counts = Counter(ballot for _, ballot in profile.ballots)
-    return [(_mask(ballot), count) for ballot, count in counts.items()]
+def _profile_terms(profile: Profile) -> tuple[tuple[int, int], ...]:
+    """Distinct ballots of a profile as (mask, multiplicity), counted on the
+    profile's first scoring and kept on it for every later one."""
+    terms = profile._terms
+    if terms is None:
+        counts = Counter(ballot for _, ballot in profile.ballots)
+        terms = tuple((_mask(ballot), count) for ballot, count in counts.items())
+        object.__setattr__(profile, "_terms", terms)  # the profile is frozen; the field is not compared
+    return terms
 
 
 def _vector_terms(vector: ProfileVector) -> tuple[int, list[tuple[int, int]]]:
@@ -336,7 +342,7 @@ def _vector_terms(vector: ProfileVector) -> tuple[int, list[tuple[int, int]]]:
     return scale, terms
 
 
-def _kernel(rule: Rule, m: int, terms: list[tuple[int, int]], pool, masks) -> tuple[int, list[int]]:
+def _kernel(rule: Rule, m: int, terms: Sequence[tuple[int, int]], pool, masks) -> tuple[int, list[int]]:
     """(D, scores): the score times D of every size-k committee drawn from the
     sorted candidates `pool`, in lexicographic order; `masks` are their bitmasks."""
     table = _int_table(rule, m)
@@ -433,7 +439,7 @@ def _sliced_scores(k: int, entries, pool) -> list[int]:
     return scores
 
 
-def _scores(rule: Rule, m: int, terms: list[tuple[int, int]], weight_scale: int = 1):
+def _scores(rule: Rule, m: int, terms: Sequence[tuple[int, int]], weight_scale: int = 1):
     """(committees, D, scores) with scores[i] / D the exact score of committees[i]."""
     _check_dimensions(rule, m)
     committees, masks = _committee_masks(m, rule.k)

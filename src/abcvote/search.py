@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from math import comb, factorial
 from typing import Callable, Iterator
 
 from . import axioms
@@ -42,6 +43,18 @@ class SearchBounds:
             raise ValueError(f"k_set {list(self.k_set)} needs m_max of at least {min(self.k_set) + 1}")
 
 
+# A canonical space with at most this many representatives is kept, as its built
+# profiles, once a walk of it has run to the end, and replayed to every later walk
+# for the life of the process.  That covers every space up to (5, 5) = 4,571 and
+# (6, 4) = 2,864; (5, 6) = 22,952, (6, 5) = 25,326 and (6, 6) = 223,034 are
+# walked each time.  A kept profile with its kernel terms took 350 B at (4, 3)
+# to 760 B at (5, 5) (CPython 3.11, tracemalloc), and all 27 spaces that can be
+# kept hold 12,555 profiles together, under 10 MB.
+MAX_KEPT_PROFILES = 8192
+
+_kept: dict[tuple[int, int], tuple[Profile, ...]] = {}
+
+
 def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profile]:
     """All multisets of n non-empty ballots over m candidates, in stream order.
 
@@ -50,21 +63,48 @@ def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profi
     A multiset from `combinations_with_replacement` is a sorted ballot-index
     tuple, and it is canonical iff no candidate permutation's ballot table
     maps it to a lexicographically greater sorted tuple (see
-    :func:`canonical_form`).  Each candidate costs at most m! - 1 table
-    lookups of n entries with a sort each, stopping at the first table that
-    rejects it; only accepted candidates are built into profiles.
+    :func:`canonical_form`).  The first walk of a space pays at most m! - 1
+    table lookups of n entries with a sort each per multiset, stopping at
+    the first table that rejects it, and builds only the accepted ones.
+
+    A walk that runs to the end keeps the space's representatives, the same
+    `Profile` objects in the same order, for the life of the process if
+    there are at most MAX_KEPT_PROFILES of them; every later canonical walk
+    of that space replays them without a lookup.  A walk stopped early (a
+    search that finds a witness) keeps nothing, and larger spaces are
+    walked afresh each time.  canonical=False always walks.
     """
     if not 2 <= m <= MAX_SEARCH_M:
         raise ValueError(f"m must lie in 2..{MAX_SEARCH_M}")
     if not 1 <= n <= MAX_SEARCH_N:
         raise ValueError(f"n must lie in 1..{MAX_SEARCH_N}")
+    if canonical and (m, n) in _kept:
+        yield from _kept[m, n]
+        return
     ballots = all_ballots(m)
     tables = ballot_permutation_tables(m) if canonical else ()
+    # every orbit holds at most m! multisets, so more than MAX_KEPT_PROFILES * m!
+    # multisets make more representatives than are kept: collect none of them
+    keep = canonical and comb(len(ballots) + n - 1, n) <= MAX_KEPT_PROFILES * factorial(m)
+    walked: list[Profile] = []
     for combo in itertools.combinations_with_replacement(range(len(ballots)), n):
         combo_list = list(combo)
         if any(sorted(map(table.__getitem__, combo)) > combo_list for table in tables):
             continue
-        yield Profile.from_ballots(m, [ballots[i] for i in combo])
+        profile = Profile.from_ballots(m, [ballots[i] for i in combo])
+        if keep:
+            walked.append(profile)
+            if len(walked) > MAX_KEPT_PROFILES:
+                keep, walked = False, []
+        yield profile
+    if keep:
+        _kept[m, n] = tuple(walked)
+
+
+def _representatives(m: int, n: int) -> tuple[Profile, ...]:
+    """The canonical stream of (m, n) as a tuple: the kept one where there is one."""
+    kept = _kept.get((m, n))
+    return kept if kept is not None else tuple(enumerate_profiles(m, n))
 
 
 RuleFactory = Callable[[int, int], object]
@@ -123,9 +163,7 @@ def _confirm(verdict: AxiomVerdict, rule_obj) -> None:
 
 def _pairs(m: int, n: int) -> Iterator[tuple[Profile, Profile]]:
     for n_left in range(1, n):
-        lefts = list(enumerate_profiles(m, n_left))
-        rights = list(enumerate_profiles(m, n - n_left))
-        yield from itertools.product(lefts, rights)
+        yield from itertools.product(_representatives(m, n_left), _representatives(m, n - n_left))
 
 
 def _instances(arity: int, bounds: SearchBounds) -> Iterator[tuple[int, int, tuple[Profile, ...]]]:
@@ -154,6 +192,14 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     multiset of ballots, which is sound only for neutral and anonymous
     rules.  Every library and inline rule is both; a custom factory may not
     be, and then a violation outside the representatives goes unseen.
+
+    What does not depend on the rule is reused within the process: a space
+    walked to the end is kept (see :func:`enumerate_profiles`), and a
+    profile's kernel terms are counted on its first scoring and kept on it,
+    so later searches, other k and every checker call on a kept profile pay
+    for neither again.  A search that stops at a witness keeps nothing of
+    the space it stopped in, and the first search in a process walks every
+    space it reaches.
     """
     spec = axioms.lookup(axiom)
     factory = library_factory(rule) if isinstance(rule, str) else rule

@@ -579,9 +579,13 @@ class TestFlags:
             (["--axiom", "convexity", "--seed", "3"], "--seed applies only to --mode sample"),
             (["--axiom", "anonymity", "--count", "4"], "--count applies only to --mode sample"),
             (["--axiom", "iol", "--mode", "all", "--seed", "0"], "--seed applies only to --mode sample"),
+            (["--axiom", "convexity", "--profile2", "{a}"], "--profile2 applies only to --axiom consistency, continuity"),
+            # refused before the file is read
+            (["--axiom", "anonymity", "--profile2", "no-such-file.abc"],
+             "--profile2 applies only to --axiom consistency, continuity"),
         ],
         ids=["splits", "splits-pair", "max-voters-pair", "max-voters", "mode-sample", "mode-all", "seed", "count",
-             "seed-all"],
+             "seed-all", "profile2", "profile2-missing"],
     )
     def test_check_flag_the_axiom_does_not_read_exits_2(self, tmp_path, argv, message, capsys):
         # these flags used to be accepted and ignored

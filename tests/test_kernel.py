@@ -189,6 +189,28 @@ def test_profile_scores_match_oracle(instance):
         assert committee_score(rule, profile, committee) == score
 
 
+@st.composite
+def rule_sequences(draw):
+    """One profile and 2-4 rules of its m, each with its own k, to score it in turn."""
+    many = draw(st.booleans())
+    m, _ = draw(sizes(many))
+    ks = st.sampled_from((2, 3)) if many else st.integers(1, m - 1)
+    return draw(profiles(m, many)), [draw(rules(m, k)) for k in draw(st.lists(ks, min_size=2, max_size=4))]
+
+
+@PROPERTY
+@given(rule_sequences())
+def test_one_profile_scored_by_several_rules_matches_oracle(instance):
+    # the terms counted on the first scoring are kept on the profile and
+    # read by every later rule and k
+    profile, sequence = instance
+    for rule in sequence:
+        expected = oracle_profile_scores(rule.score, profile, rule.k)
+        assert committee_scores(rule, profile) == expected
+        assert winners(rule, profile) == oracle_argmax(expected)
+    assert profile._terms is not None
+
+
 @PROPERTY
 @given(vector_instances())
 def test_vector_scores_match_oracle(instance):

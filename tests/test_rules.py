@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -291,6 +292,33 @@ class TestWinners:
                 assert winners(rule, relabelled) == base
                 image = frozenset(tuple(sorted(tau[c] for c in w)) for w in base)
                 assert winners(rule, renamed) == image
+
+
+class TestProfileTerms:
+    """A profile's kernel terms are counted once and kept on it, outside its value."""
+
+    def test_kept_terms_equal_a_fresh_count(self):
+        for m in (2, 3, 4):
+            for n in (1, 2, 3):
+                for profile in raw_profiles(m, n):
+                    counts = Counter(ballot for _, ballot in profile.ballots)
+                    expected = tuple((sum(1 << c for c in ballot), count) for ballot, count in counts.items())
+                    terms = rules._profile_terms(profile)
+                    assert terms == expected
+                    assert rules._profile_terms(profile) is terms
+                    winners(named_rule("pav", 1, m), profile)
+                    assert profile._terms is terms
+
+    def test_terms_stay_out_of_equality_hash_and_repr(self):
+        scored = Profile.from_ballots(4, [fs(0, 1), fs(0), fs(0, 1), fs(2, 3)])
+        twin = Profile.from_ballots(4, [fs(0, 1), fs(0), fs(0, 1), fs(2, 3)])
+        winners(named_rule("pav", 2, 4), scored)
+        assert scored._terms == ((0b11, 2), (0b1, 1), (0b1100, 1)) and twin._terms is None
+        assert scored == twin and hash(scored) == hash(twin) and repr(scored) == repr(twin)
+        assert "_terms" not in repr(scored)
+        assert {scored: 1}[twin] == 1
+        # a derived profile counts its own terms
+        assert add_profiles(scored, twin, relabel=True)._terms is None
 
 
 class TestVectorPath:

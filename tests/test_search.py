@@ -1,7 +1,9 @@
 
 import itertools
+import operator
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -39,6 +41,22 @@ def tiebreak_av_factory(m, k):
     return choose
 
 
+@pytest.fixture
+def fresh_walks(monkeypatch):
+    """An empty store of kept spaces for the test, so that its first walk of a space walks."""
+    monkeypatch.setattr(search, "_kept", {})
+
+
+class CountingTable(tuple):
+    """A ballot permutation table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        CountingTable.lookups += 1
+        return tuple.__getitem__(self, i)
+
+
 class TestEnumerateProfiles:
     def test_m2_n1_counts(self):
         assert len(list(enumerate_profiles(2, 1, canonical=False))) == 3
@@ -69,10 +87,12 @@ class TestEnumerateProfiles:
                 assert reps == set(orbits)
                 assert sum(orbits.values()) == len(raw)
 
-    def test_stream_is_deterministic(self):
-        first = [profile_to_vector(p).dense() for p in enumerate_profiles(3, 2)]
-        second = [profile_to_vector(p).dense() for p in enumerate_profiles(3, 2)]
-        assert first == second
+    def test_stream_is_deterministic(self, fresh_walks):
+        walked = [profile_to_vector(p).dense() for p in enumerate_profiles(3, 2)]
+        assert (3, 2) in search._kept
+        replayed = [profile_to_vector(p).dense() for p in enumerate_profiles(3, 2)]
+        search._kept.clear()
+        assert replayed == walked == [profile_to_vector(p).dense() for p in enumerate_profiles(3, 2)]
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -85,6 +105,69 @@ class TestEnumerateProfiles:
         with pytest.raises(ValueError, match="needs m_max of at least 5"):
             SearchBounds(m_max=3, k_set=(4, 5))
         assert SearchBounds(m_max=3, k_set=(2, 5)).k_set == (2, 5)
+
+
+class TestKeptSpaces:
+    """A canonical space walked to the end is kept and replayed; nothing else is."""
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in (2, 3, 4, 5) for n in (1, 2, 3)])
+    def test_replay_equals_a_fresh_walk(self, fresh_walks, m, n):
+        walked = list(enumerate_profiles(m, n))
+        replayed = list(enumerate_profiles(m, n))
+        assert all(map(operator.is_, replayed, walked)) and len(replayed) == len(walked)
+        search._kept.clear()
+        fresh = list(enumerate_profiles(m, n))
+        assert [p.ballots for p in replayed] == [p.ballots for p in fresh]
+        assert not any(map(operator.is_, replayed, fresh))
+
+    def test_second_walk_does_no_table_lookups(self, fresh_walks, monkeypatch):
+        tables = search.ballot_permutation_tables
+        monkeypatch.setattr(search, "ballot_permutation_tables", lambda m: tuple(map(CountingTable, tables(m))))
+        monkeypatch.setattr(CountingTable, "lookups", 0)
+        first = list(enumerate_profiles(4, 3))
+        assert CountingTable.lookups > 0
+        CountingTable.lookups = 0
+        second = list(enumerate_profiles(4, 3))
+        assert CountingTable.lookups == 0
+        assert all(map(operator.is_, second, first)) and len(second) == len(first) == 65
+        # pair searches read the kept tuple itself
+        assert search._representatives(4, 3) is search._kept[4, 3]
+
+    def test_walk_stopped_early_keeps_nothing(self, fresh_walks):
+        stream = enumerate_profiles(5, 3)
+        assert len(list(itertools.islice(stream, 7))) == 7
+        stream.close()
+        assert (5, 3) not in search._kept
+        assert len(list(enumerate_profiles(5, 3))) == burnside_orbit_count(5, 3) == 156
+        assert len(search._kept[5, 3]) == 156
+
+    def test_search_with_a_witness_keeps_nothing_of_where_it_stopped(self, fresh_walks):
+        # k = 2 needs m >= 3: walks n = 1 at m = 3, 4, then (3, 2), and stops inside (4, 2)
+        result = find_counterexample("pav", "choice-set-convexity", SearchBounds(4, (2,), 2))
+        assert result.found
+        assert set(search._kept) == {(3, 1), (4, 1), (3, 2)}
+        assert len(list(enumerate_profiles(4, 2))) == burnside_orbit_count(4, 2)
+
+    @pytest.mark.parametrize("limit, kept", [(65, True), (64, False), (20, False)])
+    def test_space_over_the_limit_is_not_kept(self, fresh_walks, monkeypatch, limit, kept):
+        # (4, 3) has 65 representatives among 680 multisets; at 20 * 4! = 480 < 680
+        # the walk keeps none from the start, at 64 it drops them on the 65th
+        monkeypatch.setattr(search, "MAX_KEPT_PROFILES", limit)
+        for _ in range(2):
+            assert len(list(enumerate_profiles(4, 3))) == 65
+            assert ((4, 3) in search._kept) == kept
+
+    def test_walk_too_large_to_keep_holds_no_profile(self, fresh_walks, monkeypatch):
+        # 680 multisets > 20 * 4!: a profile the caller lets go is freed at once
+        monkeypatch.setattr(search, "MAX_KEPT_PROFILES", 20)
+        stream = enumerate_profiles(4, 3)
+        refs = [weakref.ref(profile) for profile in itertools.islice(stream, 15)]
+        assert all(ref() is None for ref in refs[:-1])  # the walk still holds the one it last yielded
+        stream.close()
+
+    def test_raw_walks_are_never_kept(self, fresh_walks):
+        assert len(list(enumerate_profiles(3, 2, canonical=False))) == 28
+        assert not search._kept
 
 
 def burnside_orbit_count(m, n):
