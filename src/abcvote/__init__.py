@@ -8,11 +8,11 @@ from .profiles import (
     ProfileVector,
     add_profiles,
     apply_candidate_permutation,
-    ballot_index,
+    ballot_mask,
     canonical_form,
     enumerate_committees,
     format_profile,
-    index_ballot,
+    mask_ballot,
     parse_profile,
     profile_to_vector,
     scale_profile,

@@ -411,16 +411,15 @@ class CheckOptions:
     """Settings handed to every checker; each reads only the ones it needs.
 
     `mode` "all" walks every case (for independence of losers: every
-    reduction, up to `iol_cap`), "sample" draws `count` seeded cases.  The
-    defaults are the search driver's; `check` sets mode, seed and count
-    from its flags.
+    reduction, up to IOL_EXHAUSTIVE_CAP), "sample" draws `count` seeded
+    cases.  The defaults are the search driver's; `check` sets mode, seed
+    and count from its flags.
     """
 
     k: int
     mode: str = "all"
     seed: int = 0
     count: int = 200
-    iol_cap: int = IOL_EXHAUSTIVE_CAP
     lambda_cap: int | None = 64
 
 
@@ -454,7 +453,7 @@ AXIOMS: tuple[Axiom, ...] = (
     Axiom("weak-efficiency", (), 1, None,
           lambda r, p, o: check_weak_efficiency(r, p), _replay_weak_efficiency),
     Axiom("independence-of-losers", ("iol",), 1, None,
-          lambda r, p, o: check_independence_of_losers(r, p, o.mode, o.seed, o.count, o.iol_cap), _replay_iol),
+          lambda r, p, o: check_independence_of_losers(r, p, o.mode, o.seed, o.count), _replay_iol),
     Axiom("choice-set-convexity", ("convexity",), 1, None,
           lambda r, p, o: check_choice_set_convexity(r, p), _replay_convexity),
     Axiom("excellence", (), 1, _party_list,

@@ -52,7 +52,6 @@ def _emit_json(payload) -> None:
 
 def cmd_winners(args) -> int:
     profile = _read_profile(args.profile)
-    check_committee_limit(profile.m, args.k)  # before the rule, whose weights can number m
     rule = parse_rule_spec(args.rule, args.k, profile.m)
     chosen, score = winners_and_score(rule, profile)
     if args.format == "json":
@@ -136,7 +135,8 @@ def cmd_check(args) -> int:
             alternative = " (or one with --splits)" if axiom.name == "consistency" else ""
             raise UsageError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
         profiles.append(_read_profile(args.profile2))
-    check_committee_limit(profiles[0].m, args.k)  # before the rule, whose weights can number m
+    # before any checker: the party-list ones list all m candidates before they score
+    check_committee_limit(profiles[0].m, args.k)
     rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
     cap = args.lambda_cap
     if axiom.name == "continuity" and not cap:

@@ -34,7 +34,6 @@ from .profiles import (
     Profile,
     ProfileFormatError,
     ProfileVector,
-    ballot_index,
     parse_profile,
     format_committee,
     format_profile,
@@ -101,19 +100,14 @@ class Observation:
 
     @classmethod
     def from_vector(cls, vector: ProfileVector, chosen: ChoiceSet, k: int) -> "Observation":
-        """The observation of a rational profile vector, its entries decoded once."""
-        scale, terms = _vector_terms(vector)
-        return cls(vector.m, (scale, tuple(sorted(terms))), frozenset(chosen), k)
+        """The observation of a rational profile vector: its entries, scaled by L."""
+        return cls(vector.m, _vector_terms(vector), frozenset(chosen), k)
 
     @property
     def vector(self) -> ProfileVector:
-        """The terms as a profile vector: each weight over L, at its ballot's index."""
+        """The terms as a profile vector: each weight over L, at its ballot's mask."""
         scale, terms = self.terms
-        entries = {}
-        for mask, weight in terms:
-            ballot = frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
-            entries[ballot_index(ballot, self.m)] = Fraction(weight, scale)
-        return ProfileVector.from_dict(self.m, entries)
+        return ProfileVector(self.m, tuple((mask, Fraction(weight, scale)) for mask, weight in terms))
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 Candidates are the integers 0..m-1.  A ballot is a non-empty frozenset of
 candidate indices, a committee is a sorted tuple of k indices, and a profile
-assigns one ballot to every voter label.  Profiles can also be viewed as
-vectors counting how often each of the 2^m - 1 possible ballots occurs; that
-vector form is the domain on which rules extend to rational (even negative)
-"multiplicities".
+assigns one ballot to every voter label.  Below the profile a ballot is coded
+as its bitmask, bit c set when it approves candidate c.  Profiles can also be
+viewed as vectors counting how often each of the 2^m - 1 possible ballots
+occurs, keyed by ballot mask; that vector form is the domain on which rules
+extend to rational (even negative) "multiplicities".
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 Ballot = frozenset[int]
 Committee = tuple[int, ...]
@@ -30,11 +30,6 @@ class ProfileFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
         self.message = message
-
-
-def num_ballots(m: int) -> int:
-    """Number of distinct non-empty ballots over m candidates."""
-    return 2**m - 1
 
 
 def validate_ballot(ballot: Ballot, m: int) -> None:
@@ -98,9 +93,9 @@ class Profile:
 
 @dataclass(frozen=True)
 class ProfileVector:
-    """Sparse vector over ballot indices with exact rational entries.
+    """Sparse vector over ballot masks with exact rational entries.
 
-    Entries are stored zero-free and sorted by ballot index, so equal vectors
+    Entries are stored zero-free and sorted by ballot mask, so equal vectors
     compare equal and hash alike.  Ordinary profiles always map to
     non-negative integer entries; negative and fractional entries are allowed
     to host the extension of rules to rational vectors.
@@ -110,31 +105,25 @@ class ProfileVector:
     entries: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        last = -1
-        for idx, value in self.entries:
-            if not (0 <= idx and (idx + 1).bit_length() <= self.m):  # idx < 2**m - 1, without 2**m
-                raise ValueError(f"ballot index {idx} out of range for m={self.m}")
-            if idx <= last:
-                raise ValueError("entries must be sorted by ballot index")
+        last = 0
+        for mask, value in self.entries:
+            if not (0 < mask and mask.bit_length() <= self.m):  # 0 < mask < 2**m, without 2**m
+                raise ValueError(f"ballot mask {mask} out of range for m={self.m}")
+            if mask <= last:
+                raise ValueError("entries must be sorted by ballot mask")
             if value == 0:
                 raise ValueError("zero entries must be omitted")
-            last = idx
+            last = mask
 
     @classmethod
     def from_dict(cls, m: int, entries: dict[int, Fraction | int]) -> "ProfileVector":
         items = tuple(
-            (idx, Fraction(value)) for idx, value in sorted(entries.items()) if value != 0
+            (mask, Fraction(value)) for mask, value in sorted(entries.items()) if value != 0
         )
         return cls(m, items)
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.entries)
-
-    def dense(self) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * num_ballots(self.m)
-        for idx, value in self.entries:
-            out[idx] = value
-        return tuple(out)
 
     def total(self) -> Fraction:
         return sum((value for _, value in self.entries), Fraction(0))
@@ -143,13 +132,13 @@ class ProfileVector:
         if self.m != other.m:
             raise ValueError("cannot add vectors with different candidate counts")
         acc = dict(self.entries)
-        for idx, value in other.entries:
-            acc[idx] = acc.get(idx, Fraction(0)) + value
+        for mask, value in other.entries:
+            acc[mask] = acc.get(mask, Fraction(0)) + value
         return ProfileVector.from_dict(self.m, acc)
 
     def scale(self, factor: Fraction | int) -> "ProfileVector":
         factor = Fraction(factor)
-        return ProfileVector.from_dict(self.m, {i: v * factor for i, v in self.entries})
+        return ProfileVector.from_dict(self.m, {mask: v * factor for mask, v in self.entries})
 
 
 def enumerate_committees(m: int, k: int) -> list[Committee]:
@@ -165,51 +154,23 @@ def enumerate_committees(m: int, k: int) -> list[Committee]:
     return list(itertools.combinations(range(m), k))
 
 
-def ballot_index(ballot: Ballot, m: int) -> int:
-    """Position of a ballot in the fixed enumeration of all non-empty ballots.
-
-    Ballots are ordered by size, then lexicographically on their sorted
-    members, which makes vector indices stable across runs.
-    """
-    validate_ballot(ballot, m)
-    members = sorted(ballot)
-    size = len(members)
-    index = sum(comb(m, s) for s in range(1, size))
-    # lexicographic rank of `members` among all size-`size` subsets of 0..m-1
-    prev = -1
-    for pos, c in enumerate(members):
-        for skipped in range(prev + 1, c):
-            index += comb(m - skipped - 1, size - pos - 1)
-        prev = c
-    return index
+def ballot_mask(members) -> int:
+    """The bitmask of a ballot, or of any set of candidates: bit c set for each member c."""
+    mask = 0
+    for c in members:
+        mask |= 1 << c
+    return mask
 
 
-def index_ballot(index: int, m: int) -> Ballot:
-    """Inverse of :func:`ballot_index`."""
-    if not (0 <= index and (index + 1).bit_length() <= m):  # index < 2**m - 1, without 2**m
-        raise ValueError(f"ballot index {index} out of range for m={m}")
-    size = 1
-    while index >= comb(m, size):
-        index -= comb(m, size)
-        size += 1
-    members = []
-    next_candidate = 0
-    for pos in range(size):
-        c = next_candidate
-        while True:
-            below = comb(m - c - 1, size - pos - 1)
-            if index < below:
-                break
-            index -= below
-            c += 1
-        members.append(c)
-        next_candidate = c + 1
-    return frozenset(members)
+def mask_ballot(mask: int) -> Ballot:
+    """Inverse of :func:`ballot_mask`."""
+    return frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
 def all_ballots(m: int) -> list[Ballot]:
-    """All non-empty ballots in enumeration order."""
-    return [index_ballot(i, m) for i in range(num_ballots(m))]
+    """All non-empty ballots, by size and then lexicographically on their sorted members."""
+    by_size = (itertools.combinations(range(m), size) for size in range(1, m + 1))
+    return [frozenset(members) for members in itertools.chain.from_iterable(by_size)]
 
 
 def all_ballots_profile(m: int) -> Profile:
@@ -219,16 +180,18 @@ def all_ballots_profile(m: int) -> Profile:
 
 def profile_to_vector(profile: Profile) -> ProfileVector:
     counts = Counter(ballot for _, ballot in profile.ballots)
-    return ProfileVector.from_dict(profile.m, {ballot_index(b, profile.m): n for b, n in counts.items()})
+    return ProfileVector.from_dict(profile.m, {ballot_mask(b): n for b, n in counts.items()})
 
 
 def vector_to_profile(vector: ProfileVector) -> Profile:
-    """Materialize a non-negative integer vector as a profile with labels 0,1,2,..."""
+    """Materialize a non-negative integer vector as a profile with labels 0,1,2,...,
+    its voters in :func:`all_ballots` order."""
     ballots: list[Ballot] = []
-    for idx, value in vector.entries:
+    for mask, value in vector.entries:
         if value < 0 or value.denominator != 1:
             raise ValueError("only non-negative integer vectors correspond to profiles")
-        ballots.extend([index_ballot(idx, vector.m)] * int(value))
+        ballots.extend([mask_ballot(mask)] * int(value))
+    ballots.sort(key=lambda ballot: (len(ballot), sorted(ballot)))
     return Profile.from_ballots(vector.m, ballots)
 
 
@@ -279,39 +242,43 @@ MAX_CANONICAL_M = 8
 @functools.cache
 def ballot_permutation_tables(m: int) -> tuple[tuple[int, ...], ...]:
     """For every non-identity candidate permutation tau, in `itertools.permutations`
-    order, the table mapping ballot index i to the index of tau(ballot i).
+    order, the table mapping position i in :func:`all_ballots` to the position
+    of tau(ballot i).
 
     Built on first use for each m and kept for the life of the process.
     """
     if not 2 <= m <= MAX_CANONICAL_M:
         raise ValueError(f"canonical forms need 2 <= m <= {MAX_CANONICAL_M}")
     ballots = all_ballots(m)
-    index = {ballot: i for i, ballot in enumerate(ballots)}
+    position = {ballot: i for i, ballot in enumerate(ballots)}
     perms = itertools.permutations(range(m))
     next(perms)  # the identity
-    return tuple(tuple(index[frozenset(map(tau.__getitem__, b))] for b in ballots) for tau in perms)
+    return tuple(tuple(position[frozenset(map(tau.__getitem__, b))] for b in ballots) for tau in perms)
 
 
 def canonical_form(profile: Profile) -> ProfileVector:
     """Orbit representative under voter relabelling and candidate renaming.
 
-    Returns the lexicographically least profile vector over all m! candidate
-    permutations of the anonymized profile.  Two profiles have equal
-    canonical forms iff they differ only by voter labels and candidate names.
+    Returns the profile vector whose counts, read in :func:`all_ballots` order,
+    are lexicographically least over all m! candidate permutations of the
+    anonymized profile.  Two profiles have equal canonical forms iff they
+    differ only by voter labels and candidate names.
 
-    For multisets of equal size, dense vector A is lexicographically less
-    than dense vector B exactly when the sorted ballot-index tuple of A is
-    lexicographically greater than that of B: at the first index where the
-    counts differ, B holds more copies of it and A a larger index in its
-    place.  So the least vector is the one whose sorted index tuple is
-    greatest over the identity and the m! - 1 tables of
-    :func:`ballot_permutation_tables`; each costs one lookup per voter and
-    a sort.  m is capped at MAX_CANONICAL_M.
+    For multisets of equal size, count vector A is lexicographically less
+    than count vector B exactly when the sorted tuple of A's ballot positions
+    in that order is lexicographically greater than that of B: at the first
+    position where the counts differ, B holds more copies of it and A a
+    later position in its place.  So the least vector is the one whose
+    sorted position tuple is greatest over the identity and the m! - 1
+    tables of :func:`ballot_permutation_tables`; each costs one lookup per
+    voter and a sort.  m is capped at MAX_CANONICAL_M.
     """
-    combo = sorted(ballot_index(ballot, profile.m) for _, ballot in profile.ballots)
     tables = ballot_permutation_tables(profile.m)
+    ballots = all_ballots(profile.m)
+    position = {ballot: i for i, ballot in enumerate(ballots)}
+    combo = sorted(position[ballot] for _, ballot in profile.ballots)
     best = max([combo, *(sorted(map(table.__getitem__, combo)) for table in tables)])
-    return ProfileVector.from_dict(profile.m, Counter(best))
+    return ProfileVector.from_dict(profile.m, Counter(ballot_mask(ballots[i]) for i in best))
 
 
 # ---------------------------------------------------------------------------

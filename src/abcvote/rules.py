@@ -25,15 +25,19 @@ from .profiles import (
     Committee,
     Profile,
     ProfileVector,
+    ballot_mask,
     enumerate_committees,
-    index_ballot,
 )
 
-# Most committees, C(m, k), that any scoring entry point enumerates.  A
-# cached committee (tuple plus bitmask) took about 170 B at C(20, 10) =
-# 184,756 (CPython 3.11, tracemalloc), so one (m, k) at the limit holds about
-# 34 MB, and scoring it against 100 distinct ballots took about 1.7 s.
+# Most committees, C(m, k), that any scoring entry point enumerates, and most
+# bytes that they may take cached.  A cached committee (tuple plus bitmask) took
+# about 80 B, plus 8 B per member, plus its mask of up to m bits: 168 B at
+# C(20, 10) = 184,756 and 16 kB at C(2000, 1999) = 2,000 (CPython 3.11,
+# tracemalloc).  So one (m, k) at the count limit holds about 34 MB, and scoring
+# it against 100 distinct ballots took about 1.7 s; the byte limit holds a few
+# wide committees (k or m in the thousands) to the same 34 MB.
 MAX_COMMITTEES = 200_000
+MAX_COMMITTEE_BYTES = 34_000_000
 
 NAMED_RULES = ("av", "pav", "ccav", "sav", "msav", "triv")
 
@@ -181,6 +185,8 @@ def named_rule(name: str, k: int, m: int) -> Rule:
         return thiele_rule("ccav", [Fraction(0)] + [Fraction(1)] * k)
     if name == "triv":
         return thiele_rule("triv", [Fraction(0)] * (k + 1))
+    if name in ("sav", "msav"):
+        check_committee_limit(m, k)  # before m weights, whose lcm the kernel takes
     if name == "sav":
         return bswav_rule("sav", k, [Fraction(1, x) for x in range(1, m + 1)])
     if name == "msav":
@@ -206,7 +212,9 @@ def parse_rule_spec(spec: str, k: int, m: int) -> Rule:
         alpha = [parse_rational(tok) for tok in spec[len("bswav:"):].split(",")]
         if len(alpha) != m:
             raise ValueError(f"bswav rule for m={m} needs {m} weights, got {len(alpha)}")
-        return bswav_rule(spec, k, alpha)
+        rule = bswav_rule(spec, k, alpha)
+        check_committee_limit(m, k)  # before the kernel takes the lcm of m weights
+        return rule
     raise ValueError(f"cannot parse rule spec {spec!r}")
 
 
@@ -262,28 +270,26 @@ def _check_dimensions(rule: Rule, m: int) -> None:
 SLICED_MIN_BALLOTS = 12
 
 
-def _mask(members) -> int:
-    mask = 0
-    for c in members:
-        mask |= 1 << c
-    return mask
-
-
 def check_committee_limit(m: int, k: int) -> None:
-    """Refuse more than MAX_COMMITTEES size-k committees of m candidates.  comb(m, k) costs
-    about min(k, m - k) products, so it is skipped past 20: C(m, k) >= C(42, 21) > 5 * 10**11
-    is then over the limit anyway."""
-    if min(k, m - k) > 20 or comb(m, k) > MAX_COMMITTEES:
+    """Refuse more than MAX_COMMITTEES size-k committees of m candidates, or more
+    than MAX_COMMITTEE_BYTES for them cached, at 80 B plus 8 B per member plus
+    m / 8 B of mask each.  comb(m, k) costs about min(k, m - k) products, so it
+    is skipped past 20: C(m, k) >= C(42, 21) > 5 * 10**11 is then over the
+    limit anyway."""
+    if min(k, m - k) > 20 or (count := comb(m, k)) > MAX_COMMITTEES:
         raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
+    if count * (80 + 8 * k + m // 8) > MAX_COMMITTEE_BYTES:
+        limit = f"the memory limit {MAX_COMMITTEE_BYTES} B"
+        raise ValueError(f"C({m},{k}) committees with their {m}-bit masks exceed {limit}")
 
 
 @lru_cache(maxsize=None)
 def _committee_masks(m: int, k: int) -> tuple[tuple[Committee, ...], tuple[int, ...]]:
     """All size-k committees in enumerate_committees order, with their bitmasks;
-    more than MAX_COMMITTEES are refused before any is built."""
+    committees over the limit are refused before any is built."""
     check_committee_limit(m, k)
     committees = tuple(enumerate_committees(m, k))
-    return committees, tuple(_mask(w) for w in committees)
+    return committees, tuple(ballot_mask(w) for w in committees)
 
 
 class _IntTable(dict):
@@ -330,16 +336,15 @@ def _profile_terms(profile: Profile) -> tuple[tuple[int, int], ...]:
     terms = profile._terms
     if terms is None:
         counts = Counter(ballot for _, ballot in profile.ballots)
-        terms = tuple((_mask(ballot), count) for ballot, count in counts.items())
+        terms = tuple((ballot_mask(ballot), count) for ballot, count in counts.items())
         object.__setattr__(profile, "_terms", terms)  # the profile is frozen; the field is not compared
     return terms
 
 
-def _vector_terms(vector: ProfileVector) -> tuple[int, list[tuple[int, int]]]:
-    """(L, terms): the entries as (mask, entry * L), L the lcm of their denominators."""
+def _vector_terms(vector: ProfileVector) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(L, terms): the entries as (mask, entry * L) in mask order, L the lcm of their denominators."""
     scale = lcm(*(value.denominator for _, value in vector.entries))
-    terms = [(_mask(index_ballot(idx, vector.m)), int(value * scale)) for idx, value in vector.entries]
-    return scale, terms
+    return scale, tuple((mask, int(value * scale)) for mask, value in vector.entries)
 
 
 def _kernel(rule: Rule, m: int, terms: Sequence[tuple[int, int]], pool, masks) -> tuple[int, list[int]]:
@@ -455,7 +460,6 @@ def _profile_scores(rule: Rule, profile: Profile) -> tuple[tuple[Committee, ...]
 def _vector_scores(rule: Rule, vector: ProfileVector, k: int) -> tuple[tuple[Committee, ...], int, list[int]]:
     if k != rule.k:
         raise ValueError(f"requested k={k} does not match rule k={rule.k}")
-    check_committee_limit(vector.m, k)  # before any entry is decoded to a mask
     weight_scale, terms = _vector_terms(vector)
     return _scores(rule, vector.m, terms, weight_scale)
 
@@ -485,9 +489,9 @@ def committee_score(rule: Rule, profile: Profile, committee: Committee | frozens
     # rename the candidates that occur to 0, 1, ...: a mask is then as wide as
     # their count, not as the largest index, and every ballot keeps its size
     dense = {c: i for i, c in enumerate(members.union(*counts))}
-    terms = [(_mask(map(dense.__getitem__, ballot)), count) for ballot, count in counts.items()]
+    terms = [(ballot_mask(map(dense.__getitem__, ballot)), count) for ballot, count in counts.items()]
     pool = sorted(map(dense.__getitem__, members))
-    scale, (score,) = _kernel(rule, profile.m, terms, pool, (_mask(pool),))
+    scale, (score,) = _kernel(rule, profile.m, terms, pool, (ballot_mask(pool),))
     return Fraction(score, scale)
 
 
@@ -568,7 +572,7 @@ def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee)
     _check_dimensions(rule, profile.m)
     table = _int_table(rule, profile.m)
     _, masks = _committee_masks(profile.m, rule.k)
-    own = _mask(committee)
+    own = ballot_mask(committee)
     totals = [0] * len(masks)
     for ballot, weight in _profile_terms(profile):
         kept, droppable = ballot & own, ballot & ~own

@@ -2,9 +2,10 @@
 
 Profiles are streamed as multisets of ballots, optionally reduced to one
 representative per candidate-renaming orbit, in a fixed deterministic order:
-voter count ascending, then candidate count, then the sorted ballot-index
-multiset.  "First witness" therefore means first in this stream order, and
-an exhausted search reports an exact, reproducible instance count.
+voter count ascending, then candidate count, then the multiset as the sorted
+tuple of its ballots' positions in `all_ballots(m)`.  "First witness"
+therefore means first in this stream order, and an exhausted search reports
+an exact, reproducible instance count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class SearchBounds:
     k_set: tuple[int, ...] = (1, 2, 3)
     n_max: int = 2
     lambda_cap: int = 64
-    iol_cap: int = axioms.IOL_EXHAUSTIVE_CAP
 
     def __post_init__(self):
         if not 2 <= self.m_max <= MAX_SEARCH_M:
@@ -60,12 +60,13 @@ def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profi
 
     With canonical=True only one representative per candidate-permutation
     orbit is yielded: the profile whose vector is its own canonical form.
-    A multiset from `combinations_with_replacement` is a sorted ballot-index
-    tuple, and it is canonical iff no candidate permutation's ballot table
-    maps it to a lexicographically greater sorted tuple (see
-    :func:`canonical_form`).  The first walk of a space pays at most m! - 1
-    table lookups of n entries with a sort each per multiset, stopping at
-    the first table that rejects it, and builds only the accepted ones.
+    A multiset from `combinations_with_replacement` is a sorted tuple of
+    positions in :func:`all_ballots`, and it is canonical iff no candidate
+    permutation's ballot table maps it to a lexicographically greater sorted
+    tuple (see :func:`canonical_form`).  The first walk of a space pays at
+    most m! - 1 table lookups of n entries with a sort each per multiset,
+    stopping at the first table that rejects it, and builds only the
+    accepted ones.
 
     A walk that runs to the end keeps the space's representatives, the same
     `Profile` objects in the same order, for the life of the process if
@@ -204,9 +205,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     spec = axioms.lookup(axiom)
     factory = library_factory(rule) if isinstance(rule, str) else rule
     name = rule if isinstance(rule, str) else getattr(rule, "__name__", "custom")
-    options = {
-        k: CheckOptions(k, iol_cap=bounds.iol_cap, lambda_cap=bounds.lambda_cap) for k in bounds.k_set
-    }
+    options = {k: CheckOptions(k, lambda_cap=bounds.lambda_cap) for k in bounds.k_set}
     rules: dict[tuple[int, int], object] = {}
     instances = 0
     for m, k, profiles in _instances(spec.arity, bounds):
@@ -325,7 +324,7 @@ def separation_suite(factories: dict[str, RuleFactory] | None = None) -> Separat
     def instance_entry(rule: str, axiom: str, expected: str, degenerate=False):
         profile = unanimity_threshold_instance()
         rule_obj = lib[rule](profile.m, 2)
-        verdict = _check(axioms.lookup(axiom), rule_obj, (profile,), CheckOptions(2, iol_cap=grid.iol_cap))
+        verdict = _check(axioms.lookup(axiom), rule_obj, (profile,), CheckOptions(2))
         observed = "none" if verdict.passed else "violation"
         detail = "passed" if verdict.passed else _witness_summary(verdict)
         report.entries.append(

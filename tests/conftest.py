@@ -6,7 +6,9 @@ s(x, y) and nothing else, so the kernel is always checked against the
 scoring definition itself.  Likewise the canonical-form oracle renames the
 candidates of the profile itself under all m! permutations and compares
 dense count vectors, without the ballot tables of `abcvote.profiles` or
-anything from `abcvote.search`.  The Fourier-Motzkin oracle eliminates the
+anything from `abcvote.search`.  Vectors are keyed by ballot bitmask; the
+oracles code and decode masks themselves, with `oracle_mask` and
+`oracle_ballot`.  The Fourier-Motzkin oracle eliminates the
 unknowns of a constraint system one by one and back-substitutes midpoints,
 without linear programming, and the observation-row oracles build a fit's
 constraint rows from decoded ballots with `Fraction` arithmetic, without
@@ -22,7 +24,7 @@ from abcvote.profiles import Profile, ProfileVector
 
 
 def all_subsets_nonempty(m):
-    """All non-empty ballots, by size and then lexicographically: the ballot-index order."""
+    """All non-empty ballots, by size and then lexicographically: the `all_ballots` order."""
     out = []
     for size in range(1, m + 1):
         out.extend(frozenset(c) for c in itertools.combinations(range(m), size))
@@ -36,9 +38,20 @@ def raw_profiles(m, n):
         yield Profile.from_ballots(m, combo)
 
 
+def oracle_mask(ballot):
+    """The bitmask of a ballot: bit c for each member c."""
+    return sum(1 << c for c in ballot)
+
+
+def oracle_ballot(mask, m):
+    """The ballot of a bitmask over m candidates."""
+    return frozenset(c for c in range(m) if mask >> c & 1)
+
+
 def oracle_canonical_form(profile):
-    """The lexicographically least dense count vector over all m! candidate
-    renamings of the profile, each renaming built from scratch."""
+    """The lexicographically least dense count vector, in `all_subsets_nonempty`
+    order, over all m! candidate renamings of the profile, each renaming built
+    from scratch; returned keyed by ballot mask."""
     ballots = all_subsets_nonempty(profile.m)
     best = None
     for tau in itertools.permutations(range(profile.m)):
@@ -46,7 +59,7 @@ def oracle_canonical_form(profile):
         dense = tuple(counts[ballot] for ballot in ballots)
         if best is None or dense < best:
             best = dense
-    return ProfileVector.from_dict(profile.m, dict(enumerate(best)))
+    return ProfileVector.from_dict(profile.m, {oracle_mask(b): count for b, count in zip(ballots, best)})
 
 
 def oracle_scores(score_fn, weighted_ballots, m, k):
@@ -67,9 +80,9 @@ def oracle_profile_scores(score_fn, profile, k):
 
 
 def oracle_vector_scores(score_fn, vector, k):
-    """Scores against a rational profile vector, decoding indices by plain enumeration."""
-    ballots = all_subsets_nonempty(vector.m)
-    return oracle_scores(score_fn, [(ballots[idx], value) for idx, value in vector.entries], vector.m, k)
+    """Scores against a rational profile vector, decoding each mask bit by bit."""
+    weighted = [(oracle_ballot(mask, vector.m), value) for mask, value in vector.entries]
+    return oracle_scores(score_fn, weighted, vector.m, k)
 
 
 def oracle_argmax(scored):
@@ -85,23 +98,24 @@ def oracle_vector_winners(score_fn, vector, k):
     return oracle_argmax(oracle_vector_scores(score_fn, vector, k))
 
 
-def _oracle_committee_row(ballots, vector, members, family):
+def _oracle_committee_row(vector, members, family):
     """A committee's coefficient row: Thiele counts the (rational) weight of
     ballots meeting it in x candidates under s_x; ballot-size weights sum
     weight * |ballot ∩ W| over size-y ballots under alpha_y, full ballots
     skipped since they add the same constant to every committee."""
     m = vector.m
+    weighted = [(oracle_ballot(mask, m), weight) for mask, weight in vector.entries]
     if family == "thiele":
         coeffs = [Fraction(0)] * len(members)
-        for idx, weight in vector.entries:
-            x = len(ballots[idx] & members)
+        for ballot, weight in weighted:
+            x = len(ballot & members)
             if x >= 1:
                 coeffs[x - 1] += weight
     else:
         coeffs = [Fraction(0)] * (m - 1)
-        for idx, weight in vector.entries:
-            if len(ballots[idx]) < m:
-                coeffs[len(ballots[idx]) - 1] += weight * len(ballots[idx] & members)
+        for ballot, weight in weighted:
+            if len(ballot) < m:
+                coeffs[len(ballot) - 1] += weight * len(ballot & members)
     return tuple(coeffs)
 
 
@@ -110,9 +124,8 @@ def _oracle_rows(vector, chosen, k, family, pairs):
     `chosen`: row(a) - row(b) for each weak pair (a, b) that
     `pairs(chosen, committees)` lists, then the least chosen committee
     against each committee not chosen, committees in lexicographic order."""
-    ballots = all_subsets_nonempty(vector.m)
     committees = list(itertools.combinations(range(vector.m), k))
-    table = {w: _oracle_committee_row(ballots, vector, frozenset(w), family) for w in committees}
+    table = {w: _oracle_committee_row(vector, frozenset(w), family) for w in committees}
     ordered = [w for w in committees if w in chosen]
     weak = [tuple(a - b for a, b in zip(table[x], table[y])) for x, y in pairs(ordered, committees)]
     strict = [

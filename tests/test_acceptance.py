@@ -39,7 +39,7 @@ from abcvote.profiles import (
     ProfileVector,
     all_ballots,
     all_ballots_profile,
-    ballot_index,
+    ballot_mask,
     profile_to_vector,
 )
 from abcvote.rules import (
@@ -276,9 +276,7 @@ def test_criterion_6_oracle_equivalence():
         assert winners_from_vector(named_rule("av", 1, 3), star, 1) == fs((0,), (1,), (2,))
 
         # negative rational entries are part of the vector domain
-        vector = ProfileVector.from_dict(
-            2, {ballot_index(fs(0), 2): F(-1), ballot_index(fs(1), 2): F(1)}
-        )
+        vector = ProfileVector.from_dict(2, {ballot_mask(fs(0)): F(-1), ballot_mask(fs(1)): F(1)})
         assert winners_from_vector(named_rule("av", 1, 2), vector, 1) == fs((1,))
 
 

@@ -121,8 +121,9 @@ class TestWinners:
             # a ballot-size rule has m weights: 48 s to build at m = 10^7, past 20 s at m = 2*10^10
             (["winners", "--rule", "sav", "--k", "1"], "10000000"),
             (["check", "--axiom", "weak-efficiency", "--rule", "sav", "--k", "1"], "20000000000"),
+            (["score", "--rule", "sav", "--k", "1", "--committee", "0"], "20000000000"),
         ],
-        ids=["winners", "anonymity", "iol", "huge-k", "sav", "sav-check"],
+        ids=["winners", "anonymity", "iol", "huge-k", "sav", "sav-check", "sav-score"],
     )
     def test_committee_limit_before_any_mask_or_weight(self, tmp_path, argv, m):
         path = tmp_path / "huge.abc"
@@ -131,6 +132,37 @@ class TestWinners:
         assert out is not None, f"{argv[0]} at m = {m} did not exit within 10 s"
         k = argv[argv.index("--k") + 1]
         assert (out.returncode, out.stderr) == (2, f"error: C({m},{k}) committees exceed the enumeration limit 200000\n")
+
+    @pytest.mark.parametrize(
+        "argv, m",
+        [
+            # 20,000 committees of 19,999 members, and 200,000 masks of up to 200,000 bits:
+            # both passed the count and died of a MemoryError while building them
+            (["winners", "--rule", "av", "--k", "19999"], 20_000),
+            (["winners", "--rule", "pav", "--k", "1"], 200_000),
+            (["check", "--axiom", "anonymity", "--rule", "av", "--k", "19999"], 20_000),
+        ],
+        ids=["wide-committees", "wide-masks", "wide-check"],
+    )
+    def test_committee_width_limit_exits_2(self, tmp_path, argv, m):
+        path = tmp_path / "wide.abc"
+        path.write_text(f"m={m}\n0 1\n0\n2\n")
+        out = run_limited([*argv, "--profile", str(path)], timeout=10, address_space=2_000_000 * 1024)
+        assert out is not None, f"{argv[0]} at m = {m} did not exit within 10 s"
+        k = argv[argv.index("--k") + 1]
+        message = f"error: C({m},{k}) committees with their {m}-bit masks exceed the memory limit 34000000 B\n"
+        assert (out.returncode, out.stderr) == (2, message)
+
+    @pytest.mark.parametrize("axiom", ["excellence", "party-proportionality", "aversion-unanimous", "msav-threshold"])
+    def test_party_list_check_at_huge_m_exits_2(self, tmp_path, axiom):
+        # a party-list checker lists all m candidates before it scores: the limit comes first
+        path = tmp_path / "huge.abc"
+        path.write_text("m=20000000000\n0 1\n0 1\n2\n")
+        argv = ["check", "--axiom", axiom, "--rule", "av", "--k", "1", "--profile", str(path)]
+        out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
+        assert out is not None, f"check --axiom {axiom} at a huge m did not exit within 10 s"
+        message = "error: C(20000000000,1) committees exceed the enumeration limit 200000\n"
+        assert (out.returncode, out.stderr) == (2, message)
 
     @pytest.mark.parametrize("rule", ["pav", "sav"])
     def test_one_kernel_call_per_job(self, example, rule, monkeypatch):
@@ -433,24 +465,22 @@ class TestFitCommand:
         assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
         assert capsys.readouterr().err == "error: line 6: ballot indices must lie in 0..3\n"
 
-    def test_no_ballot_index_or_vector_and_one_kernel_call_per_observation(self, tmp_path, monkeypatch, capsys):
-        # ballots go straight from the parsed lines to kernel terms: no index coding either way,
-        # no profile vector, and the re-check is one kernel call per observation
+    def test_no_mask_decoded_or_vector_built_and_one_kernel_call_per_observation(self, tmp_path, monkeypatch, capsys):
+        # ballots go straight from the parsed lines to kernel terms: no mask is decoded back to a
+        # ballot, no profile vector is built, and the re-check is one kernel call per observation
         rng = random.Random(200)
         rule = named_rule("pav", 2, 5)
         profiles = [Profile.from_ballots(5, [rng.choice(all_ballots(5)) for _ in range(6)]) for _ in range(200)]
         path = tmp_path / "obs.txt"
         path.write_text(format_observations([Observation.from_profile(p, winners(rule, p), 2) for p in profiles]))
-        coded, vectors, kernel_calls = [], [], []
+        decoded, vectors, kernel_calls = [], [], []
         kernel = rules._kernel
-        for module, name in [(identify, "ballot_index"), (profiles_module, "ballot_index"),
-                             (profiles_module, "index_ballot"), (rules, "index_ballot")]:
-            monkeypatch.setattr(module, name, lambda *args: coded.append(args))
+        monkeypatch.setattr(profiles_module, "mask_ballot", lambda *args: decoded.append(args))
         monkeypatch.setattr(ProfileVector, "__post_init__", lambda vector: vectors.append(vector))
         monkeypatch.setattr(rules, "_kernel", lambda *args: kernel_calls.append(args) or kernel(*args))
         assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 0
         assert capsys.readouterr().out == "s: 0,1,3/2\n"
-        assert coded == [] and vectors == []
+        assert decoded == [] and vectors == []
         assert len(kernel_calls) == 200
 
     def test_committee_of_all_candidates_located_by_file_line(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,25 @@ def canonical_grid(m, n_max):
 
 def observe(rule, profiles, k):
     return [Observation.from_profile(p, winners(rule, p), k) for p in profiles]
+
+
+def seeded_observations():
+    """150 observations at m = 3-7 of random profiles with PAV's choice sets: the
+    even ones read off the profiles, the odd ones off their vectors scaled by 1-3."""
+    rng = random.Random(15)
+    observations = []
+    for i in range(150):
+        m = 3 + i % 5
+        k = rng.randint(1, m - 1)
+        ballot = lambda: frozenset(c for c in range(m) if rng.random() < 0.4) or frozenset([rng.randrange(m)])
+        profile = Profile.from_ballots(m, [ballot() for _ in range(rng.randint(1, 8))])
+        chosen = winners(named_rule("pav", k, m), profile)
+        if i % 2:
+            vector = profile_to_vector(profile).scale(rng.randint(1, 3))
+            observations.append(Observation.from_vector(vector, chosen, k))
+        else:
+            observations.append(Observation.from_profile(profile, chosen, k))
+    return observations
 
 
 class TestBuildSystem:
@@ -90,7 +110,7 @@ class TestObservation:
         obs = Observation.from_profile(profile, [(0,)], 1)
         assert obs == Observation(3, (1, ((0b001, 1), (0b011, 1), (0b100, 2))), fs((0,)), 1)
         assert obs == Observation.from_vector(profile_to_vector(profile), [(0,)], 1)
-        half = Observation.from_vector(ProfileVector.from_dict(3, {0: F(1, 2), 6: F(-1, 3)}), [(0,)], 1)
+        half = Observation.from_vector(ProfileVector.from_dict(3, {0b001: F(1, 2), 0b111: F(-1, 3)}), [(0,)], 1)
         assert half.terms == (6, ((0b001, 3), (0b111, -2)))
 
     @pytest.mark.parametrize(
@@ -123,7 +143,7 @@ def rational_observations(draw):
     committees = list(itertools.combinations(range(m), k))
     pairs = []
     for _ in range(draw(st.integers(1, 3))):
-        vector = ProfileVector.from_dict(m, draw(st.dictionaries(st.integers(0, 2**m - 2), entries, max_size=6)))
+        vector = ProfileVector.from_dict(m, draw(st.dictionaries(st.integers(1, 2**m - 1), entries, max_size=6)))
         chosen = draw(st.sets(st.sampled_from(committees), min_size=1))
         pairs.append((vector, Observation.from_vector(vector, chosen, k)))
     return pairs
@@ -428,6 +448,12 @@ class TestObservationsFormat:
         with pytest.raises(ValueError):
             parse_observations("m=3\n0 1\n", 2)
 
+    def test_rendering_matches_the_fixture(self):
+        # voters are listed in all_ballots order (by size, then lexicographically), not in
+        # mask order; the fixture pins the bytes of 150 seeded observations at m = 3-7
+        fixture = Path(__file__).parent / "golden" / "format_observations.txt"
+        assert format_observations(seeded_observations()).encode() == fixture.read_bytes()
+
     def test_format_fit_rendering(self):
         obs = observe(named_rule("pav", 2, 4), canonical_grid(4, 2), 2)
         result = fit_thiele(obs, 2)
@@ -465,12 +491,12 @@ def profile_observations(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 8).flatmap(lambda m: st.lists(repeated_profiles(m), min_size=1, max_size=4)))
 def test_profile_terms_match_the_decoded_vector(profiles):
-    """Terms read off a profile's distinct ballots are the terms decoded from
-    its vector, in increasing mask order, and give that vector back."""
+    """Terms read off a profile's distinct ballots are the terms of its vector,
+    in increasing mask order, and give that vector back."""
     for profile in profiles:
         obs = Observation.from_profile(profile, fs((0,)), 1)
         vector = profile_to_vector(profile)
-        assert obs.terms == (1, tuple(sorted(_vector_terms(vector)[1])))
+        assert obs.terms == _vector_terms(vector)
         assert obs.vector == vector
 
 

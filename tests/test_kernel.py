@@ -167,7 +167,7 @@ def vector_instances(draw):
     m, k = draw(sizes(many))
     values = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
     distinct = draw(st.integers(25, min(60, 2**m - 1)) if many else st.integers(0, min(8, 2**m - 1)))
-    entries = draw(st.dictionaries(st.integers(0, 2**m - 2), values, min_size=distinct, max_size=distinct))
+    entries = draw(st.dictionaries(st.integers(1, 2**m - 1), values, min_size=distinct, max_size=distinct))
     return draw(rules(m, k)), ProfileVector.from_dict(m, entries)
 
 

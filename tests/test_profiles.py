@@ -12,17 +12,18 @@ from abcvote.profiles import (
     all_ballots,
     all_ballots_profile,
     apply_candidate_permutation,
-    ballot_index,
+    ballot_mask,
     canonical_form,
     enumerate_committees,
     format_profile,
-    index_ballot,
-    num_ballots,
+    mask_ballot,
     parse_profile,
     profile_to_vector,
     scale_profile,
     vector_to_profile,
 )
+
+from conftest import all_subsets_nonempty
 
 
 def fs(*xs):
@@ -61,58 +62,48 @@ class TestEnumerateCommittees:
             enumerate_committees(1, 1)
 
 
-class TestBallotBijection:
-    def test_size_then_lex_m2(self):
-        assert ballot_index(fs(0), 2) == 0
-        assert ballot_index(fs(1), 2) == 1
-        assert ballot_index(fs(0, 1), 2) == 2
+class TestBallotMasks:
+    def test_all_ballots_by_size_then_lex(self):
+        assert all_ballots(3) == [fs(0), fs(1), fs(2), fs(0, 1), fs(0, 2), fs(1, 2), fs(0, 1, 2)]
+        for m in range(2, 9):
+            assert all_ballots(m) == all_subsets_nonempty(m)
 
-    def test_m3_order(self):
-        order = [fs(0), fs(1), fs(2), fs(0, 1), fs(0, 2), fs(1, 2), fs(0, 1, 2)]
-        assert [ballot_index(b, 3) for b in order] == list(range(7))
-        assert ballot_index(fs(0, 2), 3) == 4
-
-    def test_round_trip_m3(self):
-        for i in range(7):
-            assert ballot_index(index_ballot(i, 3), 3) == i
+    def test_masks_m3(self):
+        assert [ballot_mask(b) for b in all_ballots(3)] == [0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
 
     def test_round_trip_exhaustive(self):
-        for m in range(2, 11):
-            seen = set()
-            for i in range(num_ballots(m)):
-                ballot = index_ballot(i, m)
-                assert ballot_index(ballot, m) == i
-                seen.add(ballot)
-            assert len(seen) == num_ballots(m)
-
-    def test_empty_ballot_rejected(self):
-        with pytest.raises(ValueError):
-            ballot_index(frozenset(), 3)
+        for m in range(2, 9):
+            ballots = all_subsets_nonempty(m)
+            masks = [ballot_mask(b) for b in ballots]
+            assert sorted(masks) == list(range(1, 2**m))
+            assert [mask_ballot(mask) for mask in masks] == ballots
 
     @pytest.mark.parametrize("m", [2, 3, 7, 64])
-    def test_index_range_ends_at_the_full_ballot(self, m):
-        # the range check uses bit lengths, not 2**m - 1 itself
-        assert index_ballot(2**m - 2, m) == frozenset(range(m))
-        assert ProfileVector(m, ((0, Fraction(1)), (2**m - 2, Fraction(1)))).entries[-1][0] == 2**m - 2
-        for index in (-1, 2**m - 1, 2**m):
+    def test_mask_range_ends_at_the_full_ballot(self, m):
+        # the range check uses bit lengths, not 2**m itself
+        full = 2**m - 1
+        assert ProfileVector(m, ((1, Fraction(1)), (full, Fraction(1)))).entries[-1][0] == full
+        for mask in (-1, 0, 2**m, 2**m + 1):
             with pytest.raises(ValueError, match="out of range"):
-                index_ballot(index, m)
-            with pytest.raises(ValueError, match="out of range"):
-                ProfileVector(m, ((index, Fraction(1)),))
+                ProfileVector(m, ((mask, Fraction(1)),))
+
+    def test_entries_sorted_by_mask(self):
+        with pytest.raises(ValueError, match="sorted by ballot mask"):
+            ProfileVector(3, ((0b100, Fraction(1)), (0b011, Fraction(1))))
 
 
 class TestProfileVector:
     def test_direct_count(self):
         profile = Profile.from_ballots(2, [fs(0), fs(0), fs(0, 1)])
-        assert profile_to_vector(profile).as_dict() == {0: 2, 2: 1}
+        assert profile_to_vector(profile).as_dict() == {0b01: 2, 0b11: 1}
 
-    def test_full_ballot_last_index(self):
+    def test_full_ballot_mask(self):
         profile = Profile.from_ballots(3, [fs(0, 1, 2)])
-        assert profile_to_vector(profile).as_dict() == {6: 1}
+        assert profile_to_vector(profile).as_dict() == {0b111: 1}
 
     def test_all_ballots_once(self):
         vector = profile_to_vector(all_ballots_profile(3))
-        assert vector.as_dict() == {i: 1 for i in range(7)}
+        assert vector.as_dict() == {mask: 1 for mask in range(1, 8)}
 
     def test_sum_is_voter_count(self):
         rng = random.Random(7)
@@ -127,9 +118,16 @@ class TestProfileVector:
             vector = profile_to_vector(profile)
             assert profile_to_vector(vector_to_profile(vector)) == vector
 
+    def test_voters_in_all_ballots_order(self):
+        # {2} comes before {0, 1} by size, though its mask is larger
+        vector = ProfileVector.from_dict(3, {0b011: 1, 0b100: 2, 0b101: 1})
+        assert vector_to_profile(vector).ballot_list() == [fs(2), fs(2), fs(0, 1), fs(0, 2)]
+
     def test_rational_entries_allowed(self):
-        vector = ProfileVector.from_dict(2, {0: Fraction(-1, 3), 2: 5})
-        assert vector.dense() == (Fraction(-1, 3), Fraction(0), Fraction(5))
+        vector = ProfileVector.from_dict(2, {0b01: Fraction(-1, 3), 0b11: 5})
+        assert vector.entries == ((0b01, Fraction(-1, 3)), (0b11, Fraction(5)))
+        with pytest.raises(ValueError, match="non-negative integer"):
+            vector_to_profile(vector)
 
 
 class TestProfileAlgebra:
@@ -138,7 +136,7 @@ class TestProfileAlgebra:
         b = Profile(2, ((1, fs(1)),))
         total = add_profiles(a, b)
         assert total.n_voters == 2
-        assert profile_to_vector(total).as_dict() == {0: 1, 1: 1}
+        assert profile_to_vector(total).as_dict() == {0b01: 1, 0b10: 1}
 
     def test_doubling_with_relabel(self):
         a = Profile.from_ballots(3, [fs(0, 1), fs(2)])

@@ -12,7 +12,7 @@ from abcvote.profiles import (
     all_ballots,
     all_ballots_profile,
     apply_candidate_permutation,
-    ballot_index,
+    ballot_mask,
     profile_to_vector,
     scale_profile,
     add_profiles,
@@ -173,11 +173,11 @@ class TestWinners:
     def test_enumeration_cap(self, monkeypatch):
         # C(24, 12) = 2,704,156 committees: rejected before any is built, and
         # before any ballot becomes a mask, which at a huge m can take gigabytes
+        # (a vector's entries are masks already)
         profile = Profile.from_ballots(24, [fs(0)])
         rule = named_rule("av", 12, 24)
         cached = rules._committee_masks.cache_info().currsize
-        for name in ("_profile_terms", "_vector_terms"):
-            monkeypatch.setattr(rules, name, lambda *args: pytest.fail("terms built over the committee limit"))
+        monkeypatch.setattr(rules, "_profile_terms", lambda *args: pytest.fail("terms built over the committee limit"))
         with pytest.raises(ValueError, match="enumeration limit"):
             winners(rule, profile)
         with pytest.raises(ValueError, match="enumeration limit"):
@@ -187,16 +187,44 @@ class TestWinners:
         assert rules._committee_masks.cache_info().currsize == cached
 
     def test_committee_limit_is_the_binomial(self):
-        # the limit skips comb() at a large min(k, m - k); it must still refuse exactly C(m, k) > MAX_COMMITTEES
+        # the limit skips comb() at a large min(k, m - k); it must still refuse exactly
+        # C(m, k) > MAX_COMMITTEES, and then the committees whose 80 B, k members and
+        # m-bit mask each would take more than MAX_COMMITTEE_BYTES
         for m in [*range(2, 52), 632, 633, 200_000, 200_001]:
             for k in {*range(1, min(m, 24) + 2), m // 2, m - 2, m - 1, m, m + 1}:
-                refused = comb(m, k) > rules.MAX_COMMITTEES
+                count = comb(m, k)
+                wide = count * (80 + 8 * k + m // 8) > rules.MAX_COMMITTEE_BYTES
                 try:
                     rules.check_committee_limit(m, k)
                 except ValueError as err:
-                    assert refused and str(err) == f"C({m},{k}) committees exceed the enumeration limit 200000"
+                    if count > rules.MAX_COMMITTEES:
+                        assert str(err) == f"C({m},{k}) committees exceed the enumeration limit 200000"
+                    else:
+                        message = f"C({m},{k}) committees with their {m}-bit masks exceed the memory limit 34000000 B"
+                        assert wide and str(err) == message
                 else:
-                    assert not refused, (m, k)
+                    assert count <= rules.MAX_COMMITTEES and not wide, (m, k)
+
+    def test_committee_width_limit_keeps_every_pair_up_to_m_20(self):
+        # (20000, 19999) and (200000, 1) passed the count alone and then died of a MemoryError;
+        # C(22, 15) = 170,544 committees of 15 members come to about 35 MB
+        for m, k in [(20_000, 19_999), (200_000, 1), (22, 15)]:
+            with pytest.raises(ValueError, match="memory limit"):
+                rules.check_committee_limit(m, k)
+        for m in range(2, 21):
+            for k in range(1, m):
+                rules.check_committee_limit(m, k)
+
+    @pytest.mark.parametrize("spec", ["sav", "msav", "bswav"])
+    def test_ballot_size_rules_refuse_over_the_limit(self, spec):
+        # the kernel takes the lcm of their m weights, which `score` would pay at a huge m;
+        # C(700, 2) = 244,650 committees
+        m = 700
+        if spec == "bswav":
+            spec = "bswav:" + ",".join(f"1/{x}" for x in range(1, m + 1))
+        assert parse_rule_spec(spec, 1, m).k == 1
+        with pytest.raises(ValueError, match="enumeration limit"):
+            parse_rule_spec(spec, 2, m)
 
     def test_kernel_never_hashes_the_rule(self, monkeypatch):
         # the integer tables live on the rule, so a kernel call finds its table
@@ -340,7 +368,7 @@ class TestVectorPath:
         assert winners_from_vector(rule, vector, 1) == fs((0,), (1,), (2,))
 
     def test_negative_multiplicity(self):
-        vector = ProfileVector.from_dict(2, {ballot_index(fs(0), 2): -1, ballot_index(fs(1), 2): 1})
+        vector = ProfileVector.from_dict(2, {ballot_mask(fs(0)): -1, ballot_mask(fs(1)): 1})
         assert winners_from_vector(named_rule("av", 1, 2), vector, 1) == fs((1,))
 
     def test_zero_vector_total_tie(self):

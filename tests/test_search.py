@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcvote import search
-from abcvote.axioms import replay
+from abcvote import axioms, search
+from abcvote.axioms import CheckOptions, replay
 from abcvote.profiles import MAX_CANONICAL_M, Profile, canonical_form, profile_to_vector
 from abcvote.rules import named_rule, thiele_rule, winners
 from abcvote.search import (
@@ -70,29 +70,29 @@ class TestEnumerateProfiles:
             for n in (1, 2, 3):
                 ours = [profile_to_vector(p) for p in enumerate_profiles(m, n, canonical=False)]
                 oracle = [profile_to_vector(p) for p in raw_profiles(m, n)]
-                assert sorted(ours, key=lambda v: v.dense()) == sorted(oracle, key=lambda v: v.dense())
+                assert sorted(ours, key=lambda v: v.entries) == sorted(oracle, key=lambda v: v.entries)
 
     def test_canonical_stream_has_no_equivalent_pair(self):
         for m in (2, 3):
             for n in (1, 2, 3):
-                forms = [canonical_form(p).dense() for p in enumerate_profiles(m, n)]
+                forms = [canonical_form(p) for p in enumerate_profiles(m, n)]
                 assert len(forms) == len(set(forms))
 
     def test_orbit_sizes_cover_raw_count(self):
         for m in (2, 3):
             for n in (1, 2, 3):
                 raw = list(enumerate_profiles(m, n, canonical=False))
-                orbits = Counter(canonical_form(p).dense() for p in raw)
-                reps = {canonical_form(p).dense() for p in enumerate_profiles(m, n)}
+                orbits = Counter(canonical_form(p) for p in raw)
+                reps = {canonical_form(p) for p in enumerate_profiles(m, n)}
                 assert reps == set(orbits)
                 assert sum(orbits.values()) == len(raw)
 
     def test_stream_is_deterministic(self, fresh_walks):
-        walked = [profile_to_vector(p).dense() for p in enumerate_profiles(3, 2)]
+        walked = [profile_to_vector(p) for p in enumerate_profiles(3, 2)]
         assert (3, 2) in search._kept
-        replayed = [profile_to_vector(p).dense() for p in enumerate_profiles(3, 2)]
+        replayed = [profile_to_vector(p) for p in enumerate_profiles(3, 2)]
         search._kept.clear()
-        assert replayed == walked == [profile_to_vector(p).dense() for p in enumerate_profiles(3, 2)]
+        assert replayed == walked == [profile_to_vector(p) for p in enumerate_profiles(3, 2)]
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -310,12 +310,15 @@ class TestFindCounterexample:
             find_counterexample("av", "committee-monotonicity", SearchBounds())
 
     def test_iol_cap_falls_back_to_sampling(self):
-        # a tiny cap forces the seeded sampling path; av still never fails
-        bounds = SearchBounds(3, (1,), 3, iol_cap=2)
-        result = find_counterexample("av", "independence-of-losers", bounds)
-        assert not result.found
-        again = find_counterexample("av", "independence-of-losers", bounds)
-        assert (result.found, result.instances) == (again.found, again.instances)
+        # five full ballots at m = 6: each of the six tied winners of k = 1 has
+        # 32**5 = 2**25 reductions, over the cap, so the seeded sample decides
+        profile = Profile.from_ballots(6, [frozenset(range(6))] * 5)
+        iol, rule = axioms.lookup("independence-of-losers"), named_rule("av", 1, 6)
+        with pytest.raises(axioms.CapExceeded):
+            iol.check(rule, profile, CheckOptions(1))
+        verdict = search._check(iol, rule, (profile,), CheckOptions(1))
+        assert verdict.passed and verdict.checked == 6 * CheckOptions(1).count
+        assert search._check(iol, rule, (profile,), CheckOptions(1)) == verdict
 
     def test_min_approval_rule_shape(self):
         choose = min_approval_rule(1)
