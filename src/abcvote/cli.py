@@ -52,6 +52,8 @@ def _emit_json(payload) -> None:
 
 def cmd_winners(args) -> int:
     profile = _read_profile(args.profile)
+    # before the rule: a Thiele rule builds k + 1 values, which at a huge k never ends
+    check_committee_limit(profile.m, args.k)
     rule = parse_rule_spec(args.rule, args.k, profile.m)
     chosen, score = winners_and_score(rule, profile)
     if args.format == "json":
@@ -135,7 +137,8 @@ def cmd_check(args) -> int:
             alternative = " (or one with --splits)" if axiom.name == "consistency" else ""
             raise UsageError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
         profiles.append(_read_profile(args.profile2))
-    # before any checker: the party-list ones list all m candidates before they score
+    # before the rule, as in `winners`, and before any checker: the party-list ones list
+    # all m candidates before they score
     check_committee_limit(profiles[0].m, args.k)
     rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
     cap = args.lambda_cap

@@ -117,10 +117,7 @@ class ProfileVector:
 
     @classmethod
     def from_dict(cls, m: int, entries: dict[int, Fraction | int]) -> "ProfileVector":
-        items = tuple(
-            (mask, Fraction(value)) for mask, value in sorted(entries.items()) if value != 0
-        )
-        return cls(m, items)
+        return cls(m, tuple((mask, Fraction(value)) for mask, value in sorted(entries.items()) if value != 0))
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.entries)
@@ -185,13 +182,13 @@ def profile_to_vector(profile: Profile) -> ProfileVector:
 
 def vector_to_profile(vector: ProfileVector) -> Profile:
     """Materialize a non-negative integer vector as a profile with labels 0,1,2,...,
-    its voters in :func:`all_ballots` order."""
+    its voters in :func:`all_ballots` order, by size and then members."""
+    decoded = [(mask_ballot(mask), value) for mask, value in vector.entries]
     ballots: list[Ballot] = []
-    for mask, value in vector.entries:
+    for ballot, value in sorted(decoded, key=lambda entry: (len(entry[0]), sorted(entry[0]))):
         if value < 0 or value.denominator != 1:
             raise ValueError("only non-negative integer vectors correspond to profiles")
-        ballots.extend([mask_ballot(mask)] * int(value))
-    ballots.sort(key=lambda ballot: (len(ballot), sorted(ballot)))
+        ballots.extend([ballot] * int(value))
     return Profile.from_ballots(vector.m, ballots)
 
 
@@ -240,17 +237,22 @@ MAX_CANONICAL_M = 8
 
 
 @functools.cache
+def _ballot_positions(m: int) -> tuple[tuple[Ballot, ...], dict[Ballot, int]]:
+    """:func:`all_ballots` and each ballot's position in it, built once per m."""
+    ballots = tuple(all_ballots(m))
+    return ballots, {ballot: i for i, ballot in enumerate(ballots)}
+
+
+@functools.cache
 def ballot_permutation_tables(m: int) -> tuple[tuple[int, ...], ...]:
     """For every non-identity candidate permutation tau, in `itertools.permutations`
-    order, the table mapping position i in :func:`all_ballots` to the position
-    of tau(ballot i).
+    order, the table mapping position i in :func:`all_ballots` to that of tau(ballot i).
 
     Built on first use for each m and kept for the life of the process.
     """
     if not 2 <= m <= MAX_CANONICAL_M:
         raise ValueError(f"canonical forms need 2 <= m <= {MAX_CANONICAL_M}")
-    ballots = all_ballots(m)
-    position = {ballot: i for i, ballot in enumerate(ballots)}
+    ballots, position = _ballot_positions(m)
     perms = itertools.permutations(range(m))
     next(perms)  # the identity
     return tuple(tuple(position[frozenset(map(tau.__getitem__, b))] for b in ballots) for tau in perms)
@@ -274,8 +276,7 @@ def canonical_form(profile: Profile) -> ProfileVector:
     voter and a sort.  m is capped at MAX_CANONICAL_M.
     """
     tables = ballot_permutation_tables(profile.m)
-    ballots = all_ballots(profile.m)
-    position = {ballot: i for i, ballot in enumerate(ballots)}
+    ballots, position = _ballot_positions(profile.m)
     combo = sorted(position[ballot] for _, ballot in profile.ballots)
     best = max([combo, *(sorted(map(table.__getitem__, combo)) for table in tables)])
     return ProfileVector.from_dict(profile.m, Counter(ballot_mask(ballots[i]) for i in best))

@@ -32,10 +32,11 @@ from .profiles import (
 # Most committees, C(m, k), that any scoring entry point enumerates, and most
 # bytes that they may take cached.  A cached committee (tuple plus bitmask) took
 # about 80 B, plus 8 B per member, plus its mask of up to m bits: 168 B at
-# C(20, 10) = 184,756 and 16 kB at C(2000, 1999) = 2,000 (CPython 3.11,
-# tracemalloc).  So one (m, k) at the count limit holds about 34 MB, and scoring
-# it against 100 distinct ballots took about 1.7 s; the byte limit holds a few
-# wide committees (k or m in the thousands) to the same 34 MB.
+# C(20, 10) = 184,756, 16 kB at C(2000, 1999) = 2,000 and 1.6 kB at
+# C(21900, 1) (CPython 3.11, tracemalloc).  So one (m, k) at the count limit
+# holds about 34 MB, and scoring it against 100 distinct ballots took about
+# 1.7 s; the byte limit holds a few wide committees (k or m in the thousands)
+# to the same 34 MB.
 MAX_COMMITTEES = 200_000
 MAX_COMMITTEE_BYTES = 34_000_000
 
@@ -186,7 +187,7 @@ def named_rule(name: str, k: int, m: int) -> Rule:
     if name == "triv":
         return thiele_rule("triv", [Fraction(0)] * (k + 1))
     if name in ("sav", "msav"):
-        check_committee_limit(m, k)  # before m weights, whose lcm the kernel takes
+        _check_weight_count(m)
     if name == "sav":
         return bswav_rule("sav", k, [Fraction(1, x) for x in range(1, m + 1)])
     if name == "msav":
@@ -213,9 +214,17 @@ def parse_rule_spec(spec: str, k: int, m: int) -> Rule:
         if len(alpha) != m:
             raise ValueError(f"bswav rule for m={m} needs {m} weights, got {len(alpha)}")
         rule = bswav_rule(spec, k, alpha)
-        check_committee_limit(m, k)  # before the kernel takes the lcm of m weights
+        _check_weight_count(m)
         return rule
     raise ValueError(f"cannot parse rule spec {spec!r}")
+
+
+def _check_weight_count(m: int) -> None:
+    """Refuse a ballot-size rule's m weights where the m one-member committees are
+    over the committee limit: the kernel scales its table by the lcm of their
+    denominators, lcm(1..m) for sav, which at m = 10**5 took 4.6 s to score one
+    committee."""
+    check_committee_limit(m, 1)
 
 
 def _check_committee_size(k: int, m: int) -> None:
@@ -273,12 +282,13 @@ SLICED_MIN_BALLOTS = 12
 def check_committee_limit(m: int, k: int) -> None:
     """Refuse more than MAX_COMMITTEES size-k committees of m candidates, or more
     than MAX_COMMITTEE_BYTES for them cached, at 80 B plus 8 B per member plus
-    m / 8 B of mask each.  comb(m, k) costs about min(k, m - k) products, so it
-    is skipped past 20: C(m, k) >= C(42, 21) > 5 * 10**11 is then over the
-    limit anyway."""
+    4 B per 30 bits of mask each (CPython's int digits).  A mask is as wide as
+    its committee's largest member + 1, on average m * k / (k + 1) bits.
+    comb(m, k) costs about min(k, m - k) products, so it is skipped past 20:
+    C(m, k) >= C(42, 21) > 5 * 10**11 is then over the limit anyway."""
     if min(k, m - k) > 20 or (count := comb(m, k)) > MAX_COMMITTEES:
         raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
-    if count * (80 + 8 * k + m // 8) > MAX_COMMITTEE_BYTES:
+    if count * (80 + 8 * k + 4 * m * k // (30 * (k + 1))) > MAX_COMMITTEE_BYTES:
         limit = f"the memory limit {MAX_COMMITTEE_BYTES} B"
         raise ValueError(f"C({m},{k}) committees with their {m}-bit masks exceed {limit}")
 

@@ -118,12 +118,14 @@ class TestWinners:
             (["check", "--axiom", "iol", "--rule", "av", "--k", "1"], "20000000000"),
             # C(m, k) itself is slow to compute at a huge k
             (["winners", "--rule", "av", "--k", "1000000"], "20000000000"),
+            # and so are the k + 1 values of a Thiele rule, whose denominators reach tens of thousands of digits
+            (["winners", "--rule", "pav", "--k", "100000"], "20000000000"),
             # a ballot-size rule has m weights: 48 s to build at m = 10^7, past 20 s at m = 2*10^10
             (["winners", "--rule", "sav", "--k", "1"], "10000000"),
             (["check", "--axiom", "weak-efficiency", "--rule", "sav", "--k", "1"], "20000000000"),
             (["score", "--rule", "sav", "--k", "1", "--committee", "0"], "20000000000"),
         ],
-        ids=["winners", "anonymity", "iol", "huge-k", "sav", "sav-check", "sav-score"],
+        ids=["winners", "anonymity", "iol", "huge-k", "huge-k-pav", "sav", "sav-check", "sav-score"],
     )
     def test_committee_limit_before_any_mask_or_weight(self, tmp_path, argv, m):
         path = tmp_path / "huge.abc"
@@ -152,6 +154,16 @@ class TestWinners:
         k = argv[argv.index("--k") + 1]
         message = f"error: C({m},{k}) committees with their {m}-bit masks exceed the memory limit 34000000 B\n"
         assert (out.returncode, out.stderr) == (2, message)
+
+    @pytest.mark.parametrize("m, committee, score", [(120, "0,1,2", "3"), (21_000, "0,1", "2")])
+    def test_ballot_size_rule_scores_one_committee_over_the_committee_limit(self, tmp_path, m, committee, score):
+        # C(120, 3) = 280,840 and C(21000, 2) committees are over the limit, but `score` scores
+        # one of them; only sav's m weights are bounded
+        path = tmp_path / "wide.abc"
+        path.write_text(f"m={m}\n0 1\n0\n2\n")
+        k = str(len(committee.split(",")))
+        out = run_limited(["score", "--rule", "sav", "--k", k, "--committee", committee, "--profile", str(path)], 20)
+        assert out is not None and (out.returncode, out.stdout) == (0, f"{{{committee}}}  score {score}\n")
 
     @pytest.mark.parametrize("axiom", ["excellence", "party-proportionality", "aversion-unanimous", "msav-threshold"])
     def test_party_list_check_at_huge_m_exits_2(self, tmp_path, axiom):

@@ -189,11 +189,12 @@ class TestWinners:
     def test_committee_limit_is_the_binomial(self):
         # the limit skips comb() at a large min(k, m - k); it must still refuse exactly
         # C(m, k) > MAX_COMMITTEES, and then the committees whose 80 B, k members and
-        # m-bit mask each would take more than MAX_COMMITTEE_BYTES
-        for m in [*range(2, 52), 632, 633, 200_000, 200_001]:
+        # mask of m * k / (k + 1) bits on average, at 4 B per 30 bits, would take more
+        # than MAX_COMMITTEE_BYTES
+        for m in [*range(2, 52), 632, 633, 21_935, 21_936, 200_000, 200_001]:
             for k in {*range(1, min(m, 24) + 2), m // 2, m - 2, m - 1, m, m + 1}:
                 count = comb(m, k)
-                wide = count * (80 + 8 * k + m // 8) > rules.MAX_COMMITTEE_BYTES
+                wide = count * (80 + 8 * k + 4 * m * k // (30 * (k + 1))) > rules.MAX_COMMITTEE_BYTES
                 try:
                     rules.check_committee_limit(m, k)
                 except ValueError as err:
@@ -204,6 +205,10 @@ class TestWinners:
                         assert wide and str(err) == message
                 else:
                     assert count <= rules.MAX_COMMITTEES and not wide, (m, k)
+        # one-member committees: the masks of 21,935 candidates took 34.7 MB (tracemalloc)
+        rules.check_committee_limit(21_935, 1)
+        with pytest.raises(ValueError, match="memory limit"):
+            rules.check_committee_limit(21_936, 1)
 
     def test_committee_width_limit_keeps_every_pair_up_to_m_20(self):
         # (20000, 19999) and (200000, 1) passed the count alone and then died of a MemoryError;
@@ -217,14 +222,17 @@ class TestWinners:
 
     @pytest.mark.parametrize("spec", ["sav", "msav", "bswav"])
     def test_ballot_size_rules_refuse_over_the_limit(self, spec):
-        # the kernel takes the lcm of their m weights, which `score` would pay at a huge m;
-        # C(700, 2) = 244,650 committees
-        m = 700
-        if spec == "bswav":
-            spec = "bswav:" + ",".join(f"1/{x}" for x in range(1, m + 1))
-        assert parse_rule_spec(spec, 1, m).k == 1
-        with pytest.raises(ValueError, match="enumeration limit"):
-            parse_rule_spec(spec, 2, m)
+        # the kernel takes the lcm of their m weights, which `score` would pay at a huge m:
+        # the weights are bounded as the m one-member committees are, whatever C(m, k)
+        # (C(700, 2) = 244,650 and C(21935, 3) are over the count limit)
+        def parse(k, m):
+            text = "bswav:" + ",".join(f"1/{x}" for x in range(1, m + 1)) if spec == "bswav" else spec
+            return parse_rule_spec(text, k, m)
+
+        for m, k in [(700, 2), (21_935, 1), (21_935, 3)]:
+            assert parse(k, m).k == k
+        with pytest.raises(ValueError, match=r"C\(21936,1\) committees .* memory limit"):
+            parse(3, 21_936)
 
     def test_kernel_never_hashes_the_rule(self, monkeypatch):
         # the integer tables live on the rule, so a kernel call finds its table
