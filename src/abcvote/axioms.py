@@ -26,12 +26,12 @@ from typing import Callable
 
 from . import partylist
 from .profiles import (
-    Ballot,
     ChoiceSet,
     Committee,
     Profile,
     add_profiles,
     apply_candidate_permutation,
+    ballot_mask,
     format_profile,
     scale_profile,
 )
@@ -68,16 +68,16 @@ def _permutations(items, mode: str, seed: int, count: int, too_many: str):
 
 
 def check_anonymity(rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20) -> AxiomVerdict:
-    """The choice set must be unchanged under every (tested) voter relabelling."""
+    """The choice set must be unchanged under every (tested) voter permutation."""
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
-    labels = sorted(profile.labels())
+    voters = range(profile.n_voters)
     too_many = "exhaustive mode over voter permutations needs at most 8 voters"
-    for image in _permutations(labels, mode, seed, count, too_many):
+    for image in _permutations(voters, mode, seed, count, too_many):
         checked += 1
-        mapping = dict(zip(labels, image))
-        permuted = profile.relabel(mapping)
+        mapping = dict(zip(voters, image))
+        permuted = profile.permute_voters(mapping)
         if choose(permuted) != base:
             witness = {
                 "profile": profile,
@@ -128,9 +128,8 @@ def check_consistency_pair(rule, a: Profile, b: Profile) -> AxiomVerdict:
     must choose exactly the intersection.  Vacuous pass when the choice sets
     are disjoint."""
     choose = as_choice_fn(rule)
-    joint = add_profiles(a, b, relabel=True)
-    b_relabelled = Profile(joint.m, joint.ballots[a.n_voters:])
-    left, right = choose(a), choose(b_relabelled)
+    joint = add_profiles(a, b)
+    left, right = choose(a), choose(b)
     if not left & right:
         return AxiomVerdict("consistency", True, None, 1)
     observed = choose(joint)
@@ -138,7 +137,7 @@ def check_consistency_pair(rule, a: Profile, b: Profile) -> AxiomVerdict:
         return AxiomVerdict("consistency", True, None, 1)
     witness = {
         "left": a,
-        "right": b_relabelled,
+        "right": b,
         "joint": joint,
         "left_choice": left,
         "right_choice": right,
@@ -162,7 +161,7 @@ def check_consistency_splits(rule, profile: Profile, max_voters: int = 10) -> Ax
     if n > max_voters:
         raise ValueError(f"profile has {n} voters, over the split cap {max_voters}")
     checked = 0
-    voters = list(profile.ballots)
+    voters = profile.masks
     for size in range(1, n):
         # fix the first voter on the left side so each bipartition appears once
         for rest in itertools.combinations(range(1, n), size - 1):
@@ -192,7 +191,7 @@ def find_min_continuity_lambda(rule, a: Profile, b: Profile, lambda_cap: int) ->
     choose = as_choice_fn(rule)
     target = choose(a)
     for lam in range(1, lambda_cap + 1):
-        combined = add_profiles(scale_profile(a, lam), b, relabel=True)
+        combined = add_profiles(scale_profile(a, lam), b)
         if choose(combined) <= target:
             return lam
     return None
@@ -251,23 +250,24 @@ def _replay_weak_efficiency(w, choose):
     return w["swapped"] not in base
 
 
-def _reductions_for(ballot: Ballot, committee_members: frozenset[int]):
-    """All reduced ballots: drop any subset of the approved candidates outside
-    the committee, keeping the ballot non-empty and its committee part intact."""
-    droppable = sorted(ballot - committee_members)
+def _reductions_for(ballot: int, own: int) -> list[int]:
+    """All reduced ballot masks: drop any subset of the approved candidates outside
+    the committee `own`, keeping the ballot non-empty and its committee part intact;
+    by the number dropped, then the dropped members in lexicographic order."""
+    droppable = [1 << c for c in range(ballot.bit_length()) if ballot >> c & 1 and not own >> c & 1]
     out = []
     for size in range(len(droppable) + 1):
         for drop in itertools.combinations(droppable, size):
-            reduced = ballot - set(drop)
+            reduced = ballot - sum(drop)
             if reduced:
                 out.append(reduced)
     return out
 
 
-def _check_walk_size(profile: Profile, members: frozenset[int], committee: Committee, cap: int) -> None:
+def _check_walk_size(profile: Profile, own: int, committee: Committee, cap: int) -> None:
     total = 1
-    for _, ballot in profile.ballots:
-        total *= 2 ** len(ballot - members)
+    for ballot in profile.masks:
+        total *= 2 ** (ballot & ~own).bit_count()
     if total > cap:
         raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
 
@@ -294,31 +294,30 @@ def check_independence_of_losers(
     if mode == "all" and isinstance(rule, Rule):
         checked = 0
         for committee in sorted(base):
-            members = frozenset(committee)
-            _check_walk_size(profile, members, committee, cap)
+            own = ballot_mask(committee)
+            _check_walk_size(profile, own, committee, cap)
             if not survives_every_reduction(rule, profile, committee):
                 break  # the walk below finds the first witness
             checked += math.prod(
-                2 ** len(ballot - members) - (0 if ballot & members else 1) for _, ballot in profile.ballots
+                2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks
             )
         else:
             return AxiomVerdict("independence-of-losers", True, None, checked)
     checked = 0
     rng = random.Random(seed)
     for committee in sorted(base):
-        members = frozenset(committee)
-        options = [_reductions_for(ballot, members) for _, ballot in profile.ballots]
+        own = ballot_mask(committee)
+        options = [_reductions_for(ballot, own) for ballot in profile.masks]
         if mode == "all":
-            _check_walk_size(profile, members, committee, cap)
+            _check_walk_size(profile, own, committee, cap)
             combos = itertools.product(*options)
         elif mode == "sample":
-            combos = ([rng.choice(opt) for opt in options] for _ in range(count))
+            combos = (tuple(rng.choice(opt) for opt in options) for _ in range(count))
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        labels = profile.labels()
         for combo in combos:
             checked += 1
-            reduced = Profile(profile.m, tuple(zip(labels, combo)))
+            reduced = Profile(profile.m, combo)
             if committee not in choose(reduced):
                 witness = {
                     "profile": profile,
@@ -333,11 +332,11 @@ def check_independence_of_losers(
 
 def _replay_iol(w, choose):
     profile, reduced, committee = w["profile"], w["reduced_profile"], w["committee"]
-    if profile.labels() != reduced.labels():
+    if profile.n_voters != reduced.n_voters:
         return False
-    members = frozenset(committee)
-    for (_, full), (_, cut) in zip(profile.ballots, reduced.ballots):
-        if not cut <= full or full & members != cut & members:
+    own = ballot_mask(committee)
+    for full, cut in zip(profile.masks, reduced.masks):
+        if cut & ~full or full & own != cut & own:
             return False
     return committee in choose(profile) and committee not in choose(reduced)
 

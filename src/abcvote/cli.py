@@ -18,13 +18,17 @@ from . import axioms, identify, search
 from .profiles import (
     Profile,
     ProfileFormatError,
+    candidate_count,
     format_choice_set,
     format_committee,
+    parse_ballot_counts,
     parse_profile,
 )
 from .rules import (
+    _check_committee_size,
+    ballots_score,
+    check_committee,
     check_committee_limit,
-    committee_score,
     continuity_lambda_bound,
     format_rational,
     parse_rule_spec,
@@ -36,14 +40,32 @@ class UsageError(ValueError):
     """A usage or input error; `main` reports every ValueError with exit 2."""
 
 
-def _read_profile(path: str) -> Profile:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_profile(handle.read())
+            return handle.read()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
+
+
+def _parsed(parse, path: str, text: str):
+    """parse(text), a format error located in the file at `path`."""
+    try:
+        return parse(text)
     except ProfileFormatError as err:
         raise UsageError(f"{path}: {err}") from None
+
+
+def _read_profile(path: str, k: int) -> Profile:
+    """The profile at `path`, once k and the committee limit pass on its `m=`
+    line: before any ballot line becomes a mask, which for candidate
+    19999999999 alone would take 2.5 GB, and before the rule, whose k + 1
+    Thiele values at a huge k would never be built."""
+    text = _read_text(path)
+    m = _parsed(candidate_count, path, text)
+    check_committee_limit(m, k)
+    _check_committee_size(k, m)
+    return _parsed(parse_profile, path, text)
 
 
 def _emit_json(payload) -> None:
@@ -51,9 +73,7 @@ def _emit_json(payload) -> None:
 
 
 def cmd_winners(args) -> int:
-    profile = _read_profile(args.profile)
-    # before the rule: a Thiele rule builds k + 1 values, which at a huge k never ends
-    check_committee_limit(profile.m, args.k)
+    profile = _read_profile(args.profile, args.k)
     rule = parse_rule_spec(args.rule, args.k, profile.m)
     chosen, score = winners_and_score(rule, profile)
     if args.format == "json":
@@ -71,14 +91,18 @@ def cmd_winners(args) -> int:
 
 
 def cmd_score(args) -> int:
-    profile = _read_profile(args.profile)
-    rule = parse_rule_spec(args.rule, args.k, profile.m)
+    # the ballots as candidate sets: `score` renames the candidates that occur
+    # before it builds a mask, so a huge index costs no huge integer
+    m, counts = _parsed(parse_ballot_counts, args.profile, _read_text(args.profile))
     tokens = args.committee.replace(",", " ").split()
     # plain ASCII digits only, as in profile files: int() would also take "+1", "1_0" and "١"
     if not (args.committee.isascii() and "".join(tokens).isdigit()):
-        raise UsageError(f"committee {args.committee!r} must list plain digits, none outside 0..{profile.m - 1}")
+        raise UsageError(f"committee {args.committee!r} must list plain digits, none outside 0..{m - 1}")
     committee = tuple(sorted(int(tok) for tok in tokens))
-    score = committee_score(rule, profile, committee)
+    # before the rule, whose k + 1 Thiele values at a huge k would never be built
+    check_committee(frozenset(committee), args.k, m)
+    rule = parse_rule_spec(args.rule, args.k, m)
+    score = ballots_score(rule, m, counts, committee)
     if args.format == "json":
         _emit_json(
             {
@@ -131,15 +155,12 @@ def _lookup_axiom(args):
 
 def cmd_check(args) -> int:
     axiom = _lookup_axiom(args)
-    profiles = [_read_profile(args.profile)]
+    profiles = [_read_profile(args.profile, args.k)]
     if axiom.arity == 2 and not args.splits:
         if not args.profile2:
             alternative = " (or one with --splits)" if axiom.name == "consistency" else ""
             raise UsageError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
-        profiles.append(_read_profile(args.profile2))
-    # before the rule, as in `winners`, and before any checker: the party-list ones list
-    # all m candidates before they score
-    check_committee_limit(profiles[0].m, args.k)
+        profiles.append(_read_profile(args.profile2, args.k))
     rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
     cap = args.lambda_cap
     if axiom.name == "continuity" and not cap:
@@ -203,11 +224,7 @@ def cmd_separations(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        with open(args.observations, encoding="utf-8") as handle:
-            observations = identify.parse_observations(handle.read(), args.k)
-    except OSError as err:
-        raise UsageError(f"cannot read {args.observations}: {err}") from None
+    observations = identify.parse_observations(_read_text(args.observations), args.k)
     if not observations:
         raise UsageError("observations file is empty")
     if args.family == "thiele":

@@ -29,11 +29,11 @@ from math import gcd, lcm
 from operator import lt, sub
 
 from .profiles import (
-    Ballot,
     ChoiceSet,
     Profile,
     ProfileFormatError,
     ProfileVector,
+    candidate_count,
     parse_profile,
     format_committee,
     format_profile,
@@ -45,7 +45,6 @@ from .rules import (
     ThieleScore,
     _argmax,
     _committee_masks,
-    _profile_terms,
     _scores,
     _vector_terms,
     check_committee_limit,
@@ -55,9 +54,13 @@ from .rules import (
 MAX_UNKNOWNS = 8
 
 
-def _check_choice(m: int, chosen: ChoiceSet, k: int) -> None:
+def _check_size(m: int, k: int) -> None:
     if not 1 <= k <= m - 1:
         raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m-1={m - 1}")
+
+
+def _check_choice(m: int, chosen: ChoiceSet, k: int) -> None:
+    _check_size(m, k)
     if not chosen:
         raise ValueError("observed choice set must be non-empty")
     for committee in chosen:
@@ -95,8 +98,7 @@ class Observation:
     @classmethod
     def from_profile(cls, profile: Profile, chosen: ChoiceSet, k: int) -> "Observation":
         """The observation of `profile`, one term per distinct ballot."""
-        _check_choice(profile.m, chosen, k)  # before any mask: k >= m could come with a huge m
-        return cls(profile.m, (1, tuple(sorted(_profile_terms(profile)))), frozenset(chosen), k)
+        return cls(profile.m, (1, tuple(sorted(profile.terms))), frozenset(chosen), k)
 
     @classmethod
     def from_vector(cls, vector: ProfileVector, chosen: ChoiceSet, k: int) -> "Observation":
@@ -489,23 +491,33 @@ _CHOSEN_RE = re.compile(rf"{_COMMITTEE}(?:,{_COMMITTEE})*")
 
 
 def parse_observations(text: str, k: int) -> list[Observation]:
-    """Observations in file order; every error names its line in `text`."""
+    """Observations in file order; every error names its line in `text`.
+
+    A block's `m=` line is read first: k and the committee limit are tested
+    on it before any ballot line becomes a mask, which for candidate
+    19999999999 alone would take 2.5 GB."""
     observations = []
     block: list[str] = []
-    lines: dict[int, dict[str, Ballot]] = {}  # ballot lines checked once per file
+    lines: dict[int, dict[str, int]] = {}  # ballot lines checked and coded once per file
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip().startswith("chosen:"):
             block.append(line)
             continue
+        source = "\n".join(block)
         try:
-            profile = parse_profile("\n".join(block), lines)
+            m = candidate_count(source)
+            try:
+                _check_size(m, k)
+            except ValueError as err:  # at this chosen line, counted within the block
+                raise ProfileFormatError(len(block) + 1, str(err)) from None
+            check_committee_limit(m, k)
+            profile = parse_profile(source, lines)
         except ProfileFormatError as err:  # renumber from the block's first line
             raise ProfileFormatError(line_no - len(block) + err.line_no - 1, err.message) from None
         listed = line.split(":", 1)[1].strip()
         if not _CHOSEN_RE.fullmatch(listed):
             raise ProfileFormatError(line_no, f"invalid chosen line {line.strip()!r}")
         chosen = frozenset(tuple(map(int, item.split(","))) for item in listed[1:-1].split("},{"))
-        check_committee_limit(profile.m, k)  # before any ballot becomes a mask
         try:
             obs = Observation.from_profile(profile, chosen, k)
         except ValueError as err:

@@ -12,12 +12,11 @@ the separating instances for wrong scoring parameters are drawn.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .profiles import Profile, format_profile
+from .profiles import Profile, ballot_mask, format_profile, mask_ballot
 from .verdict import AxiomVerdict, as_choice_fn, fail
 
 
@@ -58,12 +57,15 @@ def detect_party_structure(profile: Profile) -> PartyListStructure | None:
     are completed into singleton parties with count zero, so the parties
     partition the candidate set.
     """
-    counts = Counter(ballot for _, ballot in profile.ballots)
-    covered = frozenset().union(*counts)
-    if sum(map(len, counts)) != len(covered):  # some candidate is on two distinct ballots
-        return None
-    parties = sorted([tuple(sorted(b)) for b in counts] + [(c,) for c in range(profile.m) if c not in covered])
-    return PartyListStructure(tuple(parties), tuple(counts[frozenset(p)] for p in parties))
+    counts = dict(profile.terms)
+    covered = 0
+    for mask in counts:
+        if covered & mask:  # some candidate is on two distinct ballots
+            return None
+        covered |= mask
+    supported = [tuple(sorted(mask_ballot(mask))) for mask in counts]
+    parties = sorted(supported + [(c,) for c in range(profile.m) if not covered >> c & 1])
+    return PartyListStructure(tuple(parties), tuple(counts.get(ballot_mask(p), 0) for p in parties))
 
 
 def require_party_structure(profile: Profile) -> PartyListStructure:
@@ -93,9 +95,9 @@ def _supporters(structure: PartyListStructure, index: int) -> int:
 def _check_party_order(axiom: str, weight, rule, profile: Profile) -> AxiomVerdict:
     """A fully elected party may not weigh strictly less than a party that is
     not fully elected, parties weighed by `weight(structure, index)`."""
-    structure = require_party_structure(profile)
     choose = as_choice_fn(rule)
-    base = choose(profile)
+    base = choose(profile)  # before the structure: a `Rule` meets the committee limit first
+    structure = require_party_structure(profile)
     checked = 0
     for committee in sorted(base):
         members = set(committee)
@@ -150,9 +152,9 @@ replay_party_proportionality = partial(_replay_party_order, PartyListStructure.r
 def check_aversion_unanimous(rule, profile: Profile) -> AxiomVerdict:
     """If one party holds every winning committee, each of its members must
     represent strictly more voters than any other singleton party has."""
-    structure = require_party_structure(profile)
     choose = as_choice_fn(rule)
-    base = choose(profile)
+    base = choose(profile)  # before the structure: a `Rule` meets the committee limit first
+    structure = require_party_structure(profile)
     checked = 0
     for i, party in enumerate(structure.parties):
         if not all(set(w) <= set(party) for w in base):
@@ -203,13 +205,13 @@ def check_msav_threshold(rule, profile: Profile, k: int) -> AxiomVerdict:
     Decidable only on its natural domain: one party large enough to fill the
     committee, all rivals singletons.  Other profiles pass vacuously.
     """
-    structure = require_party_structure(profile)
     choose = as_choice_fn(rule)
+    base = choose(profile)  # before the structure: a `Rule` meets the committee limit first
+    structure = require_party_structure(profile)
     large = [i for i, p in enumerate(structure.parties) if len(p) >= 2]
     if len(large) != 1 or len(structure.parties[large[0]]) < k:
         return AxiomVerdict("msav-threshold", True, None, 0)
     i = large[0]
-    base = choose(profile)
     unanimous = all(set(w) <= set(structure.parties[i]) for w in base)
     threshold = _msav_threshold(structure, i, k)
     if unanimous == threshold:

@@ -1,17 +1,21 @@
 """Data model for approval-based committee elections.
 
-Candidates are the integers 0..m-1.  A ballot is a non-empty frozenset of
-candidate indices, a committee is a sorted tuple of k indices, and a profile
-assigns one ballot to every voter label.  Below the profile a ballot is coded
-as its bitmask, bit c set when it approves candidate c.  Profiles can also be
-viewed as vectors counting how often each of the 2^m - 1 possible ballots
-occurs, keyed by ballot mask; that vector form is the domain on which rules
-extend to rational (even negative) "multiplicities".
+Candidates are the integers 0..m-1.  A ballot is a non-empty set of
+candidates, coded as its bitmask (bit c set when it approves candidate c),
+and a committee is a sorted tuple of k indices.  A profile is the tuple of
+its voters' ballot masks, voter i at position i: a voter permutation
+permutes the tuple, and a disjoint sum concatenates two.  Ballots appear as
+frozensets only at the edge: `Profile.from_ballots`, `Profile.ballot_list`
+and the text format.  Profiles can also be viewed as vectors counting how
+often each of the 2^m - 1 possible ballots occurs, keyed by ballot mask;
+that vector form is the domain on which rules extend to rational (even
+negative) "multiplicities".
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import operator
 from collections import Counter
@@ -32,63 +36,71 @@ class ProfileFormatError(ValueError):
         self.message = message
 
 
-def validate_ballot(ballot: Ballot, m: int) -> None:
-    if not ballot:
-        raise ValueError("ballot must be non-empty")
-    if not all(isinstance(c, int) and 0 <= c < m for c in ballot):
-        raise ValueError(f"ballot {sorted(ballot)} has indices outside 0..{m - 1}")
-
-
 @dataclass(frozen=True)
 class Profile:
-    """An approval profile: candidate count plus (voter label, ballot) pairs.
+    """An approval profile: candidate count plus one ballot mask per voter.
 
-    Voter labels are arbitrary distinct integers; anonymity makes them
-    semantically inert, but they are kept explicit so that voter
-    permutations and disjoint sums are well-defined.
+    Voter i is position i of `masks`.  Anonymity makes positions
+    semantically inert, but they are kept so that voter permutations and
+    disjoint sums are well-defined.
     """
 
     m: int
-    ballots: tuple[tuple[int, Ballot], ...]
-    # the kernel's terms, (ballot bitmask, count) per distinct ballot, counted by
-    # `rules._profile_terms` on first use and kept with the profile
-    _terms: tuple[tuple[int, int], ...] | None = field(default=None, init=False, compare=False, hash=False, repr=False)
+    masks: tuple[int, ...]
+    # the kernel's terms, (mask, count) per distinct ballot: counted from the
+    # masks, in order of first occurrence, unless the builder passes them
+    _terms: tuple[tuple[int, int], ...] | None = field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("need at least 2 candidates")
-        if not self.ballots:
+        if not self.masks:
             raise ValueError("profile must contain at least one ballot")
-        labels, ballots = zip(*self.ballots)
-        if len(set(labels)) != len(labels):
-            raise ValueError("voter labels must be pairwise distinct")
-        for ballot in dict.fromkeys(ballots):  # each distinct ballot once, in order
-            validate_ballot(ballot, self.m)
+        if self._terms is None:
+            object.__setattr__(self, "_terms", tuple(Counter(self.masks).items()))
+        for mask, _ in self._terms:
+            if not (type(mask) is int and 0 < mask and mask.bit_length() <= self.m):  # 0 < mask < 2**m
+                raise ValueError(f"ballot mask {mask!r} out of range for m={self.m}")
 
     @classmethod
     def from_ballots(cls, m: int, ballots) -> "Profile":
-        """Build a profile from an iterable of candidate sets, labelling voters 0,1,2,..."""
-        return cls(m, tuple((i, frozenset(b)) for i, b in enumerate(ballots)))
+        """Build a profile from an iterable of candidate sets, voter i from the i-th."""
+        return cls(m, tuple(map(ballot_mask, ballots)))
 
     @property
     def n_voters(self) -> int:
-        return len(self.ballots)
+        return len(self.masks)
 
-    def labels(self) -> tuple[int, ...]:
-        return tuple(label for label, _ in self.ballots)
+    @property
+    def ballots(self) -> tuple[int, ...]:
+        """The ballot masks again, under the name perfbench's layer tracer counts voters by."""
+        return self.masks
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """(mask, count) per distinct ballot."""
+        return self._terms
 
     def ballot_list(self) -> list[Ballot]:
-        return [ballot for _, ballot in self.ballots]
+        """The voters' ballots as candidate sets, in voter order."""
+        decoded = {mask: mask_ballot(mask) for mask, _ in self._terms}
+        return list(map(decoded.__getitem__, self.masks))
 
-    def relabel(self, mapping: dict[int, int]) -> "Profile":
-        """Apply a voter permutation: voter `label` becomes `mapping[label]`."""
-        return Profile(self.m, tuple((mapping[label], ballot) for label, ballot in self.ballots))
+    def permute_voters(self, mapping: dict[int, int]) -> "Profile":
+        """Apply a voter permutation: voter i becomes voter mapping[i]."""
+        voters = list(range(len(self.masks)))
+        if sorted(mapping) != voters or sorted(mapping.values()) != voters:
+            raise ValueError(f"{mapping} is not a permutation of the voters 0..{len(voters) - 1}")
+        masks = [0] * len(voters)
+        for i, j in mapping.items():
+            masks[j] = self.masks[i]
+        return Profile(self.m, tuple(masks), _terms=self._terms)
 
     def approved_candidates(self) -> frozenset[int]:
-        out: set[int] = set()
-        for _, ballot in self.ballots:
-            out |= ballot
-        return frozenset(out)
+        covered = 0
+        for mask, _ in self._terms:
+            covered |= mask
+        return mask_ballot(covered)
 
 
 @dataclass(frozen=True)
@@ -159,9 +171,14 @@ def ballot_mask(members) -> int:
     return mask
 
 
+def _members(mask: int) -> list[int]:
+    """The candidates of a mask, in increasing order."""
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
 def mask_ballot(mask: int) -> Ballot:
     """Inverse of :func:`ballot_mask`."""
-    return frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
+    return frozenset(_members(mask))
 
 
 def all_ballots(m: int) -> list[Ballot]:
@@ -176,45 +193,33 @@ def all_ballots_profile(m: int) -> Profile:
 
 
 def profile_to_vector(profile: Profile) -> ProfileVector:
-    counts = Counter(ballot for _, ballot in profile.ballots)
-    return ProfileVector.from_dict(profile.m, {ballot_mask(b): n for b, n in counts.items()})
+    return ProfileVector.from_dict(profile.m, dict(profile.terms))
 
 
 def vector_to_profile(vector: ProfileVector) -> Profile:
-    """Materialize a non-negative integer vector as a profile with labels 0,1,2,...,
-    its voters in :func:`all_ballots` order, by size and then members."""
-    decoded = [(mask_ballot(mask), value) for mask, value in vector.entries]
-    ballots: list[Ballot] = []
-    for ballot, value in sorted(decoded, key=lambda entry: (len(entry[0]), sorted(entry[0]))):
+    """Materialize a non-negative integer vector as a profile, its voters in
+    :func:`all_ballots` order, by size and then members."""
+    masks: list[int] = []
+    for mask, value in sorted(vector.entries, key=lambda entry: (entry[0].bit_count(), _members(entry[0]))):
         if value < 0 or value.denominator != 1:
             raise ValueError("only non-negative integer vectors correspond to profiles")
-        ballots.extend([ballot] * int(value))
-    return Profile.from_ballots(vector.m, ballots)
+        masks.extend([mask] * int(value))
+    return Profile(vector.m, tuple(masks))
 
 
-def add_profiles(a: Profile, b: Profile, relabel: bool = False) -> Profile:
-    """Disjoint sum of two profiles over the same candidate set.
-
-    Voter labels must not overlap unless `relabel` is set, in which case b's
-    voters are renamed to fresh labels after a's.
-    """
+def add_profiles(a: Profile, b: Profile) -> Profile:
+    """Disjoint sum of two profiles over the same candidate set: b's voters follow a's."""
     if a.m != b.m:
         raise ValueError("cannot add profiles with different candidate counts")
-    a_labels = set(a.labels())
-    if relabel:
-        start = max(a_labels) + 1
-        b = Profile(b.m, tuple((start + i, ballot) for i, (_, ballot) in enumerate(b.ballots)))
-    elif a_labels & set(b.labels()):
-        raise ValueError("voter labels overlap; pass relabel=True to rename")
-    return Profile(a.m, a.ballots + b.ballots)
+    return Profile(a.m, a.masks + b.masks)
 
 
 def scale_profile(profile: Profile, factor: int) -> Profile:
-    """Profile consisting of `factor` copies of every ballot, freshly labelled."""
+    """Profile consisting of `factor` copies of the voters, one copy after another."""
     if factor < 1:
         raise ValueError("scale factor must be a positive integer")
-    ballots = [ballot for _, ballot in profile.ballots] * factor
-    return Profile.from_ballots(profile.m, ballots)
+    terms = tuple((mask, count * factor) for mask, count in profile.terms)
+    return Profile(profile.m, profile.masks * factor, _terms=terms)
 
 
 def check_permutation(tau: tuple[int, ...], m: int) -> None:
@@ -222,13 +227,21 @@ def check_permutation(tau: tuple[int, ...], m: int) -> None:
         raise ValueError(f"{tau} is not a permutation of 0..{m - 1}")
 
 
+def _renamed(mask: int, tau: tuple[int, ...]) -> int:
+    """The mask of the ballot with each candidate c renamed to tau[c]."""
+    out = 0
+    for c in range(mask.bit_length()):
+        if mask >> c & 1:
+            out |= 1 << tau[c]
+    return out
+
+
 def apply_candidate_permutation(profile: Profile, tau: tuple[int, ...]) -> Profile:
-    """Rename candidate c to tau[c] in every ballot; voter labels are preserved."""
+    """Rename candidate c to tau[c] in every ballot, each distinct ballot once; voters keep their positions."""
     check_permutation(tau, profile.m)
-    return Profile(
-        profile.m,
-        tuple((label, frozenset(tau[c] for c in ballot)) for label, ballot in profile.ballots),
-    )
+    image = {mask: _renamed(mask, tau) for mask, _ in profile.terms}
+    terms = tuple((image[mask], count) for mask, count in profile.terms)
+    return Profile(profile.m, tuple(map(image.__getitem__, profile.masks)), _terms=terms)
 
 
 # The tables for m hold m! - 1 rows of 2^m - 1 entries once built: under
@@ -237,10 +250,10 @@ MAX_CANONICAL_M = 8
 
 
 @functools.cache
-def _ballot_positions(m: int) -> tuple[tuple[Ballot, ...], dict[Ballot, int]]:
-    """:func:`all_ballots` and each ballot's position in it, built once per m."""
-    ballots = tuple(all_ballots(m))
-    return ballots, {ballot: i for i, ballot in enumerate(ballots)}
+def _ballot_positions(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The masks of :func:`all_ballots` and each one's position among them, built once per m."""
+    masks = tuple(map(ballot_mask, all_ballots(m)))
+    return masks, {mask: i for i, mask in enumerate(masks)}
 
 
 @functools.cache
@@ -252,19 +265,19 @@ def ballot_permutation_tables(m: int) -> tuple[tuple[int, ...], ...]:
     """
     if not 2 <= m <= MAX_CANONICAL_M:
         raise ValueError(f"canonical forms need 2 <= m <= {MAX_CANONICAL_M}")
-    ballots, position = _ballot_positions(m)
+    masks, position = _ballot_positions(m)
     perms = itertools.permutations(range(m))
     next(perms)  # the identity
-    return tuple(tuple(position[frozenset(map(tau.__getitem__, b))] for b in ballots) for tau in perms)
+    return tuple(tuple(position[_renamed(mask, tau)] for mask in masks) for tau in perms)
 
 
 def canonical_form(profile: Profile) -> ProfileVector:
-    """Orbit representative under voter relabelling and candidate renaming.
+    """Orbit representative under voter permutation and candidate renaming.
 
     Returns the profile vector whose counts, read in :func:`all_ballots` order,
     are lexicographically least over all m! candidate permutations of the
     anonymized profile.  Two profiles have equal canonical forms iff they
-    differ only by voter labels and candidate names.
+    differ only by the order of their voters and candidate names.
 
     For multisets of equal size, count vector A is lexicographically less
     than count vector B exactly when the sorted tuple of A's ballot positions
@@ -276,10 +289,10 @@ def canonical_form(profile: Profile) -> ProfileVector:
     voter and a sort.  m is capped at MAX_CANONICAL_M.
     """
     tables = ballot_permutation_tables(profile.m)
-    ballots, position = _ballot_positions(profile.m)
-    combo = sorted(position[ballot] for _, ballot in profile.ballots)
+    masks, position = _ballot_positions(profile.m)
+    combo = sorted(map(position.__getitem__, profile.masks))
     best = max([combo, *(sorted(map(table.__getitem__, combo)) for table in tables)])
-    return ProfileVector.from_dict(profile.m, Counter(ballot_mask(ballots[i]) for i in best))
+    return ProfileVector.from_dict(profile.m, Counter(masks[i] for i in best))
 
 
 # ---------------------------------------------------------------------------
@@ -289,64 +302,97 @@ def canonical_form(profile: Profile) -> ProfileVector:
 # are skipped.  The first non-comment line is `m=<int>`; every further
 # non-blank line is one voter's ballot as strictly increasing space-separated
 # 0-based candidate indices.  Numbers are plain ASCII digits (no sign, no
-# underscores).  Multiplicity by repetition; voter labels are assigned
-# 0,1,2,... in file order.
+# underscores).  Multiplicity by repetition; voters are numbered 0,1,2,... in
+# file order.
 # ---------------------------------------------------------------------------
 
 
-def parse_profile(text: str, lines: dict[int, dict[str, Ballot]] | None = None) -> Profile:
-    """The profile in `text`.  Each distinct ballot line is checked once; pass the
-    same `lines` to every block of one file to share those checks among them:
-    it maps each candidate count to its stripped ballot lines and their ballots,
-    since whether a line is valid depends on m."""
-    m: int | None = None
-    ballots: list[Ballot] = []
-    parsed: dict[str, Ballot] = {}  # stripped line -> its ballot
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if m is None:
-            if not line.startswith("m="):
-                raise ProfileFormatError(line_no, "expected 'm=<int>' before any ballot line")
-            count = line[2:].strip()
-            if not (count.isascii() and count.isdigit()):
-                raise ProfileFormatError(line_no, f"invalid candidate count {line[2:]!r}")
-            m = int(count)
-            if m < 2:
-                raise ProfileFormatError(line_no, "candidate count must be at least 2")
-            if lines is not None:
-                parsed = lines.setdefault(m, parsed)
-            continue
-        ballot = parsed.get(line)
-        if ballot is not None:
-            ballots.append(ballot)
-            continue
-        tokens = line.split()
-        # int() alone would also take "+1", "1_0" and non-ASCII digits
-        if not (line.isascii() and "".join(tokens).isdigit()):
-            raise ProfileFormatError(line_no, f"invalid ballot line {line!r}")
-        indices = list(map(int, tokens))
-        if not indices:
-            raise ProfileFormatError(line_no, "empty ballot")
-        if not all(map(operator.lt, indices, indices[1:])):
-            raise ProfileFormatError(line_no, "ballot indices must be strictly increasing")
-        if indices[0] < 0 or indices[-1] >= m:
-            raise ProfileFormatError(line_no, f"ballot indices must lie in 0..{m - 1}")
-        ballots.append(parsed.setdefault(line, frozenset(indices)))
-    if m is None:
+def _header(rows) -> tuple[int, int]:
+    """(rows read, m) from the stripped rows of profile text, up to its `m=` line."""
+    for line_no, line in enumerate(rows, start=1):
+        if line and not line.startswith("#"):
+            break
+    else:
         raise ProfileFormatError(1, "missing 'm=<int>' line")
-    if not ballots:
+    if not line.startswith("m="):
+        raise ProfileFormatError(line_no, "expected 'm=<int>' before any ballot line")
+    count = line[2:].strip()
+    if not (count.isascii() and count.isdigit()):
+        raise ProfileFormatError(line_no, f"invalid candidate count {line[2:]!r}")
+    m = int(count)
+    if m < 2:
+        raise ProfileFormatError(line_no, "candidate count must be at least 2")
+    return line_no, m
+
+
+def candidate_count(text: str) -> int:
+    """The m of profile text, read no further than its `m=` line; errors as in
+    :func:`parse_profile`."""
+    return _header(map(str.strip, io.StringIO(text)))[1]
+
+
+def _indices(line: str, m: int) -> list[int]:
+    """The candidate indices of one stripped ballot line, checked."""
+    tokens = line.split()
+    # int() alone would also take "+1", "1_0" and non-ASCII digits
+    if not (line.isascii() and "".join(tokens).isdigit()):
+        raise ValueError(f"invalid ballot line {line!r}")
+    indices = list(map(int, tokens))
+    if not all(map(operator.lt, indices, indices[1:])):
+        raise ValueError("ballot indices must be strictly increasing")
+    if indices[-1] >= m:
+        raise ValueError(f"ballot indices must lie in 0..{m - 1}")
+    return indices
+
+
+def _read_ballots(text: str, code, lines: dict | None = None):
+    """(m, ballot lines in file order, line -> code(its indices), code -> count).
+
+    The lines are stripped and counted, and each distinct line is checked and
+    coded once, in file order, so the first bad line is reported where it
+    first occurs.  `lines` maps each m to the lines coded so far, since
+    whether a line is valid depends on m."""
+    rows = list(map(str.strip, text.split("\n")))
+    start, m = _header(rows)
+    body = [line for line in rows[start:] if line and line[0] != "#"]
+    if not body:
         raise ProfileFormatError(1, "profile contains no ballots")
-    return Profile.from_ballots(m, ballots)
+    coded = {} if lines is None else lines.setdefault(m, {})
+    totals: dict = {}
+    for line, count in Counter(body).items():
+        key = coded.get(line)
+        if key is None:
+            try:
+                key = coded[line] = code(_indices(line, m))
+            except ValueError as err:
+                raise ProfileFormatError(rows.index(line, start) + 1, str(err)) from None
+        totals[key] = totals.get(key, 0) + count
+    return m, body, coded, totals
+
+
+def parse_profile(text: str, lines: dict[int, dict[str, int]] | None = None) -> Profile:
+    """The profile in `text`.  Each distinct ballot line is checked and coded to
+    its mask once, and the kernel's terms come from the line counts; pass the
+    same `lines` to every block of one file to share those checks among them:
+    it maps each candidate count to its stripped ballot lines and their masks."""
+    m, body, coded, totals = _read_ballots(text, ballot_mask, lines)
+    return Profile(m, tuple(map(coded.__getitem__, body)), _terms=tuple(totals.items()))
+
+
+def parse_ballot_counts(text: str) -> tuple[int, dict[Ballot, int]]:
+    """m and the count of each distinct ballot of profile text, as candidate sets,
+    with no mask built: a mask is as wide as its largest candidate, so candidate
+    19999999999 alone would take 2.5 GB.  Errors as in :func:`parse_profile`."""
+    m, _, _, totals = _read_ballots(text, frozenset)
+    return m, totals
 
 
 def format_profile(profile: Profile, comments: list[str] | None = None) -> str:
-    """Render a profile in the text format (ballots in voter-label order)."""
+    """Render a profile in the text format, voters in order."""
     lines = [f"# {c}" for c in comments or []]
     lines.append(f"m={profile.m}")
-    for _, ballot in sorted(profile.ballots):
-        lines.append(" ".join(str(c) for c in sorted(ballot)))
+    rendered = {mask: " ".join(map(str, _members(mask))) for mask, _ in profile.terms}
+    lines.extend(map(rendered.__getitem__, profile.masks))
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,6 @@ identities like harmonic sums come out exactly.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,12 +20,14 @@ from math import comb, lcm
 from operator import sub
 
 from .profiles import (
+    Ballot,
     ChoiceSet,
     Committee,
     Profile,
     ProfileVector,
     ballot_mask,
     enumerate_committees,
+    mask_ballot,
 )
 
 # Most committees, C(m, k), that any scoring entry point enumerates, and most
@@ -340,17 +341,6 @@ def _int_table(rule: Rule, m: int) -> _IntTable:
     return table
 
 
-def _profile_terms(profile: Profile) -> tuple[tuple[int, int], ...]:
-    """Distinct ballots of a profile as (mask, multiplicity), counted on the
-    profile's first scoring and kept on it for every later one."""
-    terms = profile._terms
-    if terms is None:
-        counts = Counter(ballot for _, ballot in profile.ballots)
-        terms = tuple((ballot_mask(ballot), count) for ballot, count in counts.items())
-        object.__setattr__(profile, "_terms", terms)  # the profile is frozen; the field is not compared
-    return terms
-
-
 def _vector_terms(vector: ProfileVector) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(L, terms): the entries as (mask, entry * L) in mask order, L the lcm of their denominators."""
     scale = lcm(*(value.denominator for _, value in vector.entries))
@@ -462,11 +452,6 @@ def _scores(rule: Rule, m: int, terms: Sequence[tuple[int, int]], weight_scale: 
     return committees, scale * weight_scale, scores
 
 
-def _profile_scores(rule: Rule, profile: Profile) -> tuple[tuple[Committee, ...], int, list[int]]:
-    check_committee_limit(profile.m, rule.k)  # before any ballot becomes a mask
-    return _scores(rule, profile.m, _profile_terms(profile))
-
-
 def _vector_scores(rule: Rule, vector: ProfileVector, k: int) -> tuple[tuple[Committee, ...], int, list[int]]:
     if k != rule.k:
         raise ValueError(f"requested k={k} does not match rule k={rule.k}")
@@ -478,8 +463,8 @@ def _pair_scores(rule: Rule, a: Profile, b: Profile) -> tuple[tuple[Committee, .
     """(committees, scores of a, scores of b), both on the table's one integer scale."""
     if a.m != b.m:
         raise ValueError("profiles must share the candidate count")
-    committees, _, scores_a = _profile_scores(rule, a)
-    return committees, scores_a, _profile_scores(rule, b)[2]
+    committees, _, scores_a = _scores(rule, a.m, a.terms)
+    return committees, scores_a, _scores(rule, b.m, b.terms)[2]
 
 
 def _argmax(committees: tuple[Committee, ...], scores: list[int]) -> ChoiceSet:
@@ -487,39 +472,49 @@ def _argmax(committees: tuple[Committee, ...], scores: list[int]) -> ChoiceSet:
     return frozenset(w for w, score in zip(committees, scores) if score == best)
 
 
+def check_committee(members: frozenset[int], k: int, m: int) -> None:
+    """Refuse a committee that does not have k members, all among the m candidates."""
+    if len(members) != k:
+        raise ValueError(f"committee size {len(members)} does not match rule k={k}")
+    if not all(isinstance(c, int) and 0 <= c < m for c in members):
+        raise ValueError(f"committee {sorted(members)} has candidates outside 0..{m - 1}")
+
+
 def committee_score(rule: Rule, profile: Profile, committee: Committee | frozenset[int]) -> Fraction:
     """Exact total score of one committee: sum over voters of s(|A_i ∩ W|, |A_i|)."""
-    _check_dimensions(rule, profile.m)
+    return ballots_score(rule, profile.m, {mask_ballot(mask): count for mask, count in profile.terms}, committee)
+
+
+def ballots_score(rule: Rule, m: int, counts: dict[Ballot, int], committee: Committee | frozenset[int]) -> Fraction:
+    """:func:`committee_score` on the count of each distinct ballot, as candidate
+    sets, over m candidates.  The candidates that occur are renamed 0, 1, ...
+    before any mask is built: a mask is then as wide as their count, not as the
+    largest index, and every ballot keeps its size."""
+    _check_dimensions(rule, m)
     members = frozenset(committee)
-    if len(members) != rule.k:
-        raise ValueError(f"committee size {len(members)} does not match rule k={rule.k}")
-    if not all(isinstance(c, int) and 0 <= c < profile.m for c in members):
-        raise ValueError(f"committee {sorted(members)} has candidates outside 0..{profile.m - 1}")
-    counts = Counter(ballot for _, ballot in profile.ballots)
-    # rename the candidates that occur to 0, 1, ...: a mask is then as wide as
-    # their count, not as the largest index, and every ballot keeps its size
+    check_committee(members, rule.k, m)
     dense = {c: i for i, c in enumerate(members.union(*counts))}
     terms = [(ballot_mask(map(dense.__getitem__, ballot)), count) for ballot, count in counts.items()]
     pool = sorted(map(dense.__getitem__, members))
-    scale, (score,) = _kernel(rule, profile.m, terms, pool, (ballot_mask(pool),))
+    scale, (score,) = _kernel(rule, m, terms, pool, (ballot_mask(pool),))
     return Fraction(score, scale)
 
 
 def committee_scores(rule: Rule, profile: Profile) -> list[tuple[Committee, Fraction]]:
     """Scores of all committees, in enumeration order."""
-    committees, scale, scores = _profile_scores(rule, profile)
+    committees, scale, scores = _scores(rule, profile.m, profile.terms)
     return [(w, Fraction(score, scale)) for w, score in zip(committees, scores)]
 
 
 def winners(rule: Rule, profile: Profile) -> ChoiceSet:
     """The full argmax set of committees; never empty, no tie-breaking."""
-    committees, _, scores = _profile_scores(rule, profile)
+    committees, _, scores = _scores(rule, profile.m, profile.terms)
     return _argmax(committees, scores)
 
 
 def winners_and_score(rule: Rule, profile: Profile) -> tuple[ChoiceSet, Fraction]:
     """The full argmax set of committees and their exact common score, from one scoring."""
-    committees, scale, scores = _profile_scores(rule, profile)
+    committees, scale, scores = _scores(rule, profile.m, profile.terms)
     return _argmax(committees, scores), Fraction(max(scores), scale)
 
 
@@ -584,7 +579,7 @@ def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee)
     _, masks = _committee_masks(profile.m, rule.k)
     own = ballot_mask(committee)
     totals = [0] * len(masks)
-    for ballot, weight in _profile_terms(profile):
+    for ballot, weight in profile.terms:
         kept, droppable = ballot & own, ballot & ~own
         least = None
         dropped = droppable  # every subset of the droppable members, all of them first

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 from . import axioms
 from .axioms import Axiom, AxiomVerdict, CheckOptions, replay
-from .profiles import ChoiceSet, Committee, Profile, all_ballots, ballot_permutation_tables
+from .profiles import ChoiceSet, Committee, Profile, all_ballots, ballot_mask, ballot_permutation_tables
 from .rules import named_rule
 
 MAX_SEARCH_M = 6
@@ -82,7 +82,7 @@ def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profi
     if canonical and (m, n) in _kept:
         yield from _kept[m, n]
         return
-    ballots = all_ballots(m)
+    ballots = [ballot_mask(ballot) for ballot in all_ballots(m)]
     tables = ballot_permutation_tables(m) if canonical else ()
     # every orbit holds at most m! multisets, so more than MAX_KEPT_PROFILES * m!
     # multisets make more representatives than are kept: collect none of them
@@ -92,7 +92,7 @@ def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profi
         combo_list = list(combo)
         if any(sorted(map(table.__getitem__, combo)) > combo_list for table in tables):
             continue
-        profile = Profile.from_ballots(m, [ballots[i] for i in combo])
+        profile = Profile(m, tuple(map(ballots.__getitem__, combo)))
         if keep:
             walked.append(profile)
             if len(walked) > MAX_KEPT_PROFILES:
@@ -123,9 +123,10 @@ def min_approval_rule(k: int):
 
     def choose(profile: Profile) -> ChoiceSet:
         tallies = [0] * profile.m
-        for _, ballot in profile.ballots:
-            for c in ballot:
-                tallies[c] += 1
+        for mask, count in profile.terms:
+            for c in range(mask.bit_length()):
+                if mask >> c & 1:
+                    tallies[c] += count
         best: int | None = None
         arg: list[Committee] = []
         for committee in itertools.combinations(range(profile.m), k):
@@ -195,12 +196,11 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     be, and then a violation outside the representatives goes unseen.
 
     What does not depend on the rule is reused within the process: a space
-    walked to the end is kept (see :func:`enumerate_profiles`), and a
-    profile's kernel terms are counted on its first scoring and kept on it,
-    so later searches, other k and every checker call on a kept profile pay
-    for neither again.  A search that stops at a witness keeps nothing of
-    the space it stopped in, and the first search in a process walks every
-    space it reaches.
+    walked to the end is kept (see :func:`enumerate_profiles`) with each
+    profile's kernel terms, counted when it was built, so later searches,
+    other k and every checker call on a kept profile pay for neither again.
+    A search that stops at a witness keeps nothing of the space it stopped
+    in, and the first search in a process walks every space it reaches.
     """
     spec = axioms.lookup(axiom)
     factory = library_factory(rule) if isinstance(rule, str) else rule
@@ -290,9 +290,7 @@ def _witness_summary(verdict: AxiomVerdict) -> str:
     witness = verdict.witness or {}
     for key in ("profile", "joint", "left"):
         if key in witness:
-            ballots = ";".join(
-                ",".join(str(c) for c in sorted(ballot)) for _, ballot in witness[key].ballots
-            )
+            ballots = ";".join(",".join(map(str, sorted(ballot))) for ballot in witness[key].ballot_list())
             return f"witness ballots [{ballots}]"
     return "witness found"
 

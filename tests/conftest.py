@@ -48,6 +48,11 @@ def oracle_ballot(mask, m):
     return frozenset(c for c in range(m) if mask >> c & 1)
 
 
+def oracle_ballots(profile):
+    """The voters' ballots of a profile, each mask decoded bit by bit."""
+    return [oracle_ballot(mask, profile.m) for mask in profile.masks]
+
+
 def oracle_canonical_form(profile):
     """The lexicographically least dense count vector, in `all_subsets_nonempty`
     order, over all m! candidate renamings of the profile, each renaming built
@@ -55,7 +60,7 @@ def oracle_canonical_form(profile):
     ballots = all_subsets_nonempty(profile.m)
     best = None
     for tau in itertools.permutations(range(profile.m)):
-        counts = Counter(frozenset(tau[c] for c in ballot) for _, ballot in profile.ballots)
+        counts = Counter(frozenset(tau[c] for c in ballot) for ballot in oracle_ballots(profile))
         dense = tuple(counts[ballot] for ballot in ballots)
         if best is None or dense < best:
             best = dense
@@ -76,7 +81,7 @@ def oracle_scores(score_fn, weighted_ballots, m, k):
 
 
 def oracle_profile_scores(score_fn, profile, k):
-    return oracle_scores(score_fn, [(ballot, 1) for _, ballot in profile.ballots], profile.m, k)
+    return oracle_scores(score_fn, [(ballot, 1) for ballot in oracle_ballots(profile)], profile.m, k)
 
 
 def oracle_vector_scores(score_fn, vector, k):

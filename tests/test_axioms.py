@@ -57,10 +57,10 @@ def random_profile(rng, m, max_n=4):
 
 
 def dictator_rule(k):
-    """First (lowest-label) voter's ballot decides; violates anonymity."""
+    """The first voter's ballot decides; violates anonymity."""
 
     def choose(profile):
-        _, ballot = min(profile.ballots)
+        ballot = profile.ballot_list()[0]
         best, arg = -1, []
         from itertools import combinations
 

@@ -230,6 +230,16 @@ class TestScore:
         assert out is not None, "score at m = 20000000000 did not exit within 10 s"
         assert (out.returncode, out.stdout) == (0, "{0}  score 2\n")
 
+    def test_committee_is_read_before_the_rule(self, tmp_path):
+        # PAV at k = 100,000 builds 100,001 harmonic numbers, which ran past 5 s; a
+        # one-member committee is refused before the rule is built
+        path = tmp_path / "huge.abc"
+        path.write_text("m=20000000000\n0 1\n0\n2\n")
+        argv = ["score", "--rule", "pav", "--k", "100000", "--profile", str(path), "--committee", "0"]
+        out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
+        assert out is not None, "score at k = 100000 did not exit within 10 s"
+        assert (out.returncode, out.stderr) == (2, "error: committee size 1 does not match rule k=100000\n")
+
     @pytest.mark.parametrize(
         "ballots, rule, committee, expected",
         [

@@ -29,6 +29,7 @@ from abcvote.verdict import as_choice_fn
 
 from conftest import (
     oracle_argmax,
+    oracle_ballots,
     oracle_profile_scores,
     oracle_scores,
     oracle_vector_scores,
@@ -223,7 +224,7 @@ def test_vector_scores_match_oracle(instance):
 @given(pair_instances())
 def test_scaled_pair_winners_match_oracle(instance):
     rule, a, b, lam = instance
-    weighted = [(ballot, lam) for _, ballot in a.ballots] + [(ballot, 1) for _, ballot in b.ballots]
+    weighted = [(ballot, lam) for ballot in oracle_ballots(a)] + [(ballot, 1) for ballot in oracle_ballots(b)]
     expected = oracle_argmax(oracle_scores(rule.score, weighted, a.m, rule.k))
     assert scaled_pair_winners(rule, a, b, lam) == expected
 
@@ -243,7 +244,7 @@ def test_continuity_bound_matches_oracle(instance):
     bound = continuity_lambda_bound(rule, a, b)
     assert bound == expected
     # soundness: from the bound on, lambda*a + b elects only winners of a
-    weighted = [(ballot, bound) for _, ballot in a.ballots] + [(ballot, 1) for _, ballot in b.ballots]
+    weighted = [(ballot, bound) for ballot in oracle_ballots(a)] + [(ballot, 1) for ballot in oracle_ballots(b)]
     chosen = oracle_argmax(oracle_scores(rule.score, weighted, a.m, rule.k))
     assert chosen <= oracle_winners(rule.score, a, rule.k)
 
@@ -255,7 +256,7 @@ def test_min_continuity_lambda_matches_generic_path_and_oracle(instance, cap):
     target = oracle_winners(rule.score, a, rule.k)
     expected = None
     for lam in range(1, cap + 1):
-        weighted = [(ballot, lam) for _, ballot in a.ballots] + [(ballot, 1) for _, ballot in b.ballots]
+        weighted = [(ballot, lam) for ballot in oracle_ballots(a)] + [(ballot, 1) for ballot in oracle_ballots(b)]
         if oracle_argmax(oracle_scores(rule.score, weighted, a.m, rule.k)) <= target:
             expected = lam
             break

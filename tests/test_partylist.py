@@ -1,8 +1,12 @@
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from abcvote import partylist
 from abcvote.axioms import replay
 from abcvote.partylist import (
     NotPartyListError,
@@ -31,6 +35,34 @@ def party_list_grid(m_max=4, n_max=4):
             for profile in enumerate_profiles(m, n):
                 if detect_party_structure(profile) is not None:
                     yield profile
+
+
+HUGE_M_CHECK = """
+import resource, sys
+sys.path.insert(0, {src!r})
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from abcvote import partylist
+from abcvote.profiles import Profile
+from abcvote.rules import named_rule
+m = 20_000_000_000
+try:
+    partylist.{check}(named_rule("av", 1, m), Profile.from_ballots(m, [{{0, 1}}, {{0, 1}}, {{2}}]), *{extra!r})
+except ValueError as err:
+    print(err)
+"""
+
+
+@pytest.mark.parametrize(
+    "check", ["check_excellence", "check_party_proportionality", "check_aversion_unanimous", "check_msav_threshold"]
+)
+def test_rule_at_huge_m_meets_the_committee_limit_first(check):
+    # the structure lists every candidate nobody approves as a singleton party, 2 * 10**10
+    # of them here, which died of a MemoryError; the choice set is computed first
+    src = str(Path(partylist.__file__).resolve().parents[1])
+    extra = (1,) if check == "check_msav_threshold" else ()
+    code = HUGE_M_CHECK.format(src=src, limit=2_000_000 * 1024, check=check, extra=extra)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert (out.returncode, out.stdout) == (0, "C(20000000000,1) committees exceed the enumeration limit 200000\n")
 
 
 class TestDetection:

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcvote.profiles import (
     Profile,
@@ -23,7 +26,7 @@ from abcvote.profiles import (
     vector_to_profile,
 )
 
-from conftest import all_subsets_nonempty
+from conftest import all_subsets_nonempty, oracle_ballot, oracle_ballots, oracle_mask
 
 
 def fs(*xs):
@@ -92,6 +95,85 @@ class TestBallotMasks:
             ProfileVector(3, ((0b100, Fraction(1)), (0b011, Fraction(1))))
 
 
+@st.composite
+def profiles(draw):
+    """Profiles of up to 8 voters over 2-6 candidates, voters drawn from a few distinct ballots."""
+    m = draw(st.integers(2, 6))
+    pool = draw(st.lists(st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=4))
+    return Profile.from_ballots(m, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+
+
+class TestProfile:
+    """A profile is one ballot mask per voter; the frozenset views are decoded from it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(profiles())
+    def test_text_round_trip(self, profile):
+        again = parse_profile(format_profile(profile))
+        assert again == profile and again.terms == profile.terms
+
+    @settings(max_examples=150, deadline=None)
+    @given(profiles(), st.data())
+    def test_terms_count_the_decoded_ballots_in_order_of_first_occurrence(self, profile, data):
+        # the parsed profile's terms come from its line counts; spacing that differs
+        # between copies of one ballot must not split its term
+        lines = [" ".join(map(str, sorted(ballot))) for ballot in oracle_ballots(profile)]
+        spaced = [data.draw(st.sampled_from([line, f" {line}", line.replace(" ", "  ")])) for line in lines]
+        for built in (profile, parse_profile("m=%d\n%s\n" % (profile.m, "\n".join(spaced)))):
+            decoded = [(oracle_ballot(mask, built.m), count) for mask, count in built.terms]
+            voters = oracle_ballots(built)
+            assert decoded == list(Counter(voters).items())
+            assert built.ballot_list() == voters
+
+    @pytest.mark.parametrize(
+        "m, masks, message",
+        [
+            (3, (0b001, 0), "ballot mask 0 out of range for m=3"),
+            (3, (0b1000,), "ballot mask 8 out of range for m=3"),
+            (3, (0b111, 2**70), f"ballot mask {2**70} out of range for m=3"),
+            (3, (), "profile must contain at least one ballot"),
+            (1, (0b1,), "need at least 2 candidates"),
+        ],
+    )
+    def test_constructor_rejects(self, m, masks, message):
+        with pytest.raises(ValueError) as err:
+            Profile(m, masks)
+        assert str(err.value) == message
+
+    def test_full_ballot_is_the_widest_mask(self):
+        assert Profile(3, (0b111, 0b001)).ballot_list() == [fs(0, 1, 2), fs(0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles(), st.data())
+    def test_voter_permutation_moves_each_ballot(self, profile, data):
+        image = data.draw(st.permutations(range(profile.n_voters)))
+        mapping = dict(enumerate(image))
+        permuted = profile.permute_voters(mapping)
+        expected = [None] * profile.n_voters
+        for voter, ballot in enumerate(oracle_ballots(profile)):
+            expected[mapping[voter]] = ballot
+        assert oracle_ballots(permuted) == expected
+        assert Counter(permuted.terms) == Counter(profile.terms)
+
+    def test_voter_permutation_must_be_one(self):
+        profile = Profile.from_ballots(3, [fs(0), fs(1)])
+        for mapping in ({0: 1, 1: 1}, {0: 0}, {0: 1, 1: 2}):
+            with pytest.raises(ValueError, match="not a permutation of the voters"):
+                profile.permute_voters(mapping)
+
+    @settings(max_examples=100, deadline=None)
+    @given(profiles(), st.data())
+    def test_disjoint_sum_concatenates_the_voters(self, a, data):
+        b = data.draw(profiles().filter(lambda p: p.m == a.m))
+        total = add_profiles(a, b)
+        assert oracle_ballots(total) == oracle_ballots(a) + oracle_ballots(b)
+        assert Counter(dict(total.terms)) == Counter(dict(a.terms)) + Counter(dict(b.terms))
+
+    def test_from_ballots_codes_each_voter(self):
+        profile = Profile.from_ballots(4, [fs(0, 3), fs(2), fs(0, 3)])
+        assert profile.masks == tuple(map(oracle_mask, [fs(0, 3), fs(2), fs(0, 3)]))
+
+
 class TestProfileVector:
     def test_direct_count(self):
         profile = Profile.from_ballots(2, [fs(0), fs(0), fs(0, 1)])
@@ -132,34 +214,33 @@ class TestProfileVector:
 
 class TestProfileAlgebra:
     def test_disjoint_sum(self):
-        a = Profile(2, ((0, fs(0)),))
-        b = Profile(2, ((1, fs(1)),))
+        a = Profile(2, (0b01,))
+        b = Profile(2, (0b10,))
         total = add_profiles(a, b)
         assert total.n_voters == 2
         assert profile_to_vector(total).as_dict() == {0b01: 1, 0b10: 1}
 
-    def test_doubling_with_relabel(self):
+    def test_doubling(self):
         a = Profile.from_ballots(3, [fs(0, 1), fs(2)])
-        doubled = add_profiles(a, a, relabel=True)
+        doubled = add_profiles(a, a)
         assert profile_to_vector(doubled) == profile_to_vector(a).scale(2)
 
-    def test_overlap_without_flag_is_error(self):
-        a = Profile.from_ballots(2, [fs(0)])
+    def test_different_candidate_counts_are_an_error(self):
         with pytest.raises(ValueError):
-            add_profiles(a, a)
+            add_profiles(Profile.from_ballots(2, [fs(0)]), Profile.from_ballots(3, [fs(0)]))
 
     def test_vector_additivity(self):
         rng = random.Random(9)
         for _ in range(30):
             m = rng.randint(2, 5)
             a, b = random_profile(rng, m), random_profile(rng, m)
-            total = add_profiles(a, b, relabel=True)
+            total = add_profiles(a, b)
             assert profile_to_vector(total) == profile_to_vector(a) + profile_to_vector(b)
 
     def test_scale_three_copies(self):
         scaled = scale_profile(Profile.from_ballots(2, [fs(0, 1)]), 3)
         assert scaled.ballot_list() == [fs(0, 1)] * 3
-        assert scaled.labels() == (0, 1, 2)
+        assert scaled.n_voters == 3
 
     def test_scale_identity(self):
         a = Profile.from_ballots(3, [fs(0), fs(1, 2)])
@@ -181,7 +262,6 @@ class TestCandidatePermutation:
         profile = Profile.from_ballots(2, [fs(0), fs(0, 1)])
         swapped = apply_candidate_permutation(profile, (1, 0))
         assert swapped.ballot_list() == [fs(1), fs(0, 1)]
-        assert swapped.labels() == profile.labels()
 
     def test_identity(self):
         profile = Profile.from_ballots(3, [fs(0, 2)])
@@ -212,7 +292,7 @@ class TestCanonicalForm:
         profile = Profile.from_ballots(2, [fs(0), fs(1)])
         assert canonical_form(profile) == profile_to_vector(profile)
 
-    def test_invariance_under_relabel_and_rename(self):
+    def test_invariance_under_voter_permutation_and_rename(self):
         rng = random.Random(11)
         for _ in range(25):
             m = rng.randint(2, 5)
@@ -220,10 +300,10 @@ class TestCanonicalForm:
             tau = list(range(m))
             rng.shuffle(tau)
             renamed = apply_candidate_permutation(profile, tuple(tau))
-            shuffled_labels = list(renamed.labels())
-            rng.shuffle(shuffled_labels)
-            mapping = dict(zip(renamed.labels(), shuffled_labels))
-            assert canonical_form(renamed.relabel(mapping)) == canonical_form(profile)
+            image = list(range(renamed.n_voters))
+            rng.shuffle(image)
+            mapping = dict(enumerate(image))
+            assert canonical_form(renamed.permute_voters(mapping)) == canonical_form(profile)
 
 
 class TestTextFormat:
@@ -232,7 +312,7 @@ class TestTextFormat:
         profile = parse_profile(text)
         assert profile.m == 4
         assert profile.ballot_list() == [fs(0, 1), fs(0, 1), fs(2)]
-        assert profile.labels() == (0, 1, 2)
+        assert profile.masks == (0b11, 0b11, 0b100)
 
     def test_round_trip(self):
         rng = random.Random(12)
@@ -249,6 +329,23 @@ class TestTextFormat:
     def test_out_of_range_rejected(self):
         with pytest.raises(ProfileFormatError):
             parse_profile("m=2\n0 2\n")
+
+    def test_first_bad_line_in_file_order_is_reported(self):
+        # two distinct bad lines after 200 copies of a good one, each repeated: the
+        # earlier one is reported at its first occurrence
+        text = "m=3\n" + "0 1\n" * 200 + "2 1\n" + "0 5\n" + "2 1\n" + "0 5\n"
+        with pytest.raises(ProfileFormatError) as err:
+            parse_profile(text)
+        assert (err.value.line_no, err.value.message) == (202, "ballot indices must be strictly increasing")
+        with pytest.raises(ProfileFormatError) as err:
+            parse_profile(text.replace("2 1\n", "0 1\n"))
+        assert (err.value.line_no, err.value.message) == (203, "ballot indices must lie in 0..2")
+
+    def test_bad_header_beats_any_body_error(self):
+        for header in ("m=1", "m=x", "0 1"):
+            with pytest.raises(ProfileFormatError) as err:
+                parse_profile(f"# c\n{header}\n0 0\n+1\n")
+            assert err.value.line_no == 2
 
     def test_malformed_line_after_repeats_names_its_own_line(self):
         # each distinct line is checked once; a bad one is reported where it first occurs

@@ -170,14 +170,11 @@ class TestWinners:
                         for rule in library_rules(m, k):
                             assert winners(rule, profile)
 
-    def test_enumeration_cap(self, monkeypatch):
-        # C(24, 12) = 2,704,156 committees: rejected before any is built, and
-        # before any ballot becomes a mask, which at a huge m can take gigabytes
-        # (a vector's entries are masks already)
+    def test_enumeration_cap(self):
+        # C(24, 12) = 2,704,156 committees: rejected before any is built
         profile = Profile.from_ballots(24, [fs(0)])
         rule = named_rule("av", 12, 24)
         cached = rules._committee_masks.cache_info().currsize
-        monkeypatch.setattr(rules, "_profile_terms", lambda *args: pytest.fail("terms built over the committee limit"))
         with pytest.raises(ValueError, match="enumeration limit"):
             winners(rule, profile)
         with pytest.raises(ValueError, match="enumeration limit"):
@@ -293,14 +290,14 @@ class TestWinners:
             profile = Profile.from_ballots(
                 m, [rng.choice(all_ballots(m)) for _ in range(rng.randint(1, 3))]
             )
-            padded = add_profiles(profile, Profile.from_ballots(m, [fs(*range(m))]), relabel=True)
+            padded = add_profiles(profile, Profile.from_ballots(m, [fs(*range(m))]))
             for rule in library_rules(m, k):
                 assert winners(rule, profile) == winners(rule, padded)
 
     def test_consistency_by_construction(self):
         for a in raw_profiles(3, 2):
             for b in raw_profiles(3, 2):
-                joint = add_profiles(a, b, relabel=True)
+                joint = add_profiles(a, b)
                 for k in (1, 2):
                     for rule in library_rules(3, k):
                         wa, wb = winners(rule, a), winners(rule, b)
@@ -315,46 +312,39 @@ class TestWinners:
             profile = Profile.from_ballots(
                 m, [rng.choice(all_ballots(m)) for _ in range(rng.randint(1, 4))]
             )
-            labels = list(profile.labels())
-            shuffled = labels[:]
-            rng.shuffle(shuffled)
-            relabelled = profile.relabel(dict(zip(labels, shuffled)))
+            image = list(range(profile.n_voters))
+            rng.shuffle(image)
+            permuted = profile.permute_voters(dict(enumerate(image)))
             tau = list(range(m))
             rng.shuffle(tau)
             tau = tuple(tau)
             renamed = apply_candidate_permutation(profile, tau)
             for rule in library_rules(m, k):
                 base = winners(rule, profile)
-                assert winners(rule, relabelled) == base
+                assert winners(rule, permuted) == base
                 image = frozenset(tuple(sorted(tau[c] for c in w)) for w in base)
                 assert winners(rule, renamed) == image
 
 
 class TestProfileTerms:
-    """A profile's kernel terms are counted once and kept on it, outside its value."""
+    """A profile's kernel terms are counted when it is built and kept on it, outside its value."""
 
     def test_kept_terms_equal_a_fresh_count(self):
         for m in (2, 3, 4):
             for n in (1, 2, 3):
                 for profile in raw_profiles(m, n):
-                    counts = Counter(ballot for _, ballot in profile.ballots)
-                    expected = tuple((sum(1 << c for c in ballot), count) for ballot, count in counts.items())
-                    terms = rules._profile_terms(profile)
-                    assert terms == expected
-                    assert rules._profile_terms(profile) is terms
+                    terms = profile.terms
+                    assert terms == tuple(Counter(profile.masks).items())
                     winners(named_rule("pav", 1, m), profile)
-                    assert profile._terms is terms
+                    assert profile.terms is terms
 
     def test_terms_stay_out_of_equality_hash_and_repr(self):
         scored = Profile.from_ballots(4, [fs(0, 1), fs(0), fs(0, 1), fs(2, 3)])
-        twin = Profile.from_ballots(4, [fs(0, 1), fs(0), fs(0, 1), fs(2, 3)])
-        winners(named_rule("pav", 2, 4), scored)
-        assert scored._terms == ((0b11, 2), (0b1, 1), (0b1100, 1)) and twin._terms is None
+        twin = Profile(4, scored.masks, _terms=((0b1100, 1), (0b11, 2), (0b1, 1)))
+        assert scored.terms == ((0b11, 2), (0b1, 1), (0b1100, 1)) != twin.terms
         assert scored == twin and hash(scored) == hash(twin) and repr(scored) == repr(twin)
         assert "_terms" not in repr(scored)
         assert {scored: 1}[twin] == 1
-        # a derived profile counts its own terms
-        assert add_profiles(scored, twin, relabel=True)._terms is None
 
 
 class TestVectorPath:
@@ -390,7 +380,7 @@ class TestContinuityBound:
         b = Profile.from_ballots(2, [fs(1)])
         rule = named_rule("av", 1, 2)
         lam = continuity_lambda_bound(rule, a, b)
-        assert winners(rule, add_profiles(scale_profile(a, lam), b, relabel=True)) == fs((0,))
+        assert winners(rule, add_profiles(scale_profile(a, lam), b)) == fs((0,))
 
     def test_total_tie_gives_one(self):
         a = Profile.from_ballots(3, [fs(0, 1, 2)])
@@ -408,7 +398,7 @@ class TestContinuityBound:
                 target = winners(rule, a)
                 lam_star = continuity_lambda_bound(rule, a, b)
                 for lam in range(lam_star, lam_star + 4):
-                    combined = add_profiles(scale_profile(a, lam), b, relabel=True)
+                    combined = add_profiles(scale_profile(a, lam), b)
                     assert winners(rule, combined) <= target
 
     def test_scaled_pair_matches_direct_path(self):
@@ -420,7 +410,7 @@ class TestContinuityBound:
             b = Profile.from_ballots(m, [rng.choice(all_ballots(m))])
             lam = rng.randint(1, 5)
             for rule in library_rules(m, k):
-                direct = winners(rule, add_profiles(scale_profile(a, lam), b, relabel=True))
+                direct = winners(rule, add_profiles(scale_profile(a, lam), b))
                 assert scaled_pair_winners(rule, a, b, lam) == direct
 
 

@@ -117,7 +117,7 @@ class TestKeptSpaces:
         assert all(map(operator.is_, replayed, walked)) and len(replayed) == len(walked)
         search._kept.clear()
         fresh = list(enumerate_profiles(m, n))
-        assert [p.ballots for p in replayed] == [p.ballots for p in fresh]
+        assert [p.masks for p in replayed] == [p.masks for p in fresh]
         assert not any(map(operator.is_, replayed, fresh))
 
     def test_second_walk_does_no_table_lookups(self, fresh_walks, monkeypatch):
@@ -216,8 +216,8 @@ class TestCanonicalOracles:
 
     @pytest.mark.parametrize("m, n", [(m, n) for m in (2, 3, 4) for n in (1, 2, 3)] + [(5, 2)])
     def test_stream_is_raw_filtered_by_oracle(self, m, n):
-        expected = [p.ballots for p in raw_profiles(m, n) if oracle_canonical_form(p) == profile_to_vector(p)]
-        assert [p.ballots for p in enumerate_profiles(m, n)] == expected
+        expected = [p.masks for p in raw_profiles(m, n) if oracle_canonical_form(p) == profile_to_vector(p)]
+        assert [p.masks for p in enumerate_profiles(m, n)] == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -225,8 +225,8 @@ class TestCanonicalOracles:
         m = data.draw(st.integers(2, 5))
         pool = data.draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=3))
         ballots = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
-        labels = data.draw(st.permutations(range(len(ballots))))
-        profile = Profile(m, tuple(zip(labels, map(frozenset, ballots))))
+        order = data.draw(st.permutations(range(len(ballots))))
+        profile = Profile.from_ballots(m, [frozenset(ballots[i]) for i in order])
         assert canonical_form(profile) == oracle_canonical_form(profile)
 
     def test_canonical_form_m_capped(self):
