@@ -250,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rule=True):
-        if rule:
-            p.add_argument("--rule", required=True, help="av|pav|ccav|sav|msav|triv|thiele:...|bswav:...")
+    def common(p, rules="av|pav|ccav|sav|msav|triv|thiele:...|bswav:..."):
+        p.add_argument("--rule", required=True, help=rules)
         p.add_argument("--k", type=int, required=True, help="committee size")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("search", help="search bounded profile space for a counterexample")
-    common(p)
+    common(p, "av|pav|ccav|sav|msav|triv|min-approval (no inline rules)")
     p.add_argument("--axiom", required=True)
     p.add_argument("--max-m", type=int, default=4)
     p.add_argument("--max-n", type=int, default=2)
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("k", "count", "lambda_cap"):
+    for flag in ("k", "count", "lambda_cap", "max_voters"):
         if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
             print(f"error: --{flag.replace('_', '-')} must be at least 1", file=sys.stderr)
             return 2

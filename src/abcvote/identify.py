@@ -10,14 +10,13 @@ stated, and each row is kept once.  Strictness is encoded as margin >= 1,
 which is sound here because the constraint family is scale-invariant: any
 strictly feasible parameter vector scales to clear margin one.  Rows are
 built on the scoring kernel's committee bitmasks from the terms each
-observation carries, one (ballot mask, weight) per distinct ballot, and
+observation carries, one (ballot mask, count) per distinct ballot, and
 the fitted rule is re-checked by the kernel on the same terms.  Row
-entries are exact rationals: `int`, or `Fraction` only when an
-observation has fractional multiplicities.  Feasibility is decided by an
-exact rational LP (dual simplex, Bland's rule), and each unknown in turn
-is fixed to the midpoint of its feasible interval so fitted values are
-deterministic; infeasibility comes with a checkable non-negative
-combination of the rows of that system that sums to an impossible row.
+entries are integers.  Feasibility is decided by an exact rational LP
+(dual simplex, Bland's rule), and each unknown in turn is fixed to the
+midpoint of its feasible interval so fitted values are deterministic;
+infeasibility comes with a checkable non-negative combination of the rows
+of that system that sums to an impossible row.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ from .profiles import (
     ChoiceSet,
     Profile,
     ProfileFormatError,
-    ProfileVector,
+    _members,
     candidate_count,
+    check_committee_size,
     parse_profile,
     format_committee,
     format_profile,
-    vector_to_profile,
 )
 from .rules import (
     BswavWeights,
@@ -46,7 +45,6 @@ from .rules import (
     _argmax,
     _committee_masks,
     _scores,
-    _vector_terms,
     check_committee_limit,
     format_rational,
 )
@@ -54,13 +52,8 @@ from .rules import (
 MAX_UNKNOWNS = 8
 
 
-def _check_size(m: int, k: int) -> None:
-    if not 1 <= k <= m - 1:
-        raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m-1={m - 1}")
-
-
 def _check_choice(m: int, chosen: ChoiceSet, k: int) -> None:
-    _check_size(m, k)
+    check_committee_size(m, k)
     if not chosen:
         raise ValueError("observed choice set must be non-empty")
     for committee in chosen:
@@ -76,40 +69,27 @@ def _check_choice(m: int, chosen: ChoiceSet, k: int) -> None:
 class Observation:
     """One observed election: its ballots as the kernel's terms, the full tied choice set, and k.
 
-    `terms` is (L, ((mask, weight), ...)), one term per distinct ballot in increasing mask
-    order, weight = multiplicity * L with L the lcm of the multiplicities' denominators (1
-    for a profile), so equal observations compare equal.
+    `terms` is ((mask, count), ...), one term per distinct ballot in increasing mask order,
+    each count a positive int, so equal observations compare equal.
     """
 
     m: int
-    terms: tuple[int, tuple[tuple[int, int], ...]]
+    terms: tuple[tuple[int, int], ...]
     chosen: ChoiceSet
     k: int
 
     def __post_init__(self):
         _check_choice(self.m, self.chosen, self.k)
-        scale, terms = self.terms
-        masks = [0, *(mask for mask, _ in terms)]
-        if scale < 1 or not all(map(lt, masks, masks[1:])) or masks[-1].bit_length() > self.m:
-            raise ValueError(f"terms need L >= 1 and ballot masks increasing from 1 to below 2**m, m={self.m}")
-        if not all(weight for _, weight in terms):
-            raise ValueError("zero weights must be omitted")
+        masks = [0, *(mask for mask, _ in self.terms)]
+        if not all(map(lt, masks, masks[1:])) or masks[-1].bit_length() > self.m:
+            raise ValueError(f"terms need ballot masks increasing from 1 to below 2**m, m={self.m}")
+        if not all(type(count) is int and count > 0 for _, count in self.terms):
+            raise ValueError("term counts must be positive integers")
 
     @classmethod
     def from_profile(cls, profile: Profile, chosen: ChoiceSet, k: int) -> "Observation":
         """The observation of `profile`, one term per distinct ballot."""
-        return cls(profile.m, (1, tuple(sorted(profile.terms))), frozenset(chosen), k)
-
-    @classmethod
-    def from_vector(cls, vector: ProfileVector, chosen: ChoiceSet, k: int) -> "Observation":
-        """The observation of a rational profile vector: its entries, scaled by L."""
-        return cls(vector.m, _vector_terms(vector), frozenset(chosen), k)
-
-    @property
-    def vector(self) -> ProfileVector:
-        """The terms as a profile vector: each weight over L, at its ballot's mask."""
-        scale, terms = self.terms
-        return ProfileVector(self.m, tuple((mask, Fraction(weight, scale)) for mask, weight in terms))
+        return cls(profile.m, tuple(sorted(profile.terms)), frozenset(chosen), k)
 
 
 @dataclass
@@ -119,16 +99,15 @@ class ConstraintSystem:
     Rows are coefficient tuples c meaning c . u >= 0 (weak) or c . u >= 1
     (strict): in a fit, the side constraints and each observation's ties
     with its designated committee, then that committee against the rest,
-    each row once.  Entries are exact rationals: `int`, or `Fraction` only
-    where an observation has fractional multiplicities.  Certificates
-    name rows of this system, counting weak rows first, then strict rows.
+    each row once.  Entries are ints.  Certificates name rows of this
+    system, counting weak rows first, then strict rows.
     """
 
     unknowns: tuple[str, ...]
-    weak: list[tuple[int | Fraction, ...]]
-    strict: list[tuple[int | Fraction, ...]]
+    weak: list[tuple[int, ...]]
+    strict: list[tuple[int, ...]]
 
-    def all_rows(self) -> list[tuple[tuple[int | Fraction, ...], int]]:
+    def all_rows(self) -> list[tuple[tuple[int, ...], int]]:
         rows = [(c, 0) for c in self.weak]
         rows += [(c, 1) for c in self.strict]
         return rows
@@ -137,25 +116,23 @@ class ConstraintSystem:
 def _observation_rows(obs: Observation, family: str):
     """Tie rows (weak) and strict rows of one observation, on the kernel's bitmasks.
 
-    With the multiplicities scaled by L (the lcm of their denominators) to
-    integer weights w, a committee W's row is integral: Thiele adds w to the
-    coefficient of s_x, x = |A & W| >= 1; ballot-size weights add w * |A & W|
-    to that of alpha_|A|, skipping full ballots, which add the same constant
-    to every committee.  Rows are differences of these, over L only when
-    L > 1.  Cost: C(m, k) committees times the distinct ballots.
+    With w the count of ballot A, a committee W's row is integral: Thiele adds
+    w to the coefficient of s_x, x = |A & W| >= 1; ballot-size weights add
+    w * |A & W| to that of alpha_|A|, skipping full ballots, which add the
+    same constant to every committee.  Rows are differences of these.
+    Cost: C(m, k) committees times the distinct ballots.
     """
     m, k = obs.m, obs.k
     committees, masks = _committee_masks(m, k)
-    scale, terms = obs.terms
     table = []
     if family == "thiele":
         for cm in masks:
             coeffs = [0] * (k + 1)
-            for mask, w in terms:
+            for mask, w in obs.terms:
                 coeffs[(mask & cm).bit_count()] += w
             table.append(coeffs[1:])
     else:
-        sized = [(mask, w, mask.bit_count() - 1) for mask, w in terms if mask.bit_count() < m]
+        sized = [(mask, w, mask.bit_count() - 1) for mask, w in obs.terms if mask.bit_count() < m]
         for cm in masks:
             coeffs = [0] * (m - 1)
             for mask, w, y in sized:
@@ -164,9 +141,6 @@ def _observation_rows(obs: Observation, family: str):
     designated, *tied = [row for w, row in zip(committees, table) if w in obs.chosen]
     weak = [tuple(map(sub, a, b)) for other in tied for a, b in ((designated, other), (other, designated))]
     strict = [tuple(map(sub, designated, other)) for w, other in zip(committees, table) if w not in obs.chosen]
-    if scale != 1:
-        weak = [tuple(Fraction(a, scale) for a in row) for row in weak]
-        strict = [tuple(Fraction(a, scale) for a in row) for row in strict]
     return weak, strict
 
 
@@ -213,7 +187,7 @@ def build_system(
         raise ValueError(f"{len(unknowns)} unknowns exceed the solver cap {MAX_UNKNOWNS}")
 
     weak = list(side)
-    strict: list[tuple[int | Fraction, ...]] = []
+    strict: list[tuple[int, ...]] = []
     for obs in observations:
         w, s = _observation_rows(obs, family)
         weak.extend(w)
@@ -355,23 +329,20 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
     variables substituted; an infeasible dual means that end is unbounded.
     Infeasible systems yield a certificate: non-negative multipliers over
     original row indices combining to 0 >= positive, read off a feasible
-    y >= 0 with A^T y = 0 and b.y = 1 (Farkas).
+    y >= 0 with A^T y = 0 and b.y = 1 (Farkas).  Row entries must be ints.
     """
     n = len(system.unknowns)
     if n > MAX_UNKNOWNS:
         raise ValueError(f"{n} unknowns exceed the solver cap {MAX_UNKNOWNS}")
     rows = []
     for i, (coeffs, rhs) in enumerate(system.all_rows()):
-        if all(type(c) is int for c in coeffs):  # every row of a parsed file
-            den, ints = 1, coeffs
-        else:
-            den = lcm(*(c.denominator for c in coeffs))
-            ints = [c.numerator * (den // c.denominator) for c in coeffs]
-        if not any(ints):
+        if not all(type(c) is int for c in coeffs):
+            raise ValueError(f"row {i} has an entry that is not an int")
+        if not any(coeffs):
             if rhs > 0:
                 return FeasibilityResult(False, None, {i: Fraction(1)})
             continue
-        rows.append((ints, rhs * den, (i, den)))
+        rows.append((coeffs, rhs, i))
     distinct = _tightest(rows)
 
     costs, scale = _integer_costs([rhs for _, rhs, *_ in distinct])
@@ -379,8 +350,8 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
     if farkas is not None:
         certificate = {}
         for col, y in farkas[1].items():
-            _, _, (i, den), h = distinct[col]
-            certificate[i] = y * den / h
+            _, _, i, h = distinct[col]
+            certificate[i] = y / h
         if not verify_certificate(system, certificate):
             raise AssertionError("the LP produced an invalid certificate")
         return FeasibilityResult(False, None, certificate)
@@ -457,7 +428,7 @@ def _fit(observations: list[Observation], family: str, k: int, m: int | None, ma
         point = tuple(v / point[0] for v in point)
     rule = make_rule(point)
     for obs in observations:  # one kernel call on the observation's own terms
-        committees, _, scores = _scores(rule, obs.m, obs.terms[1])
+        committees, _, scores = _scores(rule, obs.m, obs.terms)
         if _argmax(committees, scores) != obs.chosen:
             raise AssertionError("fitted rule fails to reproduce an observation")
     return FitResult(True, rule, None, system)
@@ -507,7 +478,7 @@ def parse_observations(text: str, k: int) -> list[Observation]:
         try:
             m = candidate_count(source)
             try:
-                _check_size(m, k)
+                check_committee_size(m, k)
             except ValueError as err:  # at this chosen line, counted within the block
                 raise ProfileFormatError(len(block) + 1, str(err)) from None
             check_committee_limit(m, k)
@@ -534,9 +505,13 @@ def parse_observations(text: str, k: int) -> list[Observation]:
 
 
 def format_observations(observations: list[Observation]) -> str:
+    """The observations file of `observations`: each profile's voters in
+    :func:`all_ballots` order, by size and then members."""
     parts = []
     for obs in observations:
-        parts.append(format_profile(vector_to_profile(obs.vector)))
+        terms = sorted(obs.terms, key=lambda term: (term[0].bit_count(), _members(term[0])))
+        masks = tuple(mask for mask, count in terms for _ in range(count))
+        parts.append(format_profile(Profile(obs.m, masks)))
         parts.append(f"chosen: {','.join(map(format_committee, sorted(obs.chosen)))}\n")
     return "".join(parts)
 

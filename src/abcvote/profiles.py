@@ -6,10 +6,11 @@ and a committee is a sorted tuple of k indices.  A profile is the tuple of
 its voters' ballot masks, voter i at position i: a voter permutation
 permutes the tuple, and a disjoint sum concatenates two.  Ballots appear as
 frozensets only at the edge: `Profile.from_ballots`, `Profile.ballot_list`
-and the text format.  Profiles can also be viewed as vectors counting how
-often each of the 2^m - 1 possible ballots occurs, keyed by ballot mask;
-that vector form is the domain on which rules extend to rational (even
-negative) "multiplicities".
+and the text format.  Canonical forms are profiles too: the orbit
+representative under voter permutation and candidate renaming, its voters in
+:func:`all_ballots` order.  `ProfileVector`, a sparse count per ballot mask,
+remains only as the argument of `rules.vector_scores` and
+`rules.winners_from_vector`.
 """
 
 from __future__ import annotations
@@ -131,23 +132,11 @@ class ProfileVector:
     def from_dict(cls, m: int, entries: dict[int, Fraction | int]) -> "ProfileVector":
         return cls(m, tuple((mask, Fraction(value)) for mask, value in sorted(entries.items()) if value != 0))
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.entries)
 
-    def total(self) -> Fraction:
-        return sum((value for _, value in self.entries), Fraction(0))
-
-    def __add__(self, other: "ProfileVector") -> "ProfileVector":
-        if self.m != other.m:
-            raise ValueError("cannot add vectors with different candidate counts")
-        acc = dict(self.entries)
-        for mask, value in other.entries:
-            acc[mask] = acc.get(mask, Fraction(0)) + value
-        return ProfileVector.from_dict(self.m, acc)
-
-    def scale(self, factor: Fraction | int) -> "ProfileVector":
-        factor = Fraction(factor)
-        return ProfileVector.from_dict(self.m, {mask: v * factor for mask, v in self.entries})
+def check_committee_size(m: int, k: int) -> None:
+    """Refuse a committee size k outside 1..m-1."""
+    if not 1 <= k <= m - 1:
+        raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m-1={m - 1}")
 
 
 def enumerate_committees(m: int, k: int) -> list[Committee]:
@@ -158,8 +147,7 @@ def enumerate_committees(m: int, k: int) -> list[Committee]:
     """
     if m < 2:
         raise ValueError("need at least 2 candidates")
-    if not 1 <= k <= m - 1:
-        raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m-1={m - 1}")
+    check_committee_size(m, k)
     return list(itertools.combinations(range(m), k))
 
 
@@ -194,17 +182,6 @@ def all_ballots_profile(m: int) -> Profile:
 
 def profile_to_vector(profile: Profile) -> ProfileVector:
     return ProfileVector.from_dict(profile.m, dict(profile.terms))
-
-
-def vector_to_profile(vector: ProfileVector) -> Profile:
-    """Materialize a non-negative integer vector as a profile, its voters in
-    :func:`all_ballots` order, by size and then members."""
-    masks: list[int] = []
-    for mask, value in sorted(vector.entries, key=lambda entry: (entry[0].bit_count(), _members(entry[0]))):
-        if value < 0 or value.denominator != 1:
-            raise ValueError("only non-negative integer vectors correspond to profiles")
-        masks.extend([mask] * int(value))
-    return Profile(vector.m, tuple(masks))
 
 
 def add_profiles(a: Profile, b: Profile) -> Profile:
@@ -271,13 +248,14 @@ def ballot_permutation_tables(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(position[_renamed(mask, tau)] for mask in masks) for tau in perms)
 
 
-def canonical_form(profile: Profile) -> ProfileVector:
+def canonical_form(profile: Profile) -> Profile:
     """Orbit representative under voter permutation and candidate renaming.
 
-    Returns the profile vector whose counts, read in :func:`all_ballots` order,
+    Returns the profile whose ballot counts, read in :func:`all_ballots` order,
     are lexicographically least over all m! candidate permutations of the
-    anonymized profile.  Two profiles have equal canonical forms iff they
-    differ only by the order of their voters and candidate names.
+    anonymized profile, its voters in that order.  Two profiles have equal
+    canonical forms iff they differ only by the order of their voters and
+    candidate names.
 
     For multisets of equal size, count vector A is lexicographically less
     than count vector B exactly when the sorted tuple of A's ballot positions
@@ -292,7 +270,7 @@ def canonical_form(profile: Profile) -> ProfileVector:
     masks, position = _ballot_positions(profile.m)
     combo = sorted(map(position.__getitem__, profile.masks))
     best = max([combo, *(sorted(map(table.__getitem__, combo)) for table in tables)])
-    return ProfileVector.from_dict(profile.m, Counter(masks[i] for i in best))
+    return Profile(profile.m, tuple(map(masks.__getitem__, best)))
 
 
 # ---------------------------------------------------------------------------

@@ -444,19 +444,20 @@ def _sliced_scores(k: int, entries, pool) -> list[int]:
     return scores
 
 
-def _scores(rule: Rule, m: int, terms: Sequence[tuple[int, int]], weight_scale: int = 1):
+def _scores(rule: Rule, m: int, terms: Sequence[tuple[int, int]]):
     """(committees, D, scores) with scores[i] / D the exact score of committees[i]."""
     _check_dimensions(rule, m)
     committees, masks = _committee_masks(m, rule.k)
     scale, scores = _kernel(rule, m, terms, range(m), masks)
-    return committees, scale * weight_scale, scores
+    return committees, scale, scores
 
 
 def _vector_scores(rule: Rule, vector: ProfileVector, k: int) -> tuple[tuple[Committee, ...], int, list[int]]:
     if k != rule.k:
         raise ValueError(f"requested k={k} does not match rule k={rule.k}")
     weight_scale, terms = _vector_terms(vector)
-    return _scores(rule, vector.m, terms, weight_scale)
+    committees, scale, scores = _scores(rule, vector.m, terms)
+    return committees, scale * weight_scale, scores
 
 
 def _pair_scores(rule: Rule, a: Profile, b: Profile) -> tuple[tuple[Committee, ...], list[int], list[int]]:

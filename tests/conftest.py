@@ -6,21 +6,21 @@ s(x, y) and nothing else, so the kernel is always checked against the
 scoring definition itself.  Likewise the canonical-form oracle renames the
 candidates of the profile itself under all m! permutations and compares
 dense count vectors, without the ballot tables of `abcvote.profiles` or
-anything from `abcvote.search`.  Vectors are keyed by ballot bitmask; the
-oracles code and decode masks themselves, with `oracle_mask` and
-`oracle_ballot`.  The Fourier-Motzkin oracle eliminates the
-unknowns of a constraint system one by one and back-substitutes midpoints,
-without linear programming, and the observation-row oracles build a fit's
-constraint rows from decoded ballots with `Fraction` arithmetic, without
-bitmasks: the tie rows a fit states, and the full rows (every chosen
-committee against every other) that they imply.
+anything from `abcvote.search`.  The oracles code and decode ballot masks
+themselves, with `oracle_mask` and `oracle_ballot`.  The Fourier-Motzkin
+oracle eliminates the unknowns of a constraint system one by one and
+back-substitutes midpoints, without linear programming, and the
+observation-row oracles build a fit's constraint rows from a profile's
+decoded ballots, one voter at a time, without bitmasks: the tie rows a fit
+states, and the full rows (every chosen committee against every other) that
+they imply.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
 
-from abcvote.profiles import Profile, ProfileVector
+from abcvote.profiles import Profile
 
 
 def all_subsets_nonempty(m):
@@ -56,7 +56,8 @@ def oracle_ballots(profile):
 def oracle_canonical_form(profile):
     """The lexicographically least dense count vector, in `all_subsets_nonempty`
     order, over all m! candidate renamings of the profile, each renaming built
-    from scratch; returned keyed by ballot mask."""
+    from scratch; returned as the profile with those counts, its voters in that
+    order."""
     ballots = all_subsets_nonempty(profile.m)
     best = None
     for tau in itertools.permutations(range(profile.m)):
@@ -64,7 +65,7 @@ def oracle_canonical_form(profile):
         dense = tuple(counts[ballot] for ballot in ballots)
         if best is None or dense < best:
             best = dense
-    return ProfileVector.from_dict(profile.m, {oracle_mask(b): count for b, count in zip(ballots, best)})
+    return Profile(profile.m, tuple(oracle_mask(b) for b, count in zip(ballots, best) for _ in range(count)))
 
 
 def oracle_scores(score_fn, weighted_ballots, m, k):
@@ -103,34 +104,33 @@ def oracle_vector_winners(score_fn, vector, k):
     return oracle_argmax(oracle_vector_scores(score_fn, vector, k))
 
 
-def _oracle_committee_row(vector, members, family):
-    """A committee's coefficient row: Thiele counts the (rational) weight of
-    ballots meeting it in x candidates under s_x; ballot-size weights sum
-    weight * |ballot ∩ W| over size-y ballots under alpha_y, full ballots
-    skipped since they add the same constant to every committee."""
-    m = vector.m
-    weighted = [(oracle_ballot(mask, m), weight) for mask, weight in vector.entries]
+def _oracle_committee_row(profile, members, family):
+    """A committee's coefficient row: Thiele counts the voters whose ballots
+    meet it in x candidates under s_x; ballot-size weights sum |ballot ∩ W|
+    over voters with size-y ballots under alpha_y, full ballots skipped since
+    they add the same constant to every committee."""
+    m = profile.m
     if family == "thiele":
-        coeffs = [Fraction(0)] * len(members)
-        for ballot, weight in weighted:
+        coeffs = [0] * len(members)
+        for ballot in oracle_ballots(profile):
             x = len(ballot & members)
             if x >= 1:
-                coeffs[x - 1] += weight
+                coeffs[x - 1] += 1
     else:
-        coeffs = [Fraction(0)] * (m - 1)
-        for ballot, weight in weighted:
+        coeffs = [0] * (m - 1)
+        for ballot in oracle_ballots(profile):
             if len(ballot) < m:
-                coeffs[len(ballot) - 1] += weight * len(ballot & members)
+                coeffs[len(ballot) - 1] += len(ballot & members)
     return tuple(coeffs)
 
 
-def _oracle_rows(vector, chosen, k, family, pairs):
-    """(weak, strict) rows of the observation of `vector` with choice set
+def _oracle_rows(profile, chosen, k, family, pairs):
+    """(weak, strict) rows of the observation of `profile` with choice set
     `chosen`: row(a) - row(b) for each weak pair (a, b) that
     `pairs(chosen, committees)` lists, then the least chosen committee
     against each committee not chosen, committees in lexicographic order."""
-    committees = list(itertools.combinations(range(vector.m), k))
-    table = {w: _oracle_committee_row(vector, frozenset(w), family) for w in committees}
+    committees = list(itertools.combinations(range(profile.m), k))
+    table = {w: _oracle_committee_row(profile, frozenset(w), family) for w in committees}
     ordered = [w for w in committees if w in chosen]
     weak = [tuple(a - b for a, b in zip(table[x], table[y])) for x, y in pairs(ordered, committees)]
     strict = [
@@ -141,18 +141,18 @@ def _oracle_rows(vector, chosen, k, family, pairs):
     return weak, strict
 
 
-def oracle_full_observation_rows(vector, chosen, k, family):
+def oracle_full_observation_rows(profile, chosen, k, family):
     """Every chosen committee against every other committee as weak rows,
     which the tie and strict rows imply, plus the strict rows."""
-    return _oracle_rows(vector, chosen, k, family, lambda chosen, committees: [
+    return _oracle_rows(profile, chosen, k, family, lambda chosen, committees: [
         (winner, other) for winner in chosen for other in committees if other != winner
     ])
 
 
-def oracle_tie_observation_rows(vector, chosen, k, family):
+def oracle_tie_observation_rows(profile, chosen, k, family):
     """Ties as weak rows: the least chosen committee minus each other chosen
     committee, then the reverse, one pair at a time; plus the strict rows."""
-    return _oracle_rows(vector, chosen, k, family, lambda chosen, committees: [
+    return _oracle_rows(profile, chosen, k, family, lambda chosen, committees: [
         pair for other in chosen[1:] for pair in ((chosen[0], other), (other, chosen[0]))
     ])
 

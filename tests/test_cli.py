@@ -601,6 +601,16 @@ class TestFlags:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --lambda-cap must be at least 1\n")
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_max_voters_below_one_exits_2(self, tmp_path, cap, capsys):
+        # used to be taken as a split cap, and to fail later as "profile has 2 voters, over the split cap -5"
+        path = tmp_path / "a.abc"
+        path.write_text("m=2\n0\n1\n")
+        argv = ["check", "--axiom", "consistency", "--rule", "av", "--k", "1", "--profile", str(path), "--splits"]
+        assert main(argv + ["--max-voters", cap]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --max-voters must be at least 1\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

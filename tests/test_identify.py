@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -22,8 +23,8 @@ from abcvote.identify import (
     solve_feasibility,
     verify_certificate,
 )
-from abcvote.profiles import Profile, ProfileVector, all_ballots, profile_to_vector
-from abcvote.rules import BswavWeights, Rule, ThieleScore, _vector_terms, named_rule, winners, winners_from_vector
+from abcvote.profiles import Profile, all_ballots, scale_profile
+from abcvote.rules import BswavWeights, Rule, ThieleScore, named_rule, winners
 from abcvote.search import enumerate_profiles
 
 from conftest import oracle_fm_solve, oracle_full_observation_rows, oracle_tie_observation_rows
@@ -49,7 +50,7 @@ def observe(rule, profiles, k):
 
 def seeded_observations():
     """150 observations at m = 3-7 of random profiles with PAV's choice sets: the
-    even ones read off the profiles, the odd ones off their vectors scaled by 1-3."""
+    even ones read off the profiles, the odd ones off 1-3 copies of them."""
     rng = random.Random(15)
     observations = []
     for i in range(150):
@@ -59,10 +60,8 @@ def seeded_observations():
         profile = Profile.from_ballots(m, [ballot() for _ in range(rng.randint(1, 8))])
         chosen = winners(named_rule("pav", k, m), profile)
         if i % 2:
-            vector = profile_to_vector(profile).scale(rng.randint(1, 3))
-            observations.append(Observation.from_vector(vector, chosen, k))
-        else:
-            observations.append(Observation.from_profile(profile, chosen, k))
+            profile = scale_profile(profile, rng.randint(1, 3))
+        observations.append(Observation.from_profile(profile, chosen, k))
     return observations
 
 
@@ -89,7 +88,7 @@ class TestBuildSystem:
         system = build_system(obs, "thiele")
         # designated winner {0,2} scores 3*s_1; loser {0,1} scores s_1 + s_2:
         # the strict row is 2*s_1 - s_2 >= 1
-        assert (F(2), F(-1)) in system.strict
+        assert (2, -1) in system.strict
 
     def test_mixed_dimensions_rejected(self):
         a = Observation.from_profile(Profile.from_ballots(3, [fs(0)]), fs((0,)), 1)
@@ -108,20 +107,19 @@ class TestObservation:
     def test_terms_are_the_distinct_ballots_in_mask_order(self):
         profile = Profile.from_ballots(3, [fs(2), fs(0, 1), fs(2), fs(0)])
         obs = Observation.from_profile(profile, [(0,)], 1)
-        assert obs == Observation(3, (1, ((0b001, 1), (0b011, 1), (0b100, 2))), fs((0,)), 1)
-        assert obs == Observation.from_vector(profile_to_vector(profile), [(0,)], 1)
-        half = Observation.from_vector(ProfileVector.from_dict(3, {0b001: F(1, 2), 0b111: F(-1, 3)}), [(0,)], 1)
-        assert half.terms == (6, ((0b001, 3), (0b111, -2)))
+        assert obs == Observation(3, ((0b001, 1), (0b011, 1), (0b100, 2)), fs((0,)), 1)
 
     @pytest.mark.parametrize(
         "terms",
         [
-            (0, ((1, 1),)),  # L below 1
-            (1, ((0, 1),)),  # the empty ballot
-            (1, ((0b1000, 1),)),  # candidate 3 of m = 3
-            (1, ((2, 1), (1, 1))),  # masks out of order
-            (1, ((1, 1), (1, 2))),  # a ballot twice
-            (1, ((1, 0),)),  # a zero weight
+            ((0, 1),),  # the empty ballot
+            ((0b1000, 1),),  # candidate 3 of m = 3
+            ((2, 1), (1, 1)),  # masks out of order
+            ((1, 1), (1, 2)),  # a ballot twice
+            ((1, 0),),  # a zero count
+            ((1, -1),),  # a negative count
+            ((1, F(1, 2)),),  # a fractional count
+            ((1, F(1)),),  # a count that is not an int
         ],
     )
     def test_malformed_terms_rejected(self, terms):
@@ -129,23 +127,27 @@ class TestObservation:
             Observation(3, terms, fs((0,)), 1)
 
 
-entries = st.one_of(st.integers(-3, 5), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+@st.composite
+def repeated_profiles(draw, m):
+    """A profile over m candidates drawn from a pool of at most six ballots, so most ballots repeat."""
+    pool = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1).map(frozenset), min_size=1, max_size=6))
+    return Profile.from_ballots(m, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)))
 
 
 @st.composite
-def rational_observations(draw):
-    """One to three observations sharing m = 2-5 and k, on profile vectors
-    whose entries may be fractional or negative, each with an arbitrary
-    non-empty choice set, often of several tied committees: (vector,
-    observation) pairs, so oracles can read the vector each was built from."""
-    m = draw(st.integers(2, 5))
+def observed_profiles(draw, max_m=5):
+    """One to three observations sharing m = 2..max_m and k, on profiles with
+    repeated ballots, each with an arbitrary non-empty choice set, often of
+    several tied committees: (profile, observation) pairs, so oracles can read
+    the ballots each was built from."""
+    m = draw(st.integers(2, max_m))
     k = draw(st.integers(1, m - 1))
     committees = list(itertools.combinations(range(m), k))
     pairs = []
     for _ in range(draw(st.integers(1, 3))):
-        vector = ProfileVector.from_dict(m, draw(st.dictionaries(st.integers(1, 2**m - 1), entries, max_size=6)))
+        profile = draw(repeated_profiles(m))
         chosen = draw(st.sets(st.sampled_from(committees), min_size=1))
-        pairs.append((vector, Observation.from_vector(vector, chosen, k)))
+        pairs.append((profile, Observation.from_profile(profile, chosen, k)))
     return pairs
 
 
@@ -154,27 +156,25 @@ def oracle_system(pairs, family, oracle_rows):
     observations = [obs for _, obs in pairs]
     side = build_system([], family, k=observations[0].k, m=observations[0].m)
     weak, strict = side.weak, []
-    for vector, obs in pairs:
-        w, s = oracle_rows(vector, obs.chosen, obs.k, family)
+    for profile, obs in pairs:
+        w, s = oracle_rows(profile, obs.chosen, obs.k, family)
         weak += w
         strict += s
     return ConstraintSystem(side.unknowns, weak, strict)
 
 
 @settings(max_examples=200, deadline=None)
-@given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
-def test_rows_match_fraction_oracle(pairs, family):
+@given(observed_profiles(), st.sampled_from(["thiele", "bswav"]))
+def test_rows_match_the_oracle(pairs, family):
     system = build_system([obs for _, obs in pairs], family)
     oracle = oracle_system(pairs, family, oracle_tie_observation_rows)
     assert system.weak == list(dict.fromkeys(oracle.weak))
     assert system.strict == list(dict.fromkeys(oracle.strict))
-    rows = system.weak + system.strict
-    if all(value.denominator == 1 for vector, _ in pairs for _, value in vector.entries):
-        assert all(type(c) is int for row in rows for c in row)
+    assert all(type(c) is int for row in system.weak + system.strict for c in row)
 
 
 @settings(max_examples=150, deadline=None)
-@given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
+@given(observed_profiles(), st.sampled_from(["thiele", "bswav"]))
 def test_tie_rows_keep_the_full_feasible_set(pairs, family):
     """Dropping the weak rows that the ties and strict rows imply keeps the
     feasible set: the same verdict and midpoint as the full system, solved
@@ -190,13 +190,13 @@ def test_tie_rows_keep_the_full_feasible_set(pairs, family):
 
 class TestSolveFeasibility:
     def test_contradiction(self):
-        system = ConstraintSystem(("x",), weak=[(F(-1),)], strict=[(F(1),)])
+        system = ConstraintSystem(("x",), weak=[(-1,)], strict=[(1,)])
         result = solve_feasibility(system)
         assert not result.feasible
         assert verify_certificate(system, result.certificate)
 
     def test_two_variable_example(self):
-        system = ConstraintSystem(("x", "y"), weak=[(F(0), F(1))], strict=[(F(1), F(-1))])
+        system = ConstraintSystem(("x", "y"), weak=[(0, 1)], strict=[(1, -1)])
         result = solve_feasibility(system)
         assert result.feasible
         x, y = result.point
@@ -205,7 +205,7 @@ class TestSolveFeasibility:
         assert (x, y) == (F(2), F(1, 2))
 
     def test_unconstrained_variable_defaults_to_zero(self):
-        system = ConstraintSystem(("x", "y"), weak=[(F(1), F(0))], strict=[])
+        system = ConstraintSystem(("x", "y"), weak=[(1, 0)], strict=[])
         result = solve_feasibility(system)
         assert result.point[1] == 0
 
@@ -222,12 +222,18 @@ class TestSolveFeasibility:
     def test_equality_pair_pins_value(self):
         system = ConstraintSystem(
             ("x", "y"),
-            weak=[(F(2), F(-3)), (F(-2), F(3)), (F(1), F(0))],
+            weak=[(2, -3), (-2, 3), (1, 0)],
             strict=[],
         )
         result = solve_feasibility(system)
         x, y = result.point
         assert 2 * x == 3 * y
+
+    @pytest.mark.parametrize("entry", [F(1), F(1, 2), 1.0, True])
+    def test_entry_that_is_not_an_int_rejected(self, entry):
+        system = ConstraintSystem(("x", "y"), weak=[(1, 0)], strict=[(1, entry)])
+        with pytest.raises(ValueError, match="row 1 has an entry that is not an int"):
+            solve_feasibility(system)
 
 
 increments = st.builds(F, st.integers(0, 6), st.integers(1, 4))
@@ -264,7 +270,7 @@ def raw_systems(draw):
     """Up to ten random rows over one to three unknowns: unlike fit systems,
     these leave unknowns unbounded below or on both sides."""
     n = draw(st.integers(1, 3))
-    row = st.tuples(*[st.integers(-3, 3).map(F)] * n)
+    row = st.tuples(*[st.integers(-3, 3)] * n)
     weak = draw(st.lists(row, max_size=6))
     strict = draw(st.lists(row, max_size=4))
     return ConstraintSystem(tuple(f"x_{i}" for i in range(n)), weak, strict)
@@ -405,8 +411,8 @@ class TestFitSoundness:
         rule = named_rule("pav", 2, 4)
         obs = observe(rule, grid, 2)
         fitted = fit_thiele(obs, 2).rule
-        for ob in obs:
-            assert winners_from_vector(fitted, ob.vector, 2) == ob.chosen
+        for profile, ob in zip(grid, obs):
+            assert winners(fitted, profile) == ob.chosen
 
     def test_shuffled_observations_give_identical_fit(self):
         rng = random.Random(43)
@@ -424,14 +430,14 @@ class TestObservationsFormat:
         obs = observe(named_rule("pav", 2, 3), grid, 2)
         text = format_observations(obs)
         again = parse_observations(text, 2)
-        assert [(o.vector, o.chosen) for o in again] == [(o.vector, o.chosen) for o in obs]
+        assert again == obs
 
     def test_parse_example(self):
         text = "m=3\n0 1\n0 1\n2\nchosen: {0,1}\n"
         obs = parse_observations(text, 2)
         assert len(obs) == 1
         assert obs[0].chosen == fs((0, 1))
-        assert obs[0].vector == profile_to_vector(Profile.from_ballots(3, [fs(0, 1), fs(0, 1), fs(2)]))
+        assert obs[0].terms == ((0b011, 2), (0b100, 1))
 
     @pytest.mark.parametrize(
         "line, chosen",
@@ -466,69 +472,23 @@ class TestObservationsFormat:
         assert format_fit(bad, "bswav") == "infeasible"
 
 
-@st.composite
-def repeated_profiles(draw, m):
-    """A profile over m candidates drawn from a pool of at most six ballots, so most ballots repeat."""
-    pool = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1).map(frozenset), min_size=1, max_size=6))
-    return Profile.from_ballots(m, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20)))
-
-
-@st.composite
-def profile_observations(draw):
-    """One to four observations sharing m = 2-8 and k, on profiles with repeated
-    ballots, each with an arbitrary non-empty choice set."""
-    m = draw(st.integers(2, 8))
-    k = draw(st.integers(1, m - 1))
-    committees = list(itertools.combinations(range(m), k))
-    observations = []
-    for _ in range(draw(st.integers(1, 4))):
-        profile = draw(repeated_profiles(m))
-        chosen = frozenset(draw(st.lists(st.sampled_from(committees), min_size=1, max_size=3)))
-        observations.append(Observation.from_profile(profile, chosen, k))
-    return observations
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 8).flatmap(lambda m: st.lists(repeated_profiles(m), min_size=1, max_size=4)))
-def test_profile_terms_match_the_decoded_vector(profiles):
-    """Terms read off a profile's distinct ballots are the terms of its vector,
-    in increasing mask order, and give that vector back."""
+def test_profile_terms_are_the_counted_masks(profiles):
+    """Terms read off a profile's distinct ballots are its voters' masks,
+    counted, in increasing mask order."""
     for profile in profiles:
         obs = Observation.from_profile(profile, fs((0,)), 1)
-        vector = profile_to_vector(profile)
-        assert obs.terms == _vector_terms(vector)
-        assert obs.vector == vector
+        assert obs.terms == tuple(sorted(Counter(profile.masks).items()))
 
 
 @settings(max_examples=150, deadline=None)
-@given(profile_observations(), st.sampled_from(["thiele", "bswav"]))
-def test_observations_round_trip_through_text(observations, family):
+@given(observed_profiles(max_m=8), st.sampled_from(["thiele", "bswav"]))
+def test_observations_round_trip_through_text(pairs, family):
+    observations = [obs for _, obs in pairs]
     again = parse_observations(format_observations(observations), observations[0].k)
     assert again == observations
     assert build_system(again, family) == build_system(observations, family)
-
-
-@settings(max_examples=150, deadline=None)
-@given(rational_observations(), st.sampled_from(["thiele", "bswav"]))
-def test_rational_vector_fits_match_the_oracle(pairs, family):
-    """A fit to rational vectors, each decoded to terms once, lands on the
-    normalized Fourier-Motzkin point of the full rows and reproduces every
-    observation, or is infeasible exactly when that is."""
-    observations = [obs for _, obs in pairs]
-    k, m = observations[0].k, observations[0].m
-    result = fit_thiele(observations, k) if family == "thiele" else fit_bswav(observations, m, k)
-    for vector, obs in pairs:
-        scale, terms = _vector_terms(vector)
-        assert obs.terms == (scale, tuple(sorted(terms)))
-        assert obs.vector == vector
-    point = oracle_fm_solve(oracle_system(pairs, family, oracle_full_observation_rows))
-    assert result.feasible == (point is not None)
-    if result.feasible:
-        if point[0] > 0:
-            point = tuple(v / point[0] for v in point)
-        fitted = result.rule.scoring.values[1:] if family == "thiele" else result.rule.scoring.alpha[:-1]
-        assert fitted == point
-        assert all(winners_from_vector(result.rule, vector, k) == obs.chosen for vector, obs in pairs)
 
 
 def test_fit_recheck_catches_a_wrong_point(monkeypatch):

@@ -216,8 +216,9 @@ class TestCanonicalOracles:
 
     @pytest.mark.parametrize("m, n", [(m, n) for m in (2, 3, 4) for n in (1, 2, 3)] + [(5, 2)])
     def test_stream_is_raw_filtered_by_oracle(self, m, n):
-        expected = [p.masks for p in raw_profiles(m, n) if oracle_canonical_form(p) == profile_to_vector(p)]
+        expected = [p.masks for p in raw_profiles(m, n) if oracle_canonical_form(p) == p]
         assert [p.masks for p in enumerate_profiles(m, n)] == expected
+        assert all(canonical_form(p) == p for p in enumerate_profiles(m, n))
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
