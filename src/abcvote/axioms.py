@@ -286,32 +286,26 @@ def check_independence_of_losers(
     reductions, and raises CapExceeded for a winner with more than `cap` of
     them; "sample" draws `count` seeded random reductions.  `checked` counts
     reduced profiles.  In mode "all" a library `Rule` decides each winner at
-    once with `survives_every_reduction` and walks the product only when one
-    fails, to find the first witness; other rules always walk it.
+    once with `survives_every_reduction`, counts a surviving winner's product
+    without walking it, and walks only a failing winner's, to find its first
+    witness; other rules walk every winner's product.
     """
     choose = as_choice_fn(rule)
     base = choose(profile)
-    if mode == "all" and isinstance(rule, Rule):
-        checked = 0
-        for committee in sorted(base):
-            own = ballot_mask(committee)
-            _check_walk_size(profile, own, committee, cap)
-            if not survives_every_reduction(rule, profile, committee):
-                break  # the walk below finds the first witness
-            checked += math.prod(
-                2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks
-            )
-        else:
-            return AxiomVerdict("independence-of-losers", True, None, checked)
     checked = 0
     rng = random.Random(seed)
     for committee in sorted(base):
         own = ballot_mask(committee)
-        options = [_reductions_for(ballot, own) for ballot in profile.masks]
         if mode == "all":
             _check_walk_size(profile, own, committee, cap)
-            combos = itertools.product(*options)
+            if isinstance(rule, Rule) and survives_every_reduction(rule, profile, committee):
+                checked += math.prod(
+                    2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks
+                )
+                continue
+            combos = itertools.product(*(_reductions_for(ballot, own) for ballot in profile.masks))
         elif mode == "sample":
+            options = [_reductions_for(ballot, own) for ballot in profile.masks]
             combos = (tuple(rng.choice(opt) for opt in options) for _ in range(count))
         else:
             raise ValueError(f"unknown mode {mode!r}")

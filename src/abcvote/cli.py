@@ -19,13 +19,13 @@ from .profiles import (
     Profile,
     ProfileFormatError,
     candidate_count,
+    check_committee_size,
     format_choice_set,
     format_committee,
     parse_ballot_counts,
     parse_profile,
 )
 from .rules import (
-    _check_committee_size,
     ballots_score,
     check_committee,
     check_committee_limit,
@@ -57,14 +57,14 @@ def _parsed(parse, path: str, text: str):
 
 
 def _read_profile(path: str, k: int) -> Profile:
-    """The profile at `path`, once k and the committee limit pass on its `m=`
-    line: before any ballot line becomes a mask, which for candidate
-    19999999999 alone would take 2.5 GB, and before the rule, whose k + 1
-    Thiele values at a huge k would never be built."""
+    """The profile at `path`, once k passes the size check and then the committee
+    limit on its `m=` line: before any ballot line becomes a mask, which for
+    candidate 19999999999 alone would take 2.5 GB, and before the rule, whose
+    k + 1 Thiele values at a huge k would never be built."""
     text = _read_text(path)
     m = _parsed(candidate_count, path, text)
+    check_committee_size(m, k)
     check_committee_limit(m, k)
-    _check_committee_size(k, m)
     return _parsed(parse_profile, path, text)
 
 
@@ -94,6 +94,7 @@ def cmd_score(args) -> int:
     # the ballots as candidate sets: `score` renames the candidates that occur
     # before it builds a mask, so a huge index costs no huge integer
     m, counts = _parsed(parse_ballot_counts, args.profile, _read_text(args.profile))
+    check_committee_size(m, args.k)
     tokens = args.committee.replace(",", " ").split()
     # plain ASCII digits only, as in profile files: int() would also take "+1", "1_0" and "١"
     if not (args.committee.isascii() and "".join(tokens).isdigit()):
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("search", help="search bounded profile space for a counterexample")
-    common(p, "av|pav|ccav|sav|msav|triv|min-approval (no inline rules)")
+    common(p, f"{'|'.join(search.SEARCH_RULES)} (no inline rules)")
     p.add_argument("--axiom", required=True)
     p.add_argument("--max-m", type=int, default=4)
     p.add_argument("--max-n", type=int, default=2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .profiles import Profile, ballot_mask, format_profile, mask_ballot
+from .profiles import Profile, ballot_mask, check_committee_size, format_profile, mask_ballot
 from .verdict import AxiomVerdict, as_choice_fn, fail
 
 
@@ -248,8 +248,8 @@ def _witness_profile(family: str, l: int, t: int, k: int, m: int, case: str, par
         raise ValueError(f"need 2 <= l <= {l_bound}")
     if t < 2:
         raise ValueError("need t >= 2")
-    if family == "thiele" and m <= k:
-        raise ValueError("need m > k")
+    if family == "thiele":
+        check_committee_size(m, k)
     if case not in ("high", "low"):
         raise ValueError("case must be 'high' or 'low'")
     ballots = [frozenset(range(l))] * party_voters

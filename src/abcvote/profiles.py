@@ -145,8 +145,6 @@ def enumerate_committees(m: int, k: int) -> list[Committee]:
     This order is the canonical committee indexing used everywhere downstream
     (winner sets, serialized choice sets, constraint generation).
     """
-    if m < 2:
-        raise ValueError("need at least 2 candidates")
     check_committee_size(m, k)
     return list(itertools.combinations(range(m), k))
 

@@ -26,6 +26,7 @@ from .profiles import (
     Profile,
     ProfileVector,
     ballot_mask,
+    check_committee_size,
     enumerate_committees,
     mask_ballot,
 )
@@ -153,8 +154,8 @@ class Rule:
             raise ValueError("committee size must be at least 1")
         if isinstance(self.scoring, (ThieleScore, AbcScoringTable)) and self.scoring.k != self.k:
             raise ValueError("rule k does not match its scoring parameters")
-        if isinstance(self.scoring, (BswavWeights, AbcScoringTable)) and self.k > self.scoring.m - 1:
-            raise ValueError("committee size must be at most m-1")
+        if isinstance(self.scoring, (BswavWeights, AbcScoringTable)):
+            check_committee_size(self.scoring.m, self.k)
 
     def score(self, x: int, y: int) -> Fraction:
         return self.scoring.score(x, y)
@@ -172,9 +173,7 @@ def bswav_rule(name: str, k: int, alpha) -> Rule:
 
 def named_rule(name: str, k: int, m: int) -> Rule:
     """Construct one of the library rules for committee size k over m candidates."""
-    if k < 1:
-        raise ValueError("committee size k must be at least 1")
-    _check_committee_size(k, m)  # before building k + 1 values
+    check_committee_size(m, k)  # before building k + 1 values
     name = name.lower()
     if name == "av":
         return thiele_rule("av", [Fraction(x) for x in range(k + 1)])
@@ -188,7 +187,10 @@ def named_rule(name: str, k: int, m: int) -> Rule:
     if name == "triv":
         return thiele_rule("triv", [Fraction(0)] * (k + 1))
     if name in ("sav", "msav"):
-        _check_weight_count(m)
+        # m weights are refused where the m one-member committees are over the limit:
+        # the kernel scales its table by the lcm of their denominators, lcm(1..m) for
+        # sav, which at m = 10**5 took 4.6 s to score one committee
+        check_committee_limit(m, 1)
     if name == "sav":
         return bswav_rule("sav", k, [Fraction(1, x) for x in range(1, m + 1)])
     if name == "msav":
@@ -215,28 +217,15 @@ def parse_rule_spec(spec: str, k: int, m: int) -> Rule:
         if len(alpha) != m:
             raise ValueError(f"bswav rule for m={m} needs {m} weights, got {len(alpha)}")
         rule = bswav_rule(spec, k, alpha)
-        _check_weight_count(m)
+        check_committee_limit(m, 1)  # m weights, as for sav in named_rule
         return rule
     raise ValueError(f"cannot parse rule spec {spec!r}")
-
-
-def _check_weight_count(m: int) -> None:
-    """Refuse a ballot-size rule's m weights where the m one-member committees are
-    over the committee limit: the kernel scales its table by the lcm of their
-    denominators, lcm(1..m) for sav, which at m = 10**5 took 4.6 s to score one
-    committee."""
-    check_committee_limit(m, 1)
-
-
-def _check_committee_size(k: int, m: int) -> None:
-    if k > m - 1:
-        raise ValueError(f"committee size {k} too large for m={m}")
 
 
 def _check_dimensions(rule: Rule, m: int) -> None:
     if isinstance(rule.scoring, (BswavWeights, AbcScoringTable)) and rule.scoring.m != m:
         raise ValueError(f"rule is parameterized for m={rule.scoring.m}, profile has m={m}")
-    _check_committee_size(rule.k, m)
+    check_committee_size(m, rule.k)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ from typing import Callable, Iterator
 from . import axioms
 from .axioms import Axiom, AxiomVerdict, CheckOptions, replay
 from .profiles import ChoiceSet, Committee, Profile, all_ballots, ballot_mask, ballot_permutation_tables
-from .rules import named_rule
+from .rules import NAMED_RULES, named_rule
 
 MAX_SEARCH_M = 6
 MAX_SEARCH_N = 6
+
+# the rules `search` takes by name: the library rules and one negative control
+SEARCH_RULES = (*NAMED_RULES, "min-approval")
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,11 @@ RuleFactory = Callable[[int, int], object]
 
 
 def library_factory(name: str) -> RuleFactory:
-    """Factory building the named library rule for each (m, k) the search visits."""
-    if name == "min-approval":
+    """Factory building the named search rule for each (m, k) the search visits;
+    the name is checked here, ignoring case, before any rule is built."""
+    if name.lower() not in SEARCH_RULES:
+        raise ValueError(f"unknown rule {name!r}; expected one of {', '.join(SEARCH_RULES)}")
+    if name.lower() == "min-approval":
         return lambda m, k: min_approval_rule(k)
     return lambda m, k: named_rule(name, k, m)
 
@@ -301,10 +307,7 @@ def separation_suite(factories: dict[str, RuleFactory] | None = None) -> Separat
     Each entry records an expected and an observed outcome; a mismatch makes
     the report (and the CLI) fail, it never raises.
     """
-    lib: dict[str, RuleFactory] = {
-        name: library_factory(name) for name in ("av", "pav", "ccav", "sav", "msav", "triv")
-    }
-    lib["min-approval"] = library_factory("min-approval")
+    lib: dict[str, RuleFactory] = {name: library_factory(name) for name in SEARCH_RULES}
     if factories:
         lib.update(factories)
 

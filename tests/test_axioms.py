@@ -30,7 +30,7 @@ from abcvote.profiles import (
     parse_profile,
     profile_to_vector,
 )
-from abcvote import rules
+from abcvote import axioms, rules
 from abcvote.rules import (
     NAMED_RULES,
     AbcScoringTable,
@@ -309,6 +309,20 @@ class TestIndependenceOfLosers:
         assert not verdict.passed
         assert verdict.witness["committee"] in fs((0,), (1,), (2,))
         assert replay(verdict, rule)
+
+    def test_only_a_failing_winner_is_walked(self, monkeypatch):
+        # sav's winners (0, 1) and (0, 2) survive every reduction and are counted
+        # without a walk; (0, 3) fails, and only its reductions are listed
+        profile = Profile.from_ballots(4, [fs(0, 3), fs(1, 2)])
+        rule = named_rule("sav", 2, 4)
+        walked = check_independence_of_losers(as_choice_fn(rule), profile)
+        listed = []
+        reductions = axioms._reductions_for
+        monkeypatch.setattr(axioms, "_reductions_for", lambda ballot, own: listed.append(own) or reductions(ballot, own))
+        verdict = check_independence_of_losers(rule, profile)
+        assert set(listed) == {0b1001}
+        assert (verdict.passed, verdict.checked, verdict.witness) == (False, walked.checked, walked.witness)
+        assert verdict.witness["committee"] == (0, 3)
 
     def test_all_ballots_inside_winner_vacuous(self):
         profile = Profile.from_ballots(2, [fs(0)])

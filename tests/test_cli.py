@@ -10,8 +10,8 @@ from abcvote import cli, identify, rules
 from abcvote import profiles as profiles_module
 from abcvote.cli import main
 from abcvote.identify import Observation, format_observations
-from abcvote.profiles import Profile, ProfileVector, all_ballots, parse_profile, profile_to_vector
-from abcvote.rules import named_rule, parse_rule_spec, winners
+from abcvote.profiles import Profile, ProfileVector, all_ballots, enumerate_committees, parse_profile, profile_to_vector
+from abcvote.rules import bswav_rule, named_rule, parse_rule_spec, winners
 from abcvote.search import enumerate_profiles
 
 
@@ -95,7 +95,7 @@ class TestWinners:
         # the k + 1 Thiele values used to be built before k was compared with m
         out = run_limited(["winners", "--rule", rule, "--k", str(k), "--profile", example], timeout=10)
         assert out is not None, f"winners --rule {rule} --k {k} did not exit within 10 s"
-        assert (out.returncode, out.stderr) == (2, f"error: committee size {k} too large for m=4\n")
+        assert (out.returncode, out.stderr) == (2, f"error: committee size k={k} must satisfy 1 <= k <= m-1=3\n")
 
     def test_over_committee_limit_exits_2(self, tmp_path, capsys):
         # C(24, 12) = 2,704,156 committees, over rules.MAX_COMMITTEES
@@ -388,6 +388,19 @@ class TestSearchCommand:
         assert captured.out == ""
         assert captured.err == "error: k_set [5] needs m_max of at least 6\n"
 
+    def test_unknown_rule_lists_every_search_rule(self, capsys):
+        code = main(["search", "--rule", "thiele:0,1", "--axiom", "convexity", "--k", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = "error: unknown rule 'thiele:0,1'; expected one of av, pav, ccav, sav, msav, triv, min-approval\n"
+        assert captured.err == expected
+
+    def test_search_rule_names_ignore_case(self, capsys):
+        assert main(["search", "--rule", "MIN-Approval", "--axiom", "weak-efficiency", "--k", "1", "--max-m", "3",
+                     "--max-n", "1"]) == 0
+        assert "witness found" in capsys.readouterr().out
+
     def test_json_mode(self, capsys):
         main(["search", "--axiom", "iol", "--rule", "sav", "--k", "1", "--max-m", "3",
               "--max-n", "3", "--format", "json"])
@@ -657,3 +670,36 @@ class TestFlags:
         assert main([str(path) if arg == "{a}" else arg for arg in argv]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+class TestCommitteeSizeRefusal:
+    @pytest.mark.parametrize(
+        "refuse, text, k, m",
+        [
+            (["winners", "--rule", "av", "--k", "4", "--profile", "{a}"], EXAMPLE, 4, 4),
+            # the size before the committee, which has one member, not k
+            (["score", "--rule", "pav", "--k", "4", "--profile", "{a}", "--committee", "0"], EXAMPLE, 4, 4),
+            (["check", "--axiom", "convexity", "--rule", "ccav", "--k", "4", "--profile", "{a}"], EXAMPLE, 4, 4),
+            (["fit", "--family", "thiele", "--k", "3", "--observations", "{a}"], "m=3\n0 1\n2\nchosen: {0,1,2}\n", 3, 3),
+            # the size is checked before the committee limit, which this k is also over
+            (["winners", "--rule", "ccav", "--k", "5000000", "--profile", "{a}"], "m=5000000\n0 1\n", 5_000_000, 5_000_000),
+            (lambda: named_rule("av", 0, 4), None, 0, 4),
+            (lambda: bswav_rule("bswav", 3, [1, 1, 1]), None, 3, 3),
+            (lambda: enumerate_committees(1, 1), None, 1, 1),
+            (lambda: enumerate_committees(4, 4), None, 4, 4),
+        ],
+        ids=["winners", "score", "check", "fit", "winners-over-limit", "named_rule", "bswav_rule",
+             "enumerate_committees-1-1", "enumerate_committees-4-4"],
+    )
+    def test_one_message_for_k_outside_1_to_m_minus_1(self, tmp_path, refuse, text, k, m, capsys):
+        message = f"committee size k={k} must satisfy 1 <= k <= m-1={m - 1}"
+        if callable(refuse):
+            with pytest.raises(ValueError) as err:
+                refuse()
+            assert str(err.value) == message
+            return
+        path = tmp_path / "a.txt"
+        path.write_text(text)
+        assert main([str(path) if arg == "{a}" else arg for arg in refuse]) == 2
+        located = "line 4: " if refuse[0] == "fit" else ""  # at the `chosen:` line
+        assert capsys.readouterr() == ("", f"error: {located}{message}\n")

@@ -433,15 +433,33 @@ class TestRuleSpecSyntax:
         with pytest.raises(ValueError):
             parse_rule_spec("bswav:1,1/2", 2, 4)
 
-    @pytest.mark.parametrize("spec, k", [("av", -1), ("msav", 0), ("thiele:0", 0)])
-    def test_committee_size_below_one_rejected(self, spec, k):
-        with pytest.raises(ValueError, match="at least 1"):
+    @pytest.mark.parametrize(
+        "spec, k, message",
+        [
+            ("av", -1, "committee size k=-1 must satisfy 1 <= k <= m-1=3"),
+            ("msav", 0, "committee size k=0 must satisfy 1 <= k <= m-1=3"),
+            # a Thiele rule has no m, so `Rule` refuses k < 1 itself
+            ("thiele:0", 0, "committee size must be at least 1"),
+        ],
+        ids=["av--1", "msav-0", "thiele:0-0"],
+    )
+    def test_committee_size_below_one_rejected(self, spec, k, message):
+        with pytest.raises(ValueError) as err:
             parse_rule_spec(spec, k, 4)
+        assert str(err.value) == message
 
-    @pytest.mark.parametrize("name, k, m", [("msav", 0, 4), ("av", -1, 0)])
-    def test_named_rule_rejects_committee_size_below_one(self, name, k, m):
-        with pytest.raises(ValueError, match="at least 1"):
+    @pytest.mark.parametrize(
+        "name, k, m, message",
+        [
+            ("msav", 0, 4, "committee size k=0 must satisfy 1 <= k <= m-1=3"),
+            ("av", -1, 0, "committee size k=-1 must satisfy 1 <= k <= m-1=-1"),
+        ],
+        ids=["msav-0-4", "av--1-0"],
+    )
+    def test_named_rule_rejects_committee_size_below_one(self, name, k, m, message):
+        with pytest.raises(ValueError) as err:
             named_rule(name, k, m)
+        assert str(err.value) == message
 
     def test_rationals(self):
         assert parse_rational("3/2") == F(3, 2)
