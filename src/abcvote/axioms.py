@@ -264,14 +264,6 @@ def _reductions_for(ballot: int, own: int) -> list[int]:
     return out
 
 
-def _check_walk_size(profile: Profile, own: int, committee: Committee, cap: int) -> None:
-    total = 1
-    for ballot in profile.masks:
-        total *= 2 ** (ballot & ~own).bit_count()
-    if total > cap:
-        raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
-
-
 def check_independence_of_losers(
     rule,
     profile: Profile,
@@ -284,24 +276,26 @@ def check_independence_of_losers(
 
     Mode "all" covers, for every winner, the product of all per-voter
     reductions, and raises CapExceeded for a winner with more than `cap` of
-    them; "sample" draws `count` seeded random reductions.  `checked` counts
-    reduced profiles.  In mode "all" a library `Rule` decides each winner at
-    once with `survives_every_reduction`, counts a surviving winner's product
+    them, counted exactly: a ballot that misses the winner has 2**d - 1, not
+    2**d, for its d droppable members.  "sample" draws `count` reductions
+    from one generator seeded with `seed`.  `checked` counts reduced
+    profiles.  In mode "all" a library `Rule` decides each winner at once
+    with `survives_every_reduction`, counts a surviving winner's product
     without walking it, and walks only a failing winner's, to find its first
     witness; other rules walk every winner's product.
     """
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
-    rng = random.Random(seed)
+    rng = random.Random(seed) if mode == "sample" else None
     for committee in sorted(base):
         own = ballot_mask(committee)
         if mode == "all":
-            _check_walk_size(profile, own, committee, cap)
+            total = math.prod(2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks)
+            if total > cap:
+                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
             if isinstance(rule, Rule) and survives_every_reduction(rule, profile, committee):
-                checked += math.prod(
-                    2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks
-                )
+                checked += total
                 continue
             combos = itertools.product(*(_reductions_for(ballot, own) for ballot in profile.masks))
         elif mode == "sample":

@@ -91,8 +91,8 @@ def cmd_winners(args) -> int:
 
 
 def cmd_score(args) -> int:
-    # the ballots as candidate sets: `score` renames the candidates that occur
-    # before it builds a mask, so a huge index costs no huge integer
+    # the ballots as candidate sets: `score` reads each one's size and overlap
+    # with the committee off the rule's table, so a huge index builds no mask
     m, counts = _parsed(parse_ballot_counts, args.profile, _read_text(args.profile))
     check_committee_size(m, args.k)
     tokens = args.committee.replace(",", " ").split()

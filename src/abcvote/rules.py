@@ -246,7 +246,7 @@ def _check_dimensions(rule: Rule, m: int) -> None:
 #
 # Other tables (PAV, CCAV, most Thiele vectors) have two evaluations.  Few
 # distinct ballots pay w * T[|A|][popcount(A & W)] each: C(m, k) times the
-# distinct ballots.  Many distinct ballots are bit-sliced: each pool candidate
+# distinct ballots.  Many distinct ballots are bit-sliced: each candidate
 # gets one integer with bit i set when distinct ballot i approves it, and a
 # depth-first walk over the committees keeps at[x], the ballots with more than
 # x members chosen so far.  T[|A|][c] = T[|A|][0] + the sum over x < c of
@@ -336,46 +336,41 @@ def _vector_terms(vector: ProfileVector) -> tuple[int, tuple[tuple[int, int], ..
     return scale, tuple((mask, int(value * scale)) for mask, value in vector.entries)
 
 
-def _kernel(rule: Rule, m: int, terms: Sequence[tuple[int, int]], pool, masks) -> tuple[int, list[int]]:
-    """(D, scores): the score times D of every size-k committee drawn from the
-    sorted candidates `pool`, in lexicographic order; `masks` are their bitmasks."""
+def _kernel(rule: Rule, m: int, terms: Sequence[tuple[int, int]], masks) -> tuple[int, list[int]]:
+    """(D, scores): the score times D of every size-k committee of the candidates
+    0..m-1, in lexicographic order; `masks` are their bitmasks."""
     table = _int_table(rule, m)
     entries = [(mask, weight, table[mask.bit_count()]) for mask, weight in terms]
     if all(line is not None for _, _, (_, line) in entries):
-        constant, gains = 0, {}
+        constant, gains = 0, [0] * m
         for mask, weight, (_, (intercept, slope)) in entries:
             constant += weight * intercept
             gain = weight * slope
             while gain and mask:  # each approved candidate, lowest bit first
                 low = mask & -mask
-                c = low.bit_length() - 1
-                gains[c] = gains.get(c, 0) + gain
+                gains[low.bit_length() - 1] += gain
                 mask ^= low
-        pool_gains = [gains.get(c, 0) for c in pool]
-        return table.scale, [constant + gain for gain in map(sum, combinations(pool_gains, rule.k))]
+        return table.scale, [constant + gain for gain in map(sum, combinations(gains, rule.k))]
     least = SLICED_MIN_BALLOTS * rule.k
     if len(entries) > least:  # the rows of steps are counted only where they can matter
         step_rows = {tuple(map(sub, row[1:], row[:-1])) for row in {row for _, _, (row, _) in entries}}
         if len(entries) > least * len(step_rows):
-            return table.scale, _sliced_scores(rule.k, entries, pool)
+            return table.scale, _sliced_scores(rule.k, entries, m)
     rows = [(mask, tuple(weight * t for t in row)) for mask, weight, (row, _) in entries]
     return table.scale, [sum([row[(mask & cm).bit_count()] for mask, row in rows]) for cm in masks]
 
 
-def _sliced_scores(k: int, entries, pool) -> list[int]:
+def _sliced_scores(k: int, entries, m: int) -> list[int]:
     """The bit-sliced evaluation of `_kernel`: scores of the size-k committees
-    of `pool`, in lexicographic order, from (mask, weight, (row, line)) entries."""
-    position = {c: p for p, c in enumerate(pool)}
-    columns = [0] * len(pool)  # by pool position: the pool may be a few candidates of a huge m
+    of 0..m-1, in lexicographic order, from (mask, weight, (row, line)) entries."""
+    columns = [0] * m  # by candidate: the ballots that approve it
     constant, planes = 0, {}  # (row, signed power of two) -> the ballots in that plane
     for i, (mask, weight, (row, _)) in enumerate(entries):
         bit = 1 << i
         constant += weight * row[0]
         while mask:
             low = mask & -mask
-            p = position.get(low.bit_length() - 1)
-            if p is not None:
-                columns[p] |= bit
+            columns[low.bit_length() - 1] |= bit
             mask ^= low
         sign, magnitude, j = (1 if weight > 0 else -1), abs(weight), 0
         while magnitude:
@@ -398,7 +393,7 @@ def _sliced_scores(k: int, entries, pool) -> list[int]:
     full, scores = (1 << len(entries)) - 1, []
     levels = [([], constant)]  # levels[d]: (at, score) after the first d members of the prefix
     last = ()
-    for prefix in combinations(range(len(pool) - 1), k - 1):
+    for prefix in combinations(range(m - 1), k - 1):
         d = 0
         while d < len(last) and last[d] == prefix[d]:
             d += 1
@@ -437,7 +432,7 @@ def _scores(rule: Rule, m: int, terms: Sequence[tuple[int, int]]):
     """(committees, D, scores) with scores[i] / D the exact score of committees[i]."""
     _check_dimensions(rule, m)
     committees, masks = _committee_masks(m, rule.k)
-    scale, scores = _kernel(rule, m, terms, range(m), masks)
+    scale, scores = _kernel(rule, m, terms, masks)
     return committees, scale, scores
 
 
@@ -477,17 +472,14 @@ def committee_score(rule: Rule, profile: Profile, committee: Committee | frozens
 
 def ballots_score(rule: Rule, m: int, counts: dict[Ballot, int], committee: Committee | frozenset[int]) -> Fraction:
     """:func:`committee_score` on the count of each distinct ballot, as candidate
-    sets, over m candidates.  The candidates that occur are renamed 0, 1, ...
-    before any mask is built: a mask is then as wide as their count, not as the
-    largest index, and every ballot keeps its size."""
+    sets, over m candidates: the sum of count * T[|A|][|A ∩ W|] over D, read off
+    the rule's integer table.  No mask is built, so a huge index costs nothing."""
     _check_dimensions(rule, m)
     members = frozenset(committee)
     check_committee(members, rule.k, m)
-    dense = {c: i for i, c in enumerate(members.union(*counts))}
-    terms = [(ballot_mask(map(dense.__getitem__, ballot)), count) for ballot, count in counts.items()]
-    pool = sorted(map(dense.__getitem__, members))
-    scale, (score,) = _kernel(rule, m, terms, pool, (ballot_mask(pool),))
-    return Fraction(score, scale)
+    table = _int_table(rule, m)
+    score = sum(count * table[len(ballot)][0][len(ballot & members)] for ballot, count in counts.items())
+    return Fraction(score, table.scale)
 
 
 def committee_scores(rule: Rule, profile: Profile) -> list[tuple[Committee, Fraction]]:

@@ -17,8 +17,8 @@ from typing import Callable, Iterator
 
 from . import axioms
 from .axioms import Axiom, AxiomVerdict, CheckOptions, replay
-from .profiles import ChoiceSet, Committee, Profile, all_ballots, ballot_mask, ballot_permutation_tables
-from .rules import NAMED_RULES, named_rule
+from .profiles import ChoiceSet, Profile, all_ballots, ballot_mask, ballot_permutation_tables
+from .rules import NAMED_RULES, _scores, named_rule, thiele_rule
 
 MAX_SEARCH_M = 6
 MAX_SEARCH_N = 6
@@ -125,23 +125,15 @@ def library_factory(name: str) -> RuleFactory:
 
 
 def min_approval_rule(k: int):
-    """Negative control: elects the k candidates with minimal approval scores."""
+    """Negative control: elects the k candidates with minimal approval scores,
+    the committees of least AV score.  A plain choice function, not a `Rule`,
+    so that the checkers' choice-function paths run; k must be at most m - 1."""
+    av = thiele_rule("av", range(k + 1))
 
     def choose(profile: Profile) -> ChoiceSet:
-        tallies = [0] * profile.m
-        for mask, count in profile.terms:
-            for c in range(mask.bit_length()):
-                if mask >> c & 1:
-                    tallies[c] += count
-        best: int | None = None
-        arg: list[Committee] = []
-        for committee in itertools.combinations(range(profile.m), k):
-            total = -sum(tallies[c] for c in committee)
-            if best is None or total > best:
-                best, arg = total, [committee]
-            elif total == best:
-                arg.append(committee)
-        return frozenset(arg)
+        committees, _, scores = _scores(av, profile.m, profile.terms)
+        least = min(scores)
+        return frozenset(w for w, score in zip(committees, scores) if score == least)
 
     return choose
 

@@ -329,6 +329,12 @@ class TestIndependenceOfLosers:
         verdict = check_independence_of_losers(named_rule("av", 1, 2), profile)
         assert verdict.passed
 
+    def test_cap_counts_only_reductions_that_exist(self):
+        # {1,2} misses the winner (0,): it keeps one of its members, 3 reductions, not 4
+        profile = Profile.from_ballots(3, [fs(0), fs(0), fs(1, 2)])
+        verdict = check_independence_of_losers(named_rule("av", 1, 3), profile, cap=3)
+        assert (verdict.passed, verdict.checked) == (True, 3)
+
     def test_cap_enforced(self):
         profile = Profile.from_ballots(6, [fs(0, 1, 2, 3, 4, 5)] * 4)
         with pytest.raises(ValueError):

@@ -245,15 +245,15 @@ class TestScore:
         [
             (["0 1", "0", "2"], "av", "19999999999", "{19999999999}  score 0\n"),
             (["0 19999999999", "19999999999", "2"], "av", "19999999999", "{19999999999}  score 2\n"),
-            # 31 distinct ballots at k = 2: PAV is bit-sliced
+            # 31 distinct ballots at k = 2, where `winners` would bit-slice PAV
             ([f"{c} 19999999999" for c in range(30)] + ["19999999999"], "pav", "0 19999999999",
              "{0,19999999999}  score 63/2\n"),
         ],
         ids=["committee", "ballots", "sliced"],
     )
     def test_huge_candidate_index_builds_no_huge_mask(self, tmp_path, ballots, rule, committee, expected):
-        # a mask with bit 19999999999 set takes 2.5 GB; the candidates that
-        # occur are renamed 0, 1, ... before any mask is built
+        # a mask with bit 19999999999 set takes 2.5 GB; `score` reads each
+        # ballot's size and overlap with the committee, and builds no mask
         path = tmp_path / "huge.abc"
         path.write_text("m=20000000000\n" + "".join(f"{ballot}\n" for ballot in ballots))
         k = str(len(committee.split()))
@@ -283,6 +283,14 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --count must be at least 1\n"
+
+    def test_iol_cap_counts_only_reductions_that_exist(self, tmp_path, capsys):
+        # a ballot {1} missing the winner (0,) has one reduction, itself, not 2; the
+        # 17 of them once counted 2**17 = 131072 reduced profiles, over the cap
+        path = tmp_path / "p.abc"
+        path.write_text("m=3\n" + "0\n" * 20 + "1\n" * 17)
+        assert main(["check", "--axiom", "iol", "--rule", "av", "--k", "1", "--profile", str(path)]) == 0
+        assert capsys.readouterr().out == "pass: independence-of-losers holds on this instance (1 cases checked)\n"
 
     @pytest.mark.parametrize("rule, checked", [("pav", 24), ("ccav", 136)])
     def test_iol_exhaustive_pass_counts(self, tmp_path, rule, checked, capsys):

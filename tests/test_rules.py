@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcvote.profiles import (
     Profile,
@@ -135,6 +137,36 @@ class TestCommitteeScore:
             committee_score(rule, self.PROFILE, (0, 1))
         with pytest.raises(ValueError):
             committee_score(named_rule("av", 2, 4), self.PROFILE, (0, 1, 2))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_ballots_score_builds_no_mask(self, data):
+        # the profile's candidates spread over indices below 2 * 10**10, where one
+        # mask would take gigabytes: the score is read off the rule's table
+        m = data.draw(st.integers(2, 6))
+        k = data.draw(st.integers(1, m - 1))
+        masks = data.draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=8))
+        ballots = [frozenset(c for c in range(m) if mask >> c & 1) for mask in masks]
+        profile = Profile.from_ballots(m, ballots)
+        committee = tuple(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=k, max_size=k))))
+        huge = 2 * 10**10
+        rename = dict(zip(range(m), sorted(data.draw(st.sets(st.integers(0, huge - 1), min_size=m, max_size=m)))))
+        counts = Counter(frozenset(map(rename.get, ballot)) for ballot in ballots)
+        steps = data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))
+        vector = "thiele:" + ",".join(map(str, itertools.accumulate([0] + steps)))
+        expected = [committee_score(parse_rule_spec(spec, k, m), profile, committee)
+                    for spec in ("av", "pav", "ccav", vector)]
+
+        def refuse(_):
+            raise AssertionError("ballots_score built a mask")
+
+        spread = tuple(map(rename.get, committee))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rules, "ballot_mask", refuse)
+            scores = [rules.ballots_score(parse_rule_spec(spec, k, huge), huge, counts, spread)
+                      for spec in ("av", "pav", "ccav", vector)]
+        assert scores == expected
 
 
 class TestWinners:

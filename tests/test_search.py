@@ -25,7 +25,7 @@ from abcvote.search import (
     separation_suite,
 )
 
-from conftest import all_subsets_nonempty, oracle_canonical_form, raw_profiles
+from conftest import all_subsets_nonempty, oracle_canonical_form, oracle_profile_scores, raw_profiles
 
 
 def fs(*xs):
@@ -324,6 +324,20 @@ class TestFindCounterexample:
     def test_min_approval_rule_shape(self):
         choose = min_approval_rule(1)
         assert choose(Profile.from_ballots(3, [fs(0)])) == fs((1,), (2,))
+        with pytest.raises(ValueError, match=r"^committee size k=3 must satisfy 1 <= k <= m-1=2$"):
+            min_approval_rule(3)(Profile.from_ballots(3, [fs(0)]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_min_approval_rule_matches_the_oracle(self, data):
+        # the committees of least approval score, every tied one included
+        m = data.draw(st.integers(2, 6))
+        k = data.draw(st.integers(1, m - 1))
+        masks = data.draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=6))
+        profile = Profile.from_ballots(m, [frozenset(c for c in range(m) if mask >> c & 1) for mask in masks])
+        scored = oracle_profile_scores(lambda x, y: x, profile, k)
+        least = min(score for _, score in scored)
+        assert min_approval_rule(k)(profile) == frozenset(w for w, score in scored if score == least)
 
 
 class TestSeparationSuite:
