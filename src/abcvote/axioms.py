@@ -6,7 +6,10 @@ profile to a choice set, or a library `Rule`), evaluates it on concrete
 profiles, and returns a verdict.  A failing verdict carries a structured
 witness with enough data to reproduce the violation by re-running the rule;
 each replayer sits beside its checker, which re-verifies its own witness
-with it before returning.
+with it before returning.  A library `Rule` scores a committee as a sum of
+T[|A|][|A ∩ W|] over the profile's distinct ballots and their counts, so it
+is anonymous, neutral and consistent by its form: those checkers pass it
+without running it, and walk only other rules.
 
 The axioms quantify over all profiles; these checkers decide fixed
 instances, and the search module supplies the quantifier at bounded scale.
@@ -32,10 +35,11 @@ from .profiles import (
     add_profiles,
     apply_candidate_permutation,
     ballot_mask,
+    check_same_candidates,
     format_profile,
     scale_profile,
 )
-from .rules import Rule, format_rational, least_continuity_lambda, survives_every_reduction
+from .rules import Rule, _committees, format_rational, least_continuity_lambda, survives_every_reduction
 from .verdict import AxiomVerdict, Replayer, as_choice_fn, fail
 
 IOL_EXHAUSTIVE_CAP = 2**16
@@ -49,31 +53,48 @@ def _committee_image(choices: ChoiceSet, tau: tuple[int, ...]) -> ChoiceSet:
     return frozenset(tuple(sorted(tau[c] for c in w)) for w in choices)
 
 
+def _walk_size(items: int, mode: str, count: int, too_many: str) -> int:
+    """How many orderings `_permutations` yields for `items` items, raising
+    what it raises: n! in mode "all" (at most 8 items), `count` in "sample"."""
+    if mode == "all":
+        if items > 8:
+            raise CapExceeded(too_many)
+        return math.factorial(items)
+    if mode == "sample":
+        return len(range(count))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def _permutations(items, mode: str, seed: int, count: int, too_many: str):
     """Every ordering of `items` (mode "all", at most 8 items) or `count`
     seeded shuffles (mode "sample"), each as a tuple."""
     ordered = list(items)
+    _walk_size(len(ordered), mode, count, too_many)
     if mode == "all":
-        if len(ordered) > 8:
-            raise CapExceeded(too_many)
         yield from itertools.permutations(ordered)
-    elif mode == "sample":
+    else:
         rng = random.Random(seed)
         for _ in range(count):
             image = ordered[:]
             rng.shuffle(image)
             yield tuple(image)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
 
 def check_anonymity(rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20) -> AxiomVerdict:
-    """The choice set must be unchanged under every (tested) voter permutation."""
+    """The choice set must be unchanged under every (tested) voter permutation.
+
+    A library `Rule` passes by its form, once the errors of its first
+    `winners` call are raised; `checked` is still the walk's count, n! or
+    `count` whatever the seed.  Other rules run on every permuted profile.
+    """
+    too_many = "exhaustive mode over voter permutations needs at most 8 voters"
+    if isinstance(rule, Rule):
+        _committees(rule, profile.m)
+        return AxiomVerdict("anonymity", True, None, _walk_size(profile.n_voters, mode, count, too_many))
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
     voters = range(profile.n_voters)
-    too_many = "exhaustive mode over voter permutations needs at most 8 voters"
     for image in _permutations(voters, mode, seed, count, too_many):
         checked += 1
         mapping = dict(zip(voters, image))
@@ -95,11 +116,19 @@ def _replay_anonymity(w, choose):
 
 
 def check_neutrality(rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20) -> AxiomVerdict:
-    """Renaming candidates by tau must map the choice set to its tau-image."""
+    """Renaming candidates by tau must map the choice set to its tau-image.
+
+    A library `Rule` passes by its form, once the errors of its first
+    `winners` call are raised; `checked` is still the walk's count, m! or
+    `count` whatever the seed.  Other rules run on every renamed profile.
+    """
+    too_many = "exhaustive mode over candidate permutations needs m <= 8"
+    if isinstance(rule, Rule):
+        _committees(rule, profile.m)
+        return AxiomVerdict("neutrality", True, None, _walk_size(profile.m, mode, count, too_many))
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
-    too_many = "exhaustive mode over candidate permutations needs m <= 8"
     for tau in _permutations(range(profile.m), mode, seed, count, too_many):
         checked += 1
         renamed = apply_candidate_permutation(profile, tau)
@@ -126,7 +155,16 @@ def _replay_neutrality(w, choose):
 def check_consistency_pair(rule, a: Profile, b: Profile) -> AxiomVerdict:
     """On disjoint electorates with overlapping choices, the joint election
     must choose exactly the intersection.  Vacuous pass when the choice sets
-    are disjoint."""
+    are disjoint.
+
+    A library `Rule` passes by its form, once the walk's first errors are
+    raised: joint scores are the sums of the two sides', so the committees
+    best on both sides, if any, are exactly the joint best.
+    """
+    if isinstance(rule, Rule):
+        check_same_candidates(a, b)
+        _committees(rule, a.m)
+        return AxiomVerdict("consistency", True, None, 1)
     choose = as_choice_fn(rule)
     joint = add_profiles(a, b)
     left, right = choose(a), choose(b)
@@ -155,8 +193,8 @@ def _replay_consistency(w, choose):
 
 
 def check_consistency_splits(rule, profile: Profile, max_voters: int = 10) -> AxiomVerdict:
-    """Consistency over every non-trivial bipartition of the electorate."""
-    choose = as_choice_fn(rule)
+    """Consistency over every non-trivial bipartition of the electorate; a
+    library `Rule` passes each split by its form (see `check_consistency_pair`)."""
     n = profile.n_voters
     if n > max_voters:
         raise ValueError(f"profile has {n} voters, over the split cap {max_voters}")
@@ -168,7 +206,7 @@ def check_consistency_splits(rule, profile: Profile, max_voters: int = 10) -> Ax
             left_idx = {0, *rest}
             left = Profile(profile.m, tuple(voters[i] for i in sorted(left_idx)))
             right = Profile(profile.m, tuple(voters[i] for i in range(n) if i not in left_idx))
-            verdict = check_consistency_pair(choose, left, right)
+            verdict = check_consistency_pair(rule, left, right)
             checked += 1
             if not verdict.passed:
                 verdict.checked = checked

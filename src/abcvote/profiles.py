@@ -182,10 +182,15 @@ def profile_to_vector(profile: Profile) -> ProfileVector:
     return ProfileVector.from_dict(profile.m, dict(profile.terms))
 
 
-def add_profiles(a: Profile, b: Profile) -> Profile:
-    """Disjoint sum of two profiles over the same candidate set: b's voters follow a's."""
+def check_same_candidates(a: Profile, b: Profile) -> None:
+    """Refuse two profiles over different candidate counts, which cannot be added."""
     if a.m != b.m:
         raise ValueError("cannot add profiles with different candidate counts")
+
+
+def add_profiles(a: Profile, b: Profile) -> Profile:
+    """Disjoint sum of two profiles over the same candidate set: b's voters follow a's."""
+    check_same_candidates(a, b)
     return Profile(a.m, a.masks + b.masks)
 
 

@@ -304,8 +304,13 @@ class _IntTable(dict):
         self.scale = lcm(*(value.denominator for value in _parameters(rule.scoring)))
 
     def __missing__(self, y: int):
-        values = [self.scoring.score(x, y) for x in range(self.k + 1)]
-        row = tuple(value.numerator * (self.scale // value.denominator) for value in values)
+        if isinstance(self.scoring, BswavWeights):  # alpha_y * x, scaled once, in ints
+            alpha = self.scoring.alpha[y - 1]
+            unit = alpha.numerator * (self.scale // alpha.denominator)
+            row = tuple(unit * x for x in range(self.k + 1))
+        else:
+            values = [self.scoring.score(x, y) for x in range(self.k + 1)]
+            row = tuple(value.numerator * (self.scale // value.denominator) for value in values)
         active = active_range(self.k, self.m, y)
         lo = active[0]
         slope = row[lo + 1] - row[lo] if len(active) > 1 else 0
@@ -428,10 +433,16 @@ def _sliced_scores(k: int, entries, m: int) -> list[int]:
     return scores
 
 
+def _committees(rule: Rule, m: int) -> tuple[tuple[Committee, ...], tuple[int, ...]]:
+    """The rule's size-k committees of m candidates with their bitmasks, after the
+    checks that every scoring makes first: the rule's dimensions, then the limit."""
+    _check_dimensions(rule, m)
+    return _committee_masks(m, rule.k)
+
+
 def _scores(rule: Rule, m: int, terms: Sequence[tuple[int, int]]):
     """(committees, D, scores) with scores[i] / D the exact score of committees[i]."""
-    _check_dimensions(rule, m)
-    committees, masks = _committee_masks(m, rule.k)
+    committees, masks = _committees(rule, m)
     scale, scores = _kernel(rule, m, terms, masks)
     return committees, scale, scores
 
@@ -556,9 +567,8 @@ def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee)
     weighted by their count: the cost is C(m, k) times the reductions of the
     distinct ballots, with no product over voters.
     """
-    _check_dimensions(rule, profile.m)
+    _, masks = _committees(rule, profile.m)
     table = _int_table(rule, profile.m)
-    _, masks = _committee_masks(profile.m, rule.k)
     own = ballot_mask(committee)
     totals = [0] * len(masks)
     for ballot, weight in profile.terms:

@@ -42,7 +42,7 @@ from abcvote.rules import (
 )
 
 from conftest import raw_profiles
-from test_kernel import tables
+from test_kernel import bswav_specs, tables, thiele_specs
 
 
 def fs(*xs):
@@ -392,6 +392,127 @@ def test_iol_least_margins_match_the_walk(instance):
     witness and cap message must all agree."""
     rule, profile, cap = instance
     assert _iol_outcome(rule, profile, cap) == _iol_outcome(as_choice_fn(rule), profile, cap)
+
+
+def _by_form_outcome(check, rule, *args):
+    """What a checker returns or raises: (passed, checked), or the error's type and message."""
+    try:
+        verdict = check(rule, *args)
+    except Exception as err:  # the shortcut must refuse exactly as the walk does
+        return type(err), str(err)
+    return verdict.passed, verdict.checked
+
+
+@st.composite
+def scoring_rules(draw, m, k):
+    """A library rule, a random `thiele:` or `bswav:` spec, or a random scoring table."""
+    named = st.sampled_from(NAMED_RULES).map(lambda name: named_rule(name, k, m))
+    return draw(st.one_of(named, thiele_specs(m, k), bswav_specs(m, k), small_tables(m, k), tables(m, k)))
+
+
+def _profiles(m, min_size, max_size):
+    masks = st.lists(st.integers(1, 2**m - 1), min_size=min_size, max_size=max_size)
+    return masks.map(lambda ms: Profile.from_ballots(m, [frozenset(c for c in range(m) if x >> c & 1) for x in ms]))
+
+
+@st.composite
+def by_form_instances(draw):
+    """A rule at m <= 5, a profile of 1-5 voters, a second one of 1-3 voters,
+    and a mode, seed and count for the permutation walks."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, m - 1))
+    rule = draw(scoring_rules(m, k))
+    profile, other = draw(_profiles(m, 1, 5)), draw(_profiles(m, 1, 3))
+    mode = draw(st.sampled_from(("all", "sample")))
+    return rule, profile, other, mode, draw(st.integers(0, 2**32)), draw(st.integers(-2, 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(by_form_instances())
+def test_by_form_axioms_match_the_walk(instance):
+    """A `Rule` passes anonymity, neutrality and consistency without a kernel
+    call; the same rule as a bare choice function walks every permutation,
+    pair and split.  Verdict and count must agree."""
+    rule, profile, other, mode, seed, count = instance
+    walk = as_choice_fn(rule)
+    for check, args in (
+        (check_anonymity, (profile, mode, seed, count)),
+        (check_neutrality, (profile, mode, seed, count)),
+        (check_consistency_pair, (profile, other)),
+        (check_consistency_pair, (other, profile)),
+        (check_consistency_splits, (profile,)),
+    ):
+        outcome = _by_form_outcome(check, rule, *args)
+        assert outcome == _by_form_outcome(check, walk, *args)
+        assert outcome[0] is True
+
+
+def test_by_form_axioms_call_no_kernel(monkeypatch):
+    calls = []
+    kernel = rules._kernel
+    monkeypatch.setattr(rules, "_kernel", lambda *args: calls.append(args) or kernel(*args))
+    profile = Profile.from_ballots(4, [fs(0, 1), fs(2), fs(1, 3), fs(0, 1)])
+    other = Profile.from_ballots(4, [fs(3), fs(0, 2)])
+    for name in NAMED_RULES:
+        rule = named_rule(name, 2, 4)
+        assert check_anonymity(rule, profile).checked == 24
+        assert check_neutrality(rule, profile, "sample", 7, 5).checked == 5
+        assert check_consistency_pair(rule, profile, other).checked == 1
+        assert check_consistency_splits(rule, profile).checked == 7
+    assert calls == []
+    check_anonymity(as_choice_fn(named_rule("av", 2, 4)), profile)
+    assert len(calls) == 25
+
+
+HUGE_M = 20_000_000_000
+BSWAV_M3 = rules.parse_rule_spec("bswav:1,1/2,1/3", 1, 3)
+
+
+@pytest.mark.parametrize(
+    "check, rule, args",
+    [
+        # a ballot-size rule built for m = 3 on a profile over 4 candidates
+        (check_anonymity, BSWAV_M3, (Profile.from_ballots(4, [fs(0)]),)),
+        (check_neutrality, BSWAV_M3, (Profile.from_ballots(4, [fs(0)]),)),
+        (check_consistency_pair, BSWAV_M3, (Profile.from_ballots(4, [fs(0)]), Profile.from_ballots(4, [fs(1)]))),
+        (check_consistency_splits, BSWAV_M3, (Profile.from_ballots(4, [fs(0), fs(1)]),)),
+        # a pair whose profiles differ in m
+        (check_consistency_pair, named_rule("av", 1, 3),
+         (Profile.from_ballots(3, [fs(0)]), Profile.from_ballots(4, [fs(1)]))),
+        # the committee limit, before any mask of the 2 * 10**10 candidates is built
+        (check_anonymity, named_rule("av", 1, HUGE_M), (Profile.from_ballots(HUGE_M, [fs(0, 1), fs(0, 1), fs(2)]),)),
+        (check_neutrality, named_rule("av", 1, HUGE_M), (Profile.from_ballots(HUGE_M, [fs(0, 1), fs(2)]),)),
+        (check_consistency_pair, named_rule("av", 1, HUGE_M),
+         (Profile.from_ballots(HUGE_M, [fs(0, 1)]), Profile.from_ballots(HUGE_M, [fs(2)]))),
+        # the exhaustive walks' caps, and an unknown mode
+        (check_anonymity, named_rule("pav", 2, 3), (Profile.from_ballots(3, [fs(0)] * 9),)),
+        (check_neutrality, named_rule("sav", 2, 9), (Profile.from_ballots(9, [fs(0, 1), fs(8)]),)),
+        (check_anonymity, named_rule("ccav", 1, 2), (Profile.from_ballots(2, [fs(0)]), "every")),
+    ],
+)
+def test_by_form_refuses_as_the_walk_does(check, rule, args):
+    outcome = _by_form_outcome(check, rule, *args)
+    assert outcome == _by_form_outcome(check, as_choice_fn(rule), *args)
+    assert isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
+
+
+@pytest.mark.parametrize(
+    "axiom, profile",
+    [
+        ("anonymity", Profile.from_ballots(3, [fs(0), fs(1, 2)] * 4 + [fs(2)])),
+        ("neutrality", Profile.from_ballots(9, [fs(0, 1), fs(8), fs(3, 4, 5)])),
+    ],
+)
+def test_search_falls_back_to_sampling_as_the_walk_does(axiom, profile):
+    from abcvote.search import _check
+
+    rule = named_rule("pav", 2, profile.m)
+    with pytest.raises(CapExceeded):
+        axioms.lookup(axiom).check(rule, profile, axioms.CheckOptions(2))
+    verdict = _check(axioms.lookup(axiom), rule, (profile,), axioms.CheckOptions(2))
+    walked = _check(axioms.lookup(axiom), as_choice_fn(rule), (profile,), axioms.CheckOptions(2))
+    assert (verdict.passed, verdict.checked, verdict.witness) == (walked.passed, walked.checked, walked.witness)
+    assert verdict.checked == 200
 
 
 class TestConvexHull:
