@@ -24,7 +24,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import partylist
@@ -39,7 +38,7 @@ from .profiles import (
     format_profile,
     scale_profile,
 )
-from .rules import Rule, _committees, format_rational, least_continuity_lambda, survives_every_reduction
+from .rules import Rule, _committees, least_continuity_lambda, survives_every_reduction
 from .verdict import AxiomVerdict, Replayer, as_choice_fn, fail
 
 IOL_EXHAUSTIVE_CAP = 2**16
@@ -522,8 +521,6 @@ def replay(verdict: AxiomVerdict, rule) -> bool:
 def _encode(value):
     if isinstance(value, Profile):
         return format_profile(value)
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, frozenset):
         items = sorted(value)
         return [_encode(v) for v in items]

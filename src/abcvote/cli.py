@@ -18,7 +18,6 @@ from . import axioms, identify, search
 from .profiles import (
     Profile,
     ProfileFormatError,
-    candidate_count,
     check_committee_size,
     format_choice_set,
     format_committee,
@@ -28,7 +27,6 @@ from .profiles import (
 from .rules import (
     ballots_score,
     check_committee,
-    check_committee_limit,
     continuity_lambda_bound,
     format_rational,
     parse_rule_spec,
@@ -36,16 +34,21 @@ from .rules import (
 )
 
 
-class UsageError(ValueError):
-    """A usage or input error; `main` reports every ValueError with exit 2."""
-
-
 def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`, its newlines read as text-mode `open`
+    reads them; the first byte that does not decode is refused with its line."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as err:
-        raise UsageError(f"cannot read {path}: {err}") from None
+        raise ValueError(f"cannot read {path}: {err}") from None
+    # CR never occurs inside a UTF-8 sequence, so newlines translate before decoding
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_no = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}: line {line_no}: invalid UTF-8 byte 0x{data[err.start]:02x}") from None
 
 
 def _parsed(parse, path: str, text: str):
@@ -53,19 +56,14 @@ def _parsed(parse, path: str, text: str):
     try:
         return parse(text)
     except ProfileFormatError as err:
-        raise UsageError(f"{path}: {err}") from None
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _read_profile(path: str, k: int) -> Profile:
     """The profile at `path`, once k passes the size check and then the committee
-    limit on its `m=` line: before any ballot line becomes a mask, which for
-    candidate 19999999999 alone would take 2.5 GB, and before the rule, whose
-    k + 1 Thiele values at a huge k would never be built."""
-    text = _read_text(path)
-    m = _parsed(candidate_count, path, text)
-    check_committee_size(m, k)
-    check_committee_limit(m, k)
-    return _parsed(parse_profile, path, text)
+    limit on its `m=` line: before any ballot line becomes a mask, and before the
+    rule, whose k + 1 Thiele values at a huge k would never be built."""
+    return _parsed(functools.partial(parse_profile, k=k), path, _read_text(path))
 
 
 def _emit_json(payload) -> None:
@@ -98,7 +96,7 @@ def cmd_score(args) -> int:
     tokens = args.committee.replace(",", " ").split()
     # plain ASCII digits only, as in profile files: int() would also take "+1", "1_0" and "١"
     if not (args.committee.isascii() and "".join(tokens).isdigit()):
-        raise UsageError(f"committee {args.committee!r} must list plain digits, none outside 0..{m - 1}")
+        raise ValueError(f"committee {args.committee!r} must list plain digits, none outside 0..{m - 1}")
     committee = tuple(sorted(int(tok) for tok in tokens))
     # before the rule, whose k + 1 Thiele values at a huge k would never be built
     check_committee(frozenset(committee), args.k, m)
@@ -150,7 +148,7 @@ def _lookup_axiom(args):
     axiom = axioms.lookup(args.axiom)
     for flag, reads, scope in _FLAG_SCOPES:
         if getattr(args, flag, None) is not None and not reads(axiom, args):
-            raise UsageError(f"--{flag.replace('_', '-')} applies only to {scope}")
+            raise ValueError(f"--{flag.replace('_', '-')} applies only to {scope}")
     return axiom
 
 
@@ -160,7 +158,7 @@ def cmd_check(args) -> int:
     if axiom.arity == 2 and not args.splits:
         if not args.profile2:
             alternative = " (or one with --splits)" if axiom.name == "consistency" else ""
-            raise UsageError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
+            raise ValueError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
         profiles.append(_read_profile(args.profile2, args.k))
     rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
     cap = args.lambda_cap
@@ -227,7 +225,7 @@ def cmd_separations(args) -> int:
 def cmd_fit(args) -> int:
     observations = identify.parse_observations(_read_text(args.observations), args.k)
     if not observations:
-        raise UsageError("observations file is empty")
+        raise ValueError("observations file is empty")
     if args.family == "thiele":
         result = identify.fit_thiele(observations, args.k)
     else:

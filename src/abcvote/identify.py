@@ -32,7 +32,6 @@ from .profiles import (
     Profile,
     ProfileFormatError,
     _members,
-    candidate_count,
     check_committee_size,
     parse_profile,
     format_committee,
@@ -45,7 +44,6 @@ from .rules import (
     _argmax,
     _committee_masks,
     _scores,
-    check_committee_limit,
     format_rational,
 )
 
@@ -464,9 +462,8 @@ _CHOSEN_RE = re.compile(rf"{_COMMITTEE}(?:,{_COMMITTEE})*")
 def parse_observations(text: str, k: int) -> list[Observation]:
     """Observations in file order; every error names its line in `text`.
 
-    A block's `m=` line is read first: k and the committee limit are tested
-    on it before any ballot line becomes a mask, which for candidate
-    19999999999 alone would take 2.5 GB."""
+    Each block's profile is parsed with k, so k and the committee limit are
+    tested on its `m=` line before any ballot line becomes a mask."""
     observations = []
     block: list[str] = []
     lines: dict[int, dict[str, int]] = {}  # ballot lines checked and coded once per file
@@ -476,15 +473,11 @@ def parse_observations(text: str, k: int) -> list[Observation]:
             continue
         source = "\n".join(block)
         try:
-            m = candidate_count(source)
-            try:
-                check_committee_size(m, k)
-            except ValueError as err:  # at this chosen line, counted within the block
-                raise ProfileFormatError(len(block) + 1, str(err)) from None
-            check_committee_limit(m, k)
-            profile = parse_profile(source, lines)
+            profile = parse_profile(source, lines, k)
         except ProfileFormatError as err:  # renumber from the block's first line
             raise ProfileFormatError(line_no - len(block) + err.line_no - 1, err.message) from None
+        except ValueError as err:  # k or the committee limit, at this chosen line
+            raise ProfileFormatError(line_no, str(err)) from None
         listed = line.split(":", 1)[1].strip()
         if not _CHOSEN_RE.fullmatch(listed):
             raise ProfileFormatError(line_no, f"invalid chosen line {line.strip()!r}")

@@ -16,12 +16,12 @@ remains only as the argument of `rules.vector_scores` and
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 Ballot = frozenset[int]
 Committee = tuple[int, ...]
@@ -133,10 +133,36 @@ class ProfileVector:
         return cls(m, tuple((mask, Fraction(value)) for mask, value in sorted(entries.items()) if value != 0))
 
 
+# Most committees, C(m, k), that any scoring entry point enumerates, and most
+# bytes that they may take cached.  A cached committee (tuple plus bitmask) took
+# about 80 B, plus 8 B per member, plus its mask of up to m bits: 168 B at
+# C(20, 10) = 184,756, 16 kB at C(2000, 1999) = 2,000 and 1.6 kB at
+# C(21900, 1) (CPython 3.11, tracemalloc).  So one (m, k) at the count limit
+# holds about 34 MB, and scoring it against 100 distinct ballots took about
+# 1.7 s; the byte limit holds a few wide committees (k or m in the thousands)
+# to the same 34 MB.
+MAX_COMMITTEES = 200_000
+MAX_COMMITTEE_BYTES = 34_000_000
+
+
 def check_committee_size(m: int, k: int) -> None:
     """Refuse a committee size k outside 1..m-1."""
     if not 1 <= k <= m - 1:
         raise ValueError(f"committee size k={k} must satisfy 1 <= k <= m-1={m - 1}")
+
+
+def check_committee_limit(m: int, k: int) -> None:
+    """Refuse more than MAX_COMMITTEES size-k committees of m candidates, or more
+    than MAX_COMMITTEE_BYTES for them cached, at 80 B plus 8 B per member plus
+    4 B per 30 bits of mask each (CPython's int digits).  A mask is as wide as
+    its committee's largest member + 1, on average m * k / (k + 1) bits.
+    comb(m, k) costs about min(k, m - k) products, so it is skipped past 20:
+    C(m, k) >= C(42, 21) > 5 * 10**11 is then over the limit anyway."""
+    if min(k, m - k) > 20 or (count := comb(m, k)) > MAX_COMMITTEES:
+        raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
+    if count * (80 + 8 * k + 4 * m * k // (30 * (k + 1))) > MAX_COMMITTEE_BYTES:
+        limit = f"the memory limit {MAX_COMMITTEE_BYTES} B"
+        raise ValueError(f"C({m},{k}) committees with their {m}-bit masks exceed {limit}")
 
 
 def enumerate_committees(m: int, k: int) -> list[Committee]:
@@ -183,9 +209,10 @@ def profile_to_vector(profile: Profile) -> ProfileVector:
 
 
 def check_same_candidates(a: Profile, b: Profile) -> None:
-    """Refuse two profiles over different candidate counts, which cannot be added."""
+    """Refuse two profiles over different candidate counts, which can be neither
+    added nor scored as a pair."""
     if a.m != b.m:
-        raise ValueError("cannot add profiles with different candidate counts")
+        raise ValueError(f"profiles must share the candidate count: m={a.m} and m={b.m}")
 
 
 def add_profiles(a: Profile, b: Profile) -> Profile:
@@ -306,12 +333,6 @@ def _header(rows) -> tuple[int, int]:
     return line_no, m
 
 
-def candidate_count(text: str) -> int:
-    """The m of profile text, read no further than its `m=` line; errors as in
-    :func:`parse_profile`."""
-    return _header(map(str.strip, io.StringIO(text)))[1]
-
-
 def _indices(line: str, m: int) -> list[int]:
     """The candidate indices of one stripped ballot line, checked."""
     tokens = line.split()
@@ -326,15 +347,19 @@ def _indices(line: str, m: int) -> list[int]:
     return indices
 
 
-def _read_ballots(text: str, code, lines: dict | None = None):
+def _read_ballots(text: str, code, lines: dict | None = None, k: int | None = None):
     """(m, ballot lines in file order, line -> code(its indices), code -> count).
 
     The lines are stripped and counted, and each distinct line is checked and
     coded once, in file order, so the first bad line is reported where it
     first occurs.  `lines` maps each m to the lines coded so far, since
-    whether a line is valid depends on m."""
+    whether a line is valid depends on m.  A given k passes the size check and
+    then the committee limit on the `m=` line, before any line is coded."""
     rows = list(map(str.strip, text.split("\n")))
     start, m = _header(rows)
+    if k is not None:
+        check_committee_size(m, k)
+        check_committee_limit(m, k)
     body = [line for line in rows[start:] if line and line[0] != "#"]
     if not body:
         raise ProfileFormatError(1, "profile contains no ballots")
@@ -351,12 +376,16 @@ def _read_ballots(text: str, code, lines: dict | None = None):
     return m, body, coded, totals
 
 
-def parse_profile(text: str, lines: dict[int, dict[str, int]] | None = None) -> Profile:
+def parse_profile(text: str, lines: dict[int, dict[str, int]] | None = None, k: int | None = None) -> Profile:
     """The profile in `text`.  Each distinct ballot line is checked and coded to
     its mask once, and the kernel's terms come from the line counts; pass the
     same `lines` to every block of one file to share those checks among them:
-    it maps each candidate count to its stripped ballot lines and their masks."""
-    m, body, coded, totals = _read_ballots(text, ballot_mask, lines)
+    it maps each candidate count to its stripped ballot lines and their masks.
+
+    With a committee size `k`, a k outside 1..m-1 and then C(m, k) over the
+    committee limit are refused, as plain ValueErrors, before any ballot line
+    becomes a mask, which for candidate 19999999999 alone would take 2.5 GB."""
+    m, body, coded, totals = _read_ballots(text, ballot_mask, lines, k)
     return Profile(m, tuple(map(coded.__getitem__, body)), _terms=tuple(totals.items()))
 
 
@@ -368,10 +397,9 @@ def parse_ballot_counts(text: str) -> tuple[int, dict[Ballot, int]]:
     return m, totals
 
 
-def format_profile(profile: Profile, comments: list[str] | None = None) -> str:
+def format_profile(profile: Profile) -> str:
     """Render a profile in the text format, voters in order."""
-    lines = [f"# {c}" for c in comments or []]
-    lines.append(f"m={profile.m}")
+    lines = [f"m={profile.m}"]
     rendered = {mask: " ".join(map(str, _members(mask))) for mask, _ in profile.terms}
     lines.extend(map(rendered.__getitem__, profile.masks))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from operator import sub
 
 from .profiles import (
@@ -26,21 +26,12 @@ from .profiles import (
     Profile,
     ProfileVector,
     ballot_mask,
+    check_committee_limit,
     check_committee_size,
+    check_same_candidates,
     enumerate_committees,
     mask_ballot,
 )
-
-# Most committees, C(m, k), that any scoring entry point enumerates, and most
-# bytes that they may take cached.  A cached committee (tuple plus bitmask) took
-# about 80 B, plus 8 B per member, plus its mask of up to m bits: 168 B at
-# C(20, 10) = 184,756, 16 kB at C(2000, 1999) = 2,000 and 1.6 kB at
-# C(21900, 1) (CPython 3.11, tracemalloc).  So one (m, k) at the count limit
-# holds about 34 MB, and scoring it against 100 distinct ballots took about
-# 1.7 s; the byte limit holds a few wide committees (k or m in the thousands)
-# to the same 34 MB.
-MAX_COMMITTEES = 200_000
-MAX_COMMITTEE_BYTES = 34_000_000
 
 NAMED_RULES = ("av", "pav", "ccav", "sav", "msav", "triv")
 
@@ -269,20 +260,6 @@ def _check_dimensions(rule: Rule, m: int) -> None:
 SLICED_MIN_BALLOTS = 12
 
 
-def check_committee_limit(m: int, k: int) -> None:
-    """Refuse more than MAX_COMMITTEES size-k committees of m candidates, or more
-    than MAX_COMMITTEE_BYTES for them cached, at 80 B plus 8 B per member plus
-    4 B per 30 bits of mask each (CPython's int digits).  A mask is as wide as
-    its committee's largest member + 1, on average m * k / (k + 1) bits.
-    comb(m, k) costs about min(k, m - k) products, so it is skipped past 20:
-    C(m, k) >= C(42, 21) > 5 * 10**11 is then over the limit anyway."""
-    if min(k, m - k) > 20 or (count := comb(m, k)) > MAX_COMMITTEES:
-        raise ValueError(f"C({m},{k}) committees exceed the enumeration limit {MAX_COMMITTEES}")
-    if count * (80 + 8 * k + 4 * m * k // (30 * (k + 1))) > MAX_COMMITTEE_BYTES:
-        limit = f"the memory limit {MAX_COMMITTEE_BYTES} B"
-        raise ValueError(f"C({m},{k}) committees with their {m}-bit masks exceed {limit}")
-
-
 @lru_cache(maxsize=None)
 def _committee_masks(m: int, k: int) -> tuple[tuple[Committee, ...], tuple[int, ...]]:
     """All size-k committees in enumerate_committees order, with their bitmasks;
@@ -457,8 +434,7 @@ def _vector_scores(rule: Rule, vector: ProfileVector, k: int) -> tuple[tuple[Com
 
 def _pair_scores(rule: Rule, a: Profile, b: Profile) -> tuple[tuple[Committee, ...], list[int], list[int]]:
     """(committees, scores of a, scores of b), both on the table's one integer scale."""
-    if a.m != b.m:
-        raise ValueError("profiles must share the candidate count")
+    check_same_candidates(a, b)
     committees, _, scores_a = _scores(rule, a.m, a.terms)
     return committees, scores_a, _scores(rule, b.m, b.terms)[2]
 

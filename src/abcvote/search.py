@@ -11,7 +11,7 @@ an exact, reproducible instance count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from math import comb, factorial
 from typing import Callable, Iterator
 
@@ -261,22 +261,7 @@ class SeparationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "rule": e.rule,
-                    "axiom": e.axiom,
-                    "scope": e.scope,
-                    "expected": e.expected,
-                    "observed": e.observed,
-                    "detail": e.detail,
-                    "degenerate": e.degenerate,
-                }
-                for e in self.entries
-            ],
-            "notes": self.notes,
-            "ok": self.ok,
-        }
+        return {"entries": [asdict(e) for e in self.entries], "notes": self.notes, "ok": self.ok}
 
 
 def unanimity_threshold_instance() -> Profile:

@@ -69,6 +69,12 @@ class TestWinners:
         assert main(["winners", "--rule", "av", "--k", "1", "--profile", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_undecodable_profile_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.abc"
+        path.write_bytes(b"m=3\r\n0 1\r\n# caf\xe9\n2\n")
+        assert main(["winners", "--rule", "av", "--k", "1", "--profile", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: line 3: invalid UTF-8 byte 0xe9\n")
+
     @pytest.mark.parametrize("rule", ["thiele:0,1/0", "bswav:1/0,1,1,1"])
     def test_zero_denominator_exits_2(self, example, rule, capsys):
         k = "1" if rule.startswith("thiele") else "2"
@@ -98,7 +104,7 @@ class TestWinners:
         assert (out.returncode, out.stderr) == (2, f"error: committee size k={k} must satisfy 1 <= k <= m-1=3\n")
 
     def test_over_committee_limit_exits_2(self, tmp_path, capsys):
-        # C(24, 12) = 2,704,156 committees, over rules.MAX_COMMITTEES
+        # C(24, 12) = 2,704,156 committees, over profiles.MAX_COMMITTEES
         path = tmp_path / "wide.abc"
         path.write_text("m=24\n0\n1 2\n")
         assert main(["winners", "--rule", "av", "--k", "12", "--profile", str(path)]) == 2
@@ -355,8 +361,13 @@ class TestCheck:
         b.write_text("m=4\n3\n3\n3\n1\n")
         argv = ["check", "--axiom", "continuity", "--rule", "av", "--k", "1",
                 "--profile", str(a), "--profile2", str(b), *cap]
+        message = "error: profiles must share the candidate count: m=3 and m=4\n"
         assert main(argv) == 2
-        assert "share the candidate count" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", message)
+        if not cap:  # consistency reads no --lambda-cap, and says the same
+            argv[2] = "consistency"
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", message)
 
     def test_continuity_lambda(self, tmp_path, capsys):
         a = tmp_path / "a.abc"
@@ -458,6 +469,12 @@ class TestFitCommand:
         path.write_text("m=3\n0 1\n")
         assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
 
+    def test_undecodable_observations_name_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "obs.txt"
+        path.write_bytes(b"m=3\n0 1\n2\nchosen: {0}\nm=3\n\xff\nchosen: {1}\n")
+        assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: line 6: invalid UTF-8 byte 0xff\n")
+
     def test_no_m_option(self, tmp_path, capsys):
         # the candidate count always comes from the observations file
         path = tmp_path / "obs.txt"
@@ -533,7 +550,7 @@ class TestFitCommand:
         assert capsys.readouterr().err == "error: line 4: committee size k=3 must satisfy 1 <= k <= m-1=2\n"
 
     def test_over_committee_limit_exits_2(self, tmp_path):
-        # C(30, 8) = 5,852,925 committees, over rules.MAX_COMMITTEES: the limit
+        # C(30, 8) = 5,852,925 committees, over profiles.MAX_COMMITTEES: the limit
         # must stop the fit before any constraint row is built, so the child
         # runs under a 20 s timeout and a 1 GB address-space limit
         path = tmp_path / "wide.txt"
@@ -541,7 +558,7 @@ class TestFitCommand:
         out = run_limited(["fit", "--family", "thiele", "--k", "8", "--observations", str(path)], timeout=20)
         assert out is not None, "fit over the committee limit did not exit within 20 s"
         assert out.returncode == 2
-        assert out.stderr == "error: C(30,8) committees exceed the enumeration limit 200000\n"
+        assert out.stderr == "error: line 4: C(30,8) committees exceed the enumeration limit 200000\n"
 
     def test_huge_candidate_count_exits_2_without_2_to_the_m(self, tmp_path):
         # ballot indices used to be range-checked against 2**m - 1, a
@@ -552,12 +569,12 @@ class TestFitCommand:
         out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
         assert out is not None, "fit at m = 20000000000 did not exit within 10 s"
         assert out.returncode == 2
-        assert out.stderr == "error: C(20000000000,1) committees exceed the enumeration limit 200000\n"
+        assert out.stderr == "error: line 4: C(20000000000,1) committees exceed the enumeration limit 200000\n"
 
     @pytest.mark.parametrize(
         "k, message",
         [
-            ("1", "C(20000000000,1) committees exceed the enumeration limit 200000"),
+            ("1", "line 4: C(20000000000,1) committees exceed the enumeration limit 200000"),
             # k >= m passes the limit: k is checked before the 2.5 GB mask of candidate 19999999999
             ("30000000000", "line 4: committee size k=30000000000 must satisfy 1 <= k <= m-1=19999999999"),
         ],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abcvote import profiles as profiles_module
 from abcvote.profiles import (
     Profile,
     ProfileFormatError,
@@ -363,6 +364,37 @@ class TestTextFormat:
         with pytest.raises(ProfileFormatError) as err:
             parse_profile(text)
         assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "text, k, error, message",
+        [
+            ("m=3x\n0 1\n0 5\n", 1, ProfileFormatError, "line 1: invalid candidate count '3x'"),
+            ("m=3\n0 1\n0 5\n", 3, ValueError, "committee size k=3 must satisfy 1 <= k <= m-1=2"),
+            ("m=3\n0 1\n0 5\n", 0, ValueError, "committee size k=0 must satisfy 1 <= k <= m-1=2"),
+            ("m=24\n0 1\n0 50\n", 12, ValueError, "C(24,12) committees exceed the enumeration limit 200000"),
+            ("m=200000\n0 1\n0 200000\n", 1, ValueError,
+             "C(200000,1) committees with their 200000-bit masks exceed the memory limit 34000000 B"),
+            ("m=3\n0 5\n0 1\n", 1, ProfileFormatError, "line 2: ballot indices must lie in 0..2"),
+        ],
+        ids=["header", "k-over-m", "k-zero", "count-limit", "byte-limit", "ballot"],
+    )
+    def test_k_is_refused_on_the_header_before_any_mask(self, monkeypatch, text, k, error, message):
+        # each text is also wrong in every later respect: the header is refused first,
+        # then k, then the committee limit, then the first bad ballot line, and the
+        # good ballot line before a bad one becomes no mask until the limit passes
+        def no_mask(members):
+            raise AssertionError("a ballot mask was built")
+
+        monkeypatch.setattr(profiles_module, "ballot_mask", no_mask)
+        with pytest.raises(ValueError) as err:
+            parse_profile(text, k=k)
+        assert (type(err.value), str(err.value)) == (error, message)
+
+    def test_k_within_the_limit_parses_as_without(self):
+        text = "m=4\n0 1\n2\n0 1\n"
+        lines = {}
+        assert parse_profile(text, lines, 3) == parse_profile(text, k=1) == parse_profile(text)
+        assert lines == {4: {"0 1": 0b11, "2": 0b100}}
 
     def test_missing_header_rejected(self):
         with pytest.raises(ProfileFormatError):

@@ -19,7 +19,7 @@ from abcvote.profiles import (
     scale_profile,
     add_profiles,
 )
-from abcvote import rules
+from abcvote import profiles, rules
 from abcvote.rules import (
     AbcScoringTable,
     BswavWeights,
@@ -223,31 +223,31 @@ class TestWinners:
         for m in [*range(2, 52), 632, 633, 21_935, 21_936, 200_000, 200_001]:
             for k in {*range(1, min(m, 24) + 2), m // 2, m - 2, m - 1, m, m + 1}:
                 count = comb(m, k)
-                wide = count * (80 + 8 * k + 4 * m * k // (30 * (k + 1))) > rules.MAX_COMMITTEE_BYTES
+                wide = count * (80 + 8 * k + 4 * m * k // (30 * (k + 1))) > profiles.MAX_COMMITTEE_BYTES
                 try:
-                    rules.check_committee_limit(m, k)
+                    profiles.check_committee_limit(m, k)
                 except ValueError as err:
-                    if count > rules.MAX_COMMITTEES:
+                    if count > profiles.MAX_COMMITTEES:
                         assert str(err) == f"C({m},{k}) committees exceed the enumeration limit 200000"
                     else:
                         message = f"C({m},{k}) committees with their {m}-bit masks exceed the memory limit 34000000 B"
                         assert wide and str(err) == message
                 else:
-                    assert count <= rules.MAX_COMMITTEES and not wide, (m, k)
+                    assert count <= profiles.MAX_COMMITTEES and not wide, (m, k)
         # one-member committees: the masks of 21,935 candidates took 34.7 MB (tracemalloc)
-        rules.check_committee_limit(21_935, 1)
+        profiles.check_committee_limit(21_935, 1)
         with pytest.raises(ValueError, match="memory limit"):
-            rules.check_committee_limit(21_936, 1)
+            profiles.check_committee_limit(21_936, 1)
 
     def test_committee_width_limit_keeps_every_pair_up_to_m_20(self):
         # (20000, 19999) and (200000, 1) passed the count alone and then died of a MemoryError;
         # C(22, 15) = 170,544 committees of 15 members come to about 35 MB
         for m, k in [(20_000, 19_999), (200_000, 1), (22, 15)]:
             with pytest.raises(ValueError, match="memory limit"):
-                rules.check_committee_limit(m, k)
+                profiles.check_committee_limit(m, k)
         for m in range(2, 21):
             for k in range(1, m):
-                rules.check_committee_limit(m, k)
+                profiles.check_committee_limit(m, k)
 
     @pytest.mark.parametrize("spec", ["sav", "msav", "bswav"])
     def test_ballot_size_rules_refuse_over_the_limit(self, spec):
