@@ -440,7 +440,6 @@ class CheckOptions:
     and count from its flags.
     """
 
-    k: int
     mode: str = "all"
     seed: int = 0
     count: int = 200
@@ -487,7 +486,7 @@ AXIOMS: tuple[Axiom, ...] = (
     Axiom("aversion-unanimous", ("aversion",), 1, _party_list,
           lambda r, p, o: partylist.check_aversion_unanimous(r, p), partylist.replay_aversion_unanimous),
     Axiom("msav-threshold", (), 1, _party_list,
-          lambda r, p, o: partylist.check_msav_threshold(r, p, o.k), partylist.replay_msav_threshold),
+          lambda r, p, o: partylist.check_msav_threshold(r, p), partylist.replay_msav_threshold),
 )
 
 _BY_NAME = {name: axiom for axiom in AXIOMS for name in (axiom.name, *axiom.aliases)}

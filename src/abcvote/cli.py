@@ -168,7 +168,7 @@ def cmd_check(args) -> int:
         max_voters = 10 if args.max_voters is None else args.max_voters
         verdict = axioms.check_consistency_splits(rule, profiles[0], max_voters)
     else:
-        options = axioms.CheckOptions(args.k, args.mode or "all", args.seed or 0, args.count or 20, lambda_cap=cap)
+        options = axioms.CheckOptions(args.mode or "all", args.seed or 0, args.count or 20, lambda_cap=cap)
         verdict = axiom.check(rule, *profiles, options)
 
     if axiom.name == "continuity":
@@ -223,14 +223,13 @@ def cmd_separations(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    observations = identify.parse_observations(_read_text(args.observations), args.k)
+    parse = functools.partial(identify.parse_observations, k=args.k)
+    observations = _parsed(parse, args.observations, _read_text(args.observations))
     if not observations:
         raise ValueError("observations file is empty")
-    if args.family == "thiele":
-        result = identify.fit_thiele(observations, args.k)
-    else:
-        result = identify.fit_bswav(observations, observations[0].m, args.k)
-    rendered = identify.format_fit(result, args.family)
+    fit = identify.fit_thiele if args.family == "thiele" else identify.fit_bswav
+    result = fit(observations)
+    rendered = identify.format_fit(result)
     if args.format == "json":
         payload = {"family": args.family, "feasible": result.feasible, "fit": rendered}
         _emit_json(payload)

@@ -142,25 +142,21 @@ def _observation_rows(obs: Observation, family: str):
     return weak, strict
 
 
-def build_system(
-    observations: list[Observation], family: str, k: int | None = None, m: int | None = None
-) -> ConstraintSystem:
+def build_system(observations: list[Observation], family: str) -> ConstraintSystem:
     """Constraint system whose solutions are exactly the parameter vectors
     reproducing every observation, plus the family's side constraints
     (Thiele: monotone with s_0 = 0; weights: non-negative).
 
-    An empty observation list yields just the side constraints; k (for
-    Thiele) or m (for weights) must then be passed explicitly.
+    The observations must be non-empty and share m and k, which fix the
+    unknowns: s_1..s_k for Thiele, alpha_1..alpha_{m-1} for weights.
     """
     if family not in ("thiele", "bswav"):
         raise ValueError("family must be 'thiele' or 'bswav'")
-    if observations:
-        k = observations[0].k
-        m = observations[0].m
-        if any(o.k != k or o.m != m for o in observations):
-            raise ValueError("observations must share m and k")
-    elif (family == "thiele" and k is None) or (family == "bswav" and m is None):
-        raise ValueError("empty observation list needs explicit dimensions")
+    if not observations:
+        raise ValueError("need at least one observation to fit")
+    m, k = observations[0].m, observations[0].k
+    if any(o.k != k or o.m != m for o in observations):
+        raise ValueError("observations must share m and k")
 
     if family == "thiele":
         unknowns = tuple(f"s_{x}" for x in range(1, k + 1))
@@ -411,20 +407,18 @@ class FitResult:
     system: ConstraintSystem | None = None
 
 
-def _fit(observations: list[Observation], family: str, k: int, m: int | None, make_rule) -> FitResult:
+def _fit(observations: list[Observation], family: str, make_rule) -> FitResult:
     """Solve the family's system, scale the first parameter to 1 when it is
-    positive (the argmax is invariant under positive scaling), build the
-    rule with `make_rule` and re-verify it against each observation."""
-    if any(obs.k != k or m not in (None, obs.m) for obs in observations):
-        raise ValueError(f"observations disagree with the requested {'k' if m is None else 'm, k'}")
-    system = build_system(observations, family, k=k, m=m)
+    positive (the argmax is invariant under positive scaling), build the rule
+    with `make_rule(point, first observation)` and re-verify it on each one."""
+    system = build_system(observations, family)
     result = solve_feasibility(system)
     if not result.feasible:
         return FitResult(False, None, result.certificate, system)
     point = result.point
     if point[0] > 0:
         point = tuple(v / point[0] for v in point)
-    rule = make_rule(point)
+    rule = make_rule(point, observations[0])
     for obs in observations:  # one kernel call on the observation's own terms
         committees, _, scores = _scores(rule, obs.m, obs.terms)
         if _argmax(committees, scores) != obs.chosen:
@@ -432,20 +426,19 @@ def _fit(observations: list[Observation], family: str, k: int, m: int | None, ma
     return FitResult(True, rule, None, system)
 
 
-def fit_thiele(observations: list[Observation], k: int) -> FitResult:
+def fit_thiele(observations: list[Observation]) -> FitResult:
     """A Thiele scoring vector reproducing every observation, or infeasible;
     normalized to s_1 = 1 when s_1 > 0."""
-    return _fit(observations, "thiele", k, None,
-                lambda s: Rule("thiele-fit", k, ThieleScore(k, (Fraction(0), *s))))
+    return _fit(observations, "thiele", lambda s, obs: Rule("thiele-fit", obs.k, ThieleScore((Fraction(0), *s))))
 
 
-def fit_bswav(observations: list[Observation], m: int, k: int) -> FitResult:
+def fit_bswav(observations: list[Observation]) -> FitResult:
     """Ballot-size weights reproducing every observation, or infeasible.
 
     Normalized to alpha_1 = 1 when positive; the inert full-ballot weight is
     pinned to alpha_1 / m by convention.
     """
-    return _fit(observations, "bswav", k, m, lambda a: Rule("bswav-fit", k, BswavWeights(m, (*a, a[0] / m))))
+    return _fit(observations, "bswav", lambda a, obs: Rule("bswav-fit", obs.k, BswavWeights((*a, a[0] / obs.m))))
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +502,11 @@ def format_observations(observations: list[Observation]) -> str:
     return "".join(parts)
 
 
-def format_fit(result: FitResult, family: str) -> str:
+def format_fit(result: FitResult) -> str:
     """CLI rendering: `s: ...` / `alpha: ...` with p/q rationals, or `infeasible`."""
     if not result.feasible:
         return "infeasible"
-    if family == "thiele":
-        values = result.rule.scoring.values
-        return "s: " + ",".join(format_rational(v) for v in values)
-    return "alpha: " + ",".join(format_rational(a) for a in result.rule.scoring.alpha)
+    scoring = result.rule.scoring
+    if isinstance(scoring, ThieleScore):
+        return "s: " + ",".join(map(format_rational, scoring.values))
+    return "alpha: " + ",".join(map(format_rational, scoring.alpha))

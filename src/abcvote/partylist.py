@@ -197,7 +197,7 @@ def _msav_threshold(structure: PartyListStructure, i: int, k: int) -> bool:
     )
 
 
-def check_msav_threshold(rule, profile: Profile, k: int) -> AxiomVerdict:
+def check_msav_threshold(rule, profile: Profile) -> AxiomVerdict:
     """The relaxed unanimity threshold: one party holds every winning
     committee exactly when each elected member would represent more voters
     than any singleton party has (n_j < n_i/k for all singletons).
@@ -207,6 +207,9 @@ def check_msav_threshold(rule, profile: Profile, k: int) -> AxiomVerdict:
     """
     choose = as_choice_fn(rule)
     base = choose(profile)  # before the structure: a `Rule` meets the committee limit first
+    if not base:
+        raise ValueError("msav-threshold reads k off the chosen committees, and none was chosen")
+    k = len(next(iter(base)))
     structure = require_party_structure(profile)
     large = [i for i, p in enumerate(structure.parties) if len(p) >= 2]
     if len(large) != 1 or len(structure.parties[large[0]]) < k:

@@ -62,15 +62,12 @@ def active_range(k: int, m: int, y: int) -> range:
 
 @dataclass(frozen=True)
 class ThieleScore:
-    """Non-decreasing scores s(0..k) with s(0) = 0; ballot size is ignored."""
+    """Non-decreasing scores s(0..k), k = len(values) - 1, with s(0) = 0; ballot size is ignored."""
 
-    k: int
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.k + 1:
-            raise ValueError(f"need {self.k + 1} values for k={self.k}")
-        if self.values[0] != 0:
+        if not self.values or self.values[0] != 0:
             raise ValueError("Thiele scores must have s(0) = 0")
         if any(b < a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("Thiele scores must be non-decreasing")
@@ -81,19 +78,16 @@ class ThieleScore:
 
 @dataclass(frozen=True)
 class BswavWeights:
-    """Ballot-size weights alpha(1..m); score is alpha_{|A|} * |A ∩ W|.
+    """Ballot-size weights alpha(1..m), so m is len(alpha); score is alpha_{|A|} * |A ∩ W|.
 
     alpha[y-1] weights ballots of size y.  The weight for full ballots
     (y = m) is semantically inert: such ballots add the same constant to
     every committee's score.
     """
 
-    m: int
     alpha: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.alpha) != self.m:
-            raise ValueError(f"need {self.m} weights for m={self.m}")
         if any(a < 0 for a in self.alpha):
             raise ValueError("weights must be non-negative")
 
@@ -103,21 +97,20 @@ class BswavWeights:
 
 @dataclass(frozen=True)
 class AbcScoringTable:
-    """General scoring table; values[x][y-1] is s(x, y).
+    """General scoring table of k + 1 rows of m entries; values[x][y-1] is s(x, y).
 
     Monotonicity in x is required only on the active range of each ballot
     size; entries outside it are stored but never read when scoring.
     """
 
-    k: int
-    m: int
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if len(self.values) != self.k + 1 or any(len(row) != self.m for row in self.values):
-            raise ValueError(f"table must be ({self.k + 1}) x ({self.m})")
-        for y in range(1, self.m + 1):
-            active = list(active_range(self.k, self.m, y))
+        k, m = len(self.values) - 1, len(self.values[0]) if self.values else 0
+        if not m or any(len(row) != m for row in self.values):
+            raise ValueError("table rows must be non-empty and of one length")
+        for y in range(1, m + 1):
+            active = list(active_range(k, m, y))
             for x1, x2 in zip(active, active[1:]):
                 if self.values[x2][y - 1] < self.values[x1][y - 1]:
                     raise ValueError(f"s(x, {y}) must be non-decreasing on the active range")
@@ -127,6 +120,15 @@ class AbcScoringTable:
 
 
 Scoring = ThieleScore | BswavWeights | AbcScoringTable
+
+
+def _scoring_m(scoring: Scoring) -> int | None:
+    """The candidate count that weights or a table are built for; None for Thiele scores."""
+    if isinstance(scoring, BswavWeights):
+        return len(scoring.alpha)
+    if isinstance(scoring, AbcScoringTable):
+        return len(scoring.values[0])
+    return None
 
 
 @dataclass(frozen=True)
@@ -143,10 +145,11 @@ class Rule:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("committee size must be at least 1")
-        if isinstance(self.scoring, (ThieleScore, AbcScoringTable)) and self.scoring.k != self.k:
+        if isinstance(self.scoring, (ThieleScore, AbcScoringTable)) and len(self.scoring.values) != self.k + 1:
             raise ValueError("rule k does not match its scoring parameters")
-        if isinstance(self.scoring, (BswavWeights, AbcScoringTable)):
-            check_committee_size(self.scoring.m, self.k)
+        m = _scoring_m(self.scoring)
+        if m is not None:
+            check_committee_size(m, self.k)
 
     def score(self, x: int, y: int) -> Fraction:
         return self.scoring.score(x, y)
@@ -154,12 +157,12 @@ class Rule:
 
 def thiele_rule(name: str, values) -> Rule:
     values = tuple(Fraction(v) for v in values)
-    return Rule(name, len(values) - 1, ThieleScore(len(values) - 1, values))
+    return Rule(name, len(values) - 1, ThieleScore(values))
 
 
 def bswav_rule(name: str, k: int, alpha) -> Rule:
     alpha = tuple(Fraction(a) for a in alpha)
-    return Rule(name, k, BswavWeights(len(alpha), alpha))
+    return Rule(name, k, BswavWeights(alpha))
 
 
 def named_rule(name: str, k: int, m: int) -> Rule:
@@ -214,8 +217,9 @@ def parse_rule_spec(spec: str, k: int, m: int) -> Rule:
 
 
 def _check_dimensions(rule: Rule, m: int) -> None:
-    if isinstance(rule.scoring, (BswavWeights, AbcScoringTable)) and rule.scoring.m != m:
-        raise ValueError(f"rule is parameterized for m={rule.scoring.m}, profile has m={m}")
+    fixed = _scoring_m(rule.scoring)
+    if fixed not in (None, m):
+        raise ValueError(f"rule is parameterized for m={fixed}, profile has m={m}")
     check_committee_size(m, rule.k)
 
 

@@ -105,12 +105,6 @@ def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profi
         _kept[m, n] = tuple(walked)
 
 
-def _representatives(m: int, n: int) -> tuple[Profile, ...]:
-    """The canonical stream of (m, n) as a tuple: the kept one where there is one."""
-    kept = _kept.get((m, n))
-    return kept if kept is not None else tuple(enumerate_profiles(m, n))
-
-
 RuleFactory = Callable[[int, int], object]
 
 
@@ -162,8 +156,9 @@ def _confirm(verdict: AxiomVerdict, rule_obj) -> None:
 
 
 def _pairs(m: int, n: int) -> Iterator[tuple[Profile, Profile]]:
+    # `product` reads each side's whole stream first, so a kept space is replayed once per side
     for n_left in range(1, n):
-        yield from itertools.product(_representatives(m, n_left), _representatives(m, n - n_left))
+        yield from itertools.product(enumerate_profiles(m, n_left), enumerate_profiles(m, n - n_left))
 
 
 def _instances(arity: int, bounds: SearchBounds) -> Iterator[tuple[int, int, tuple[Profile, ...]]]:
@@ -203,7 +198,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     spec = axioms.lookup(axiom)
     factory = library_factory(rule) if isinstance(rule, str) else rule
     name = rule if isinstance(rule, str) else getattr(rule, "__name__", "custom")
-    options = {k: CheckOptions(k, lambda_cap=bounds.lambda_cap) for k in bounds.k_set}
+    options = CheckOptions(lambda_cap=bounds.lambda_cap)
     rules: dict[tuple[int, int], object] = {}
     instances = 0
     for m, k, profiles in _instances(spec.arity, bounds):
@@ -212,7 +207,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
         rule_obj = rules[m, k]
         if spec.domain is not None and not spec.domain(profiles[0]):
             continue
-        verdict = _check(spec, rule_obj, profiles, options[k])
+        verdict = _check(spec, rule_obj, profiles, options)
         instances += 1
         if not verdict.passed:
             _confirm(verdict, rule_obj)
@@ -302,7 +297,7 @@ def separation_suite(factories: dict[str, RuleFactory] | None = None) -> Separat
     def instance_entry(rule: str, axiom: str, expected: str, degenerate=False):
         profile = unanimity_threshold_instance()
         rule_obj = lib[rule](profile.m, 2)
-        verdict = _check(axioms.lookup(axiom), rule_obj, (profile,), CheckOptions(2))
+        verdict = _check(axioms.lookup(axiom), rule_obj, (profile,), CheckOptions())
         observed = "none" if verdict.passed else "violation"
         detail = "passed" if verdict.passed else _witness_summary(verdict)
         report.entries.append(

@@ -228,7 +228,7 @@ def test_criterion_4_party_axiom_suite():
                     assert check_party_proportionality(named_rule("pav", k, m), profile).passed
                     assert check_party_proportionality(named_rule("sav", k, m), profile).passed
                     assert check_aversion_unanimous(named_rule("sav", k, m), profile).passed
-                    assert check_msav_threshold(named_rule("msav", k, m), profile, k).passed
+                    assert check_msav_threshold(named_rule("msav", k, m), profile).passed
 
 
 def test_criterion_5_identify_round_trip():
@@ -238,20 +238,20 @@ def test_criterion_5_identify_round_trip():
 
         # PAV, k=2: already the n <= 2 observations pin the harmonic value
         obs = observe(named_rule("pav", 2, 4), grid(4, 2), 2)
-        assert fit_thiele(obs, 2).rule.scoring.values == (F(0), F(1), F(3, 2))
+        assert fit_thiele(obs).rule.scoring.values == (F(0), F(1), F(3, 2))
 
         # k=3 needs the tie-pinning instances, which enter the grid at n <= 4
         obs = observe(named_rule("pav", 3, 4), grid(4, 4), 3)
-        assert fit_thiele(obs, 3).rule.scoring.values == (F(0), F(1), F(3, 2), F(11, 6))
+        assert fit_thiele(obs).rule.scoring.values == (F(0), F(1), F(3, 2), F(11, 6))
 
         # SAV weights, m=4: exact reciprocals with the inert entry pinned to 1/4
         obs = observe(named_rule("sav", 2, 4), grid(4, 4), 2)
-        assert fit_bswav(obs, 4, 2).rule.scoring.alpha == (F(1), F(1, 2), F(1, 3), F(1, 4))
+        assert fit_bswav(obs).rule.scoring.alpha == (F(1), F(1, 2), F(1, 3), F(1, 4))
 
         # ballot-size-sensitive SAV outcomes admit no Thiele explanation
         before = Profile.from_ballots(3, [fs(0, 1), fs(0, 1), fs(2)])
         after = Profile.from_ballots(3, [fs(0, 1), fs(1), fs(2)])
-        result = fit_thiele(observe(named_rule("sav", 1, 3), [before, after], 1), 1)
+        result = fit_thiele(observe(named_rule("sav", 1, 3), [before, after], 1))
         assert not result.feasible
         assert verify_certificate(result.system, result.certificate)
 

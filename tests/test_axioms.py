@@ -360,7 +360,7 @@ def small_tables(draw, m, k):
         for y in range(m)
     ]
     values = tuple(tuple(Fraction(rows[y][x]) for y in range(m)) for x in range(k + 1))
-    return Rule("small-table", k, AbcScoringTable(k, m, values))
+    return Rule("small-table", k, AbcScoringTable(values))
 
 
 @st.composite
@@ -508,9 +508,9 @@ def test_search_falls_back_to_sampling_as_the_walk_does(axiom, profile):
 
     rule = named_rule("pav", 2, profile.m)
     with pytest.raises(CapExceeded):
-        axioms.lookup(axiom).check(rule, profile, axioms.CheckOptions(2))
-    verdict = _check(axioms.lookup(axiom), rule, (profile,), axioms.CheckOptions(2))
-    walked = _check(axioms.lookup(axiom), as_choice_fn(rule), (profile,), axioms.CheckOptions(2))
+        axioms.lookup(axiom).check(rule, profile, axioms.CheckOptions())
+    verdict = _check(axioms.lookup(axiom), rule, (profile,), axioms.CheckOptions())
+    walked = _check(axioms.lookup(axiom), as_choice_fn(rule), (profile,), axioms.CheckOptions())
     assert (verdict.passed, verdict.checked, verdict.witness) == (walked.passed, walked.checked, walked.witness)
     assert verdict.checked == 200
 

@@ -499,7 +499,7 @@ class TestFitCommand:
         path = tmp_path / "obs.txt"
         path.write_text(text)
         assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: line {line}: ")
 
     @pytest.mark.parametrize(
         "listed", ["{0,1}{1,2}", "{0,1} junk {9,9}", "{0, 1}", "", "{0,1},", "{}", "{0,1};{0,2}", "{0,1} # tie"]
@@ -509,21 +509,21 @@ class TestFitCommand:
         path = tmp_path / "obs.txt"
         path.write_text(f"m=3\n0 1\n2\nchosen: {listed}\n")
         assert main(["fit", "--family", "thiele", "--k", "2", "--observations", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: line 4: invalid chosen line {f'chosen: {listed}'.strip()!r}\n"
+        assert capsys.readouterr().err == f"error: {path}: line 4: invalid chosen line {f'chosen: {listed}'.strip()!r}\n"
 
     @pytest.mark.parametrize("family", ["thiele", "bswav"])
     def test_mixed_m_located_by_file_line(self, tmp_path, family, capsys):
         path = tmp_path / "obs.txt"
         path.write_text("m=3\n0 1\n2\nchosen: {0,1}\n# a second election\nm=4\n0 1\n2 3\nchosen: {0,1}\n")
         assert main(["fit", "--family", family, "--k", "2", "--observations", str(path)]) == 2
-        assert capsys.readouterr().err == "error: line 9: observations must share m and k: m=4 here, m=3 before\n"
+        assert capsys.readouterr().err == f"error: {path}: line 9: observations must share m and k: m=4 here, m=3 before\n"
 
     def test_ballot_lines_are_checked_again_when_m_changes(self, tmp_path, capsys):
         # `0 5` passed in the m = 6 block; the m = 4 block must not take it from the line cache
         path = tmp_path / "obs.txt"
         path.write_text("m=6\n0 5\n1\nchosen: {0}\nm=4\n0 5\n1\nchosen: {0}\n")
         assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
-        assert capsys.readouterr().err == "error: line 6: ballot indices must lie in 0..3\n"
+        assert capsys.readouterr().err == f"error: {path}: line 6: ballot indices must lie in 0..3\n"
 
     def test_no_mask_decoded_or_vector_built_and_one_kernel_call_per_observation(self, tmp_path, monkeypatch, capsys):
         # ballots go straight from the parsed lines to kernel terms: no mask is decoded back to a
@@ -547,7 +547,7 @@ class TestFitCommand:
         path = tmp_path / "obs.txt"
         path.write_text("m=3\n0 1\n2\nchosen: {0,1,2}\n")
         assert main(["fit", "--family", "thiele", "--k", "3", "--observations", str(path)]) == 2
-        assert capsys.readouterr().err == "error: line 4: committee size k=3 must satisfy 1 <= k <= m-1=2\n"
+        assert capsys.readouterr().err == f"error: {path}: line 4: committee size k=3 must satisfy 1 <= k <= m-1=2\n"
 
     def test_over_committee_limit_exits_2(self, tmp_path):
         # C(30, 8) = 5,852,925 committees, over profiles.MAX_COMMITTEES: the limit
@@ -558,7 +558,7 @@ class TestFitCommand:
         out = run_limited(["fit", "--family", "thiele", "--k", "8", "--observations", str(path)], timeout=20)
         assert out is not None, "fit over the committee limit did not exit within 20 s"
         assert out.returncode == 2
-        assert out.stderr == "error: line 4: C(30,8) committees exceed the enumeration limit 200000\n"
+        assert out.stderr == f"error: {path}: line 4: C(30,8) committees exceed the enumeration limit 200000\n"
 
     def test_huge_candidate_count_exits_2_without_2_to_the_m(self, tmp_path):
         # ballot indices used to be range-checked against 2**m - 1, a
@@ -569,7 +569,7 @@ class TestFitCommand:
         out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
         assert out is not None, "fit at m = 20000000000 did not exit within 10 s"
         assert out.returncode == 2
-        assert out.stderr == "error: line 4: C(20000000000,1) committees exceed the enumeration limit 200000\n"
+        assert out.stderr == f"error: {path}: line 4: C(20000000000,1) committees exceed the enumeration limit 200000\n"
 
     @pytest.mark.parametrize(
         "k, message",
@@ -587,7 +587,7 @@ class TestFitCommand:
         argv = ["fit", "--family", "thiele", "--k", k, "--observations", str(path)]
         out = run_limited(argv, timeout=10, address_space=2_000_000 * 1024)
         assert out is not None, "fit on a huge candidate index did not exit within 10 s"
-        assert (out.returncode, out.stderr) == (2, f"error: {message}\n")
+        assert (out.returncode, out.stderr) == (2, f"error: {path}: {message}\n")
 
     def test_pav_k5_fit_is_reached(self, tmp_path):
         # 10 seeded PAV profiles of 8 voters at m = 8, each candidate approved
@@ -726,5 +726,5 @@ class TestCommitteeSizeRefusal:
         path = tmp_path / "a.txt"
         path.write_text(text)
         assert main([str(path) if arg == "{a}" else arg for arg in refuse]) == 2
-        located = "line 4: " if refuse[0] == "fit" else ""  # at the `chosen:` line
+        located = f"{path}: line 4: " if refuse[0] == "fit" else ""  # at the `chosen:` line
         assert capsys.readouterr() == ("", f"error: {located}{message}\n")

@@ -13,6 +13,12 @@ found and searches exhausted, pair axioms included, m <= 5) and
 dense-vector canonical scan that the ballot tables replaced, so it pins the
 first witness in stream order and every exhausted instance count.
 
+`golden/fit_corpus.json` pins `abcvote fit`: Thiele and ballot-size fits,
+feasible and infeasible, in text and JSON, plus an empty file and a k that
+the observations do not have.  `@name` arguments stand for its
+`observations` files.  It was captured before `fit` read k and m off the
+observations instead of taking them as parameters.
+
 Every verb's `--format json` payload must validate against
 docs/cli-output.schema.json.
 """
@@ -29,6 +35,7 @@ from abcvote.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads((Path(__file__).parent / "golden" / "check_corpus.json").read_text(encoding="utf-8"))
 SEARCH_CORPUS = json.loads((Path(__file__).parent / "golden" / "search_corpus.json").read_text(encoding="utf-8"))
+FIT_CORPUS = json.loads((Path(__file__).parent / "golden" / "fit_corpus.json").read_text(encoding="utf-8"))
 SCHEMA = json.loads((ROOT / "docs" / "cli-output.schema.json").read_text(encoding="utf-8"))
 
 
@@ -57,6 +64,14 @@ def test_check_output_pinned(case, profiles, capsys):
 @pytest.mark.parametrize("case", SEARCH_CORPUS["cases"], ids=lambda case: " ".join(case["argv"]))
 def test_search_output_pinned(case, capsys):
     assert main(case["argv"]) == case["code"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", FIT_CORPUS["cases"], ids=lambda case: " ".join(case["argv"][1:]))
+def test_fit_output_pinned(case, tmp_path, capsys):
+    for name, text in FIT_CORPUS["observations"].items():
+        (tmp_path / f"{name}.abc").write_text(text, encoding="utf-8")
+    assert main(_resolve(case["argv"], tmp_path)) == case["code"]
     assert capsys.readouterr().out == case["stdout"]
 
 

@@ -72,13 +72,13 @@ class TestBuildSystem:
         system = build_system(observe(rule, [profile], 2), "thiele")
         assert system.strict == []
 
-    def test_empty_list_gives_side_constraints_only(self):
-        system = build_system([], "thiele", k=3)
-        assert system.unknowns == ("s_1", "s_2", "s_3")
-        assert len(system.weak) == 3 and system.strict == []
-        system = build_system([], "bswav", m=4)
-        assert system.unknowns == ("alpha_1", "alpha_2", "alpha_3")
-        assert len(system.weak) == 3
+    def test_empty_list_is_refused(self):
+        # k and m are read off the observations, so there must be one
+        for family in ("thiele", "bswav"):
+            with pytest.raises(ValueError, match="at least one observation"):
+                build_system([], family)
+        with pytest.raises(ValueError, match="at least one observation"):
+            fit_thiele([])
 
     def test_pav_example_rows(self):
         profile = Profile.from_ballots(4, [fs(0, 1), fs(0), fs(2, 3)])
@@ -153,14 +153,19 @@ def observed_profiles(draw, max_m=5):
 
 def oracle_system(pairs, family, oracle_rows):
     """The side rows and each observation's oracle rows, in order and with every copy."""
-    observations = [obs for _, obs in pairs]
-    side = build_system([], family, k=observations[0].k, m=observations[0].m)
-    weak, strict = side.weak, []
+    m, k = pairs[0][1].m, pairs[0][1].k
+    if family == "thiele":  # s_1 >= s_0 = 0, then s_{x+1} >= s_x
+        unknowns = tuple(f"s_{x}" for x in range(1, k + 1))
+        weak = [tuple(1 if i == x else -1 if i == x - 1 else 0 for i in range(k)) for x in range(k)]
+    else:  # alpha_y >= 0
+        unknowns = tuple(f"alpha_{y}" for y in range(1, m))
+        weak = [tuple(int(i == y) for i in range(m - 1)) for y in range(m - 1)]
+    strict = []
     for profile, obs in pairs:
         w, s = oracle_rows(profile, obs.chosen, obs.k, family)
         weak += w
         strict += s
-    return ConstraintSystem(side.unknowns, weak, strict)
+    return ConstraintSystem(unknowns, weak, strict)
 
 
 @settings(max_examples=200, deadline=None)
@@ -250,9 +255,9 @@ def small_systems(draw):
     k = draw(st.integers(1, min(3, m - 1)))
     if draw(st.booleans()):
         steps = draw(st.lists(increments, min_size=k, max_size=k))
-        scoring = ThieleScore(k, tuple(sum(steps[:x], F(0)) for x in range(k + 1)))
+        scoring = ThieleScore(tuple(sum(steps[:x], F(0)) for x in range(k + 1)))
     else:
-        scoring = BswavWeights(m, tuple(draw(st.lists(increments, min_size=m, max_size=m))))
+        scoring = BswavWeights(tuple(draw(st.lists(increments, min_size=m, max_size=m))))
     rule = Rule("hidden", k, scoring)
     ballots = st.sets(st.integers(0, m - 1), min_size=1, max_size=m).map(frozenset)
     observations = []
@@ -317,34 +322,34 @@ class TestFitThiele:
         # the n <= 2 canonical grid: the midpoint of the admissible interval
         # lands exactly on the harmonic value after normalization
         obs = observe(named_rule("pav", 2, 4), canonical_grid(4, 2), 2)
-        result = fit_thiele(obs, 2)
+        result = fit_thiele(obs)
         assert result.feasible
         assert result.rule.scoring.values == (F(0), F(1), F(3, 2))
 
     def test_pav_k2_from_pinning_grid(self):
         obs = observe(named_rule("pav", 2, 4), canonical_grid(4, 4), 2)
-        result = fit_thiele(obs, 2)
+        result = fit_thiele(obs)
         assert result.rule.scoring.values == (F(0), F(1), F(3, 2))
 
     def test_pav_k3_harmonic(self):
         obs = observe(named_rule("pav", 3, 4), canonical_grid(4, 4), 3)
-        result = fit_thiele(obs, 3)
+        result = fit_thiele(obs)
         assert result.feasible
         assert result.rule.scoring.values == (F(0), F(1), F(3, 2), F(11, 6))
 
     def test_av_k2(self):
         obs = observe(named_rule("av", 2, 4), canonical_grid(4, 2), 2)
-        result = fit_thiele(obs, 2)
+        result = fit_thiele(obs)
         assert result.rule.scoring.values == (F(0), F(1), F(2))
 
     def test_ccav_k2(self):
         obs = observe(named_rule("ccav", 2, 4), canonical_grid(4, 2), 2)
-        result = fit_thiele(obs, 2)
+        result = fit_thiele(obs)
         assert result.rule.scoring.values == (F(0), F(1), F(1))
 
     def test_triv_all_zero(self):
         obs = observe(named_rule("triv", 2, 4), canonical_grid(4, 2), 2)
-        result = fit_thiele(obs, 2)
+        result = fit_thiele(obs)
         assert result.rule.scoring.values == (F(0), F(0), F(0))
 
     def test_sav_data_is_thiele_infeasible(self):
@@ -356,7 +361,7 @@ class TestFitThiele:
         obs = observe(sav, [before, after], 1)
         assert obs[0].chosen == fs((0,), (1,), (2,))
         assert obs[1].chosen == fs((1,))
-        result = fit_thiele(obs, 1)
+        result = fit_thiele(obs)
         assert not result.feasible
         assert verify_certificate(result.system, result.certificate)
 
@@ -364,25 +369,25 @@ class TestFitThiele:
 class TestFitBswav:
     def test_sav_recovered_exactly(self):
         obs = observe(named_rule("sav", 2, 4), canonical_grid(4, 4), 2)
-        result = fit_bswav(obs, 4, 2)
+        result = fit_bswav(obs)
         assert result.feasible
         assert result.rule.scoring.alpha == (F(1), F(1, 2), F(1, 3), F(1, 4))
 
     def test_av_recovered_with_pinned_tail(self):
         obs = observe(named_rule("av", 2, 4), canonical_grid(4, 2), 2)
-        result = fit_bswav(obs, 4, 2)
+        result = fit_bswav(obs)
         assert result.rule.scoring.alpha == (F(1), F(1), F(1), F(1, 4))
 
     def test_msav_recovered(self):
         obs = observe(named_rule("msav", 2, 4), canonical_grid(4, 4), 2)
-        result = fit_bswav(obs, 4, 2)
+        result = fit_bswav(obs)
         assert result.rule.scoring.alpha == (F(1), F(1, 2), F(1, 2), F(1, 4))
 
     def test_pav_convexity_output_is_bswav_infeasible(self):
         profile = Profile.from_ballots(4, [fs(0, 1), fs(2, 3)])
         pav = named_rule("pav", 2, 4)
         obs = observe(pav, [profile], 2)
-        result = fit_bswav(obs, 4, 2)
+        result = fit_bswav(obs)
         assert not result.feasible
         assert verify_certificate(result.system, result.certificate)
 
@@ -397,12 +402,12 @@ class TestFitSoundness:
         grid = canonical_grid(4, 4)
         for name in ("av", "pav", "ccav", "triv"):
             rule = named_rule(name, 2, 4)
-            fitted = fit_thiele(observe(rule, grid, 2), 2).rule
+            fitted = fit_thiele(observe(rule, grid, 2)).rule
             for profile in held_out:
                 assert winners(fitted, profile) == winners(rule, profile), name
         for name in ("av", "sav", "msav"):
             rule = named_rule(name, 2, 4)
-            fitted = fit_bswav(observe(rule, grid, 2), 4, 2).rule
+            fitted = fit_bswav(observe(rule, grid, 2)).rule
             for profile in held_out:
                 assert winners(fitted, profile) == winners(rule, profile), name
 
@@ -410,7 +415,7 @@ class TestFitSoundness:
         grid = canonical_grid(4, 2)
         rule = named_rule("pav", 2, 4)
         obs = observe(rule, grid, 2)
-        fitted = fit_thiele(obs, 2).rule
+        fitted = fit_thiele(obs).rule
         for profile, ob in zip(grid, obs):
             assert winners(fitted, profile) == ob.chosen
 
@@ -419,8 +424,8 @@ class TestFitSoundness:
         obs = observe(named_rule("sav", 2, 4), canonical_grid(4, 3), 2)
         shuffled = obs[:]
         rng.shuffle(shuffled)
-        a = fit_bswav(obs, 4, 2)
-        b = fit_bswav(shuffled, 4, 2)
+        a = fit_bswav(obs)
+        b = fit_bswav(shuffled)
         assert a.rule.scoring.alpha == b.rule.scoring.alpha
 
 
@@ -462,14 +467,13 @@ class TestObservationsFormat:
 
     def test_format_fit_rendering(self):
         obs = observe(named_rule("pav", 2, 4), canonical_grid(4, 2), 2)
-        result = fit_thiele(obs, 2)
-        assert format_fit(result, "thiele") == "s: 0,1,3/2"
-        bad = fit_bswav(
-            observe(named_rule("pav", 2, 4), [Profile.from_ballots(4, [fs(0, 1), fs(2, 3)])], 2),
-            4,
-            2,
-        )
-        assert format_fit(bad, "bswav") == "infeasible"
+        result = fit_thiele(obs)
+        assert format_fit(result) == "s: 0,1,3/2"
+        # the family is read off the fitted rule's scoring
+        sav = fit_bswav(observe(named_rule("sav", 2, 4), canonical_grid(4, 2), 2))
+        assert format_fit(sav) == "alpha: 1,5/8,5/16,1/4"
+        bad = fit_bswav(observe(named_rule("pav", 2, 4), [Profile.from_ballots(4, [fs(0, 1), fs(2, 3)])], 2))
+        assert format_fit(bad) == "infeasible"
 
 
 @settings(max_examples=200, deadline=None)
@@ -497,4 +501,4 @@ def test_fit_recheck_catches_a_wrong_point(monkeypatch):
     obs = observe(named_rule("pav", 2, 4), canonical_grid(4, 2), 2)
     monkeypatch.setattr(identify, "solve_feasibility", lambda system: FeasibilityResult(True, (F(1), F(2))))
     with pytest.raises(AssertionError, match="fails to reproduce"):
-        fit_thiele(obs, 2)
+        fit_thiele(obs)

@@ -103,7 +103,7 @@ def tables(draw, m, k):
                 values[x][y - 1] = level
             else:
                 values[x][y - 1] = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 9)))
-    return Rule("table", k, AbcScoringTable(k, m, tuple(tuple(row) for row in values)))
+    return Rule("table", k, AbcScoringTable(tuple(tuple(row) for row in values)))
 
 
 @st.composite
@@ -120,7 +120,7 @@ def affine_tables(draw, m, k):
                 values[x][y - 1] = intercept + slope * x
             else:
                 values[x][y - 1] = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 9)))
-    return Rule("affine-table", k, AbcScoringTable(k, m, tuple(tuple(row) for row in values)))
+    return Rule("affine-table", k, AbcScoringTable(tuple(tuple(row) for row in values)))
 
 
 @st.composite
@@ -135,7 +135,7 @@ def stepped_tables(draw, m, k):
         steps = step_rows[draw(st.integers(0, 1))]
         for x in range(k + 1):
             values[x][y - 1] = level + sum(steps[:x])
-    return Rule("stepped-table", k, AbcScoringTable(k, m, tuple(tuple(row) for row in values)))
+    return Rule("stepped-table", k, AbcScoringTable(tuple(tuple(row) for row in values)))
 
 
 @st.composite

@@ -46,7 +46,7 @@ from abcvote.profiles import Profile
 from abcvote.rules import named_rule
 m = 20_000_000_000
 try:
-    partylist.{check}(named_rule("av", 1, m), Profile.from_ballots(m, [{{0, 1}}, {{0, 1}}, {{2}}]), *{extra!r})
+    partylist.{check}(named_rule("av", 1, m), Profile.from_ballots(m, [{{0, 1}}, {{0, 1}}, {{2}}]))
 except ValueError as err:
     print(err)
 """
@@ -59,8 +59,7 @@ def test_rule_at_huge_m_meets_the_committee_limit_first(check):
     # the structure lists every candidate nobody approves as a singleton party, 2 * 10**10
     # of them here, which died of a MemoryError; the choice set is computed first
     src = str(Path(partylist.__file__).resolve().parents[1])
-    extra = (1,) if check == "check_msav_threshold" else ()
-    code = HUGE_M_CHECK.format(src=src, limit=2_000_000 * 1024, check=check, extra=extra)
+    code = HUGE_M_CHECK.format(src=src, limit=2_000_000 * 1024, check=check)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
     assert (out.returncode, out.stdout) == (0, "C(20000000000,1) committees exceed the enumeration limit 200000\n")
 
@@ -190,22 +189,39 @@ class TestMsavThreshold:
     def test_msav_passes_on_tiny_grid(self):
         for profile in party_list_grid(m_max=4, n_max=4):
             for k in range(1, profile.m):
-                assert check_msav_threshold(named_rule("msav", k, profile.m), profile, k).passed
+                assert check_msav_threshold(named_rule("msav", k, profile.m), profile).passed
 
     def test_msav_passes_generated_family(self):
         for t in (2, 3, 4):
             for case in ("high", "low"):
                 profile = gen_sav_witness_profile(3, t, 2, 4, case)
-                assert check_msav_threshold(named_rule("msav", 2, 4), profile, 2).passed
+                assert check_msav_threshold(named_rule("msav", 2, 4), profile).passed
 
     def test_sav_fails_threshold_somewhere(self):
         # sav refuses unanimity once a singleton reaches n_i/|P_i| = 3 voters,
         # below the n_i/k = 9/2 threshold: high case t=3 puts singletons at 4
         profile = gen_sav_witness_profile(3, 3, 2, 4, "high")
         rule = named_rule("sav", 2, 4)
-        verdict = check_msav_threshold(rule, profile, 2)
+        verdict = check_msav_threshold(rule, profile)
         assert not verdict.passed
         assert replay(verdict, rule)
+
+    def test_witness_k_is_the_rules_k(self):
+        # k is read off the chosen committees, so a witness records the rule's own k
+        failures = 0
+        for profile in party_list_grid(m_max=4, n_max=4):
+            for k in range(1, profile.m):
+                for rule in (named_rule("sav", k, profile.m), named_rule("pav", k, profile.m)):
+                    verdict = check_msav_threshold(rule, profile)
+                    if not verdict.passed:
+                        failures += 1
+                        assert verdict.witness["k"] == k
+        assert failures
+
+    def test_empty_choice_set_is_refused(self):
+        profile = unanimity_threshold_instance()
+        with pytest.raises(ValueError, match="none was chosen"):
+            check_msav_threshold(lambda p: frozenset(), profile)
 
 
 class TestGenerators:

@@ -80,15 +80,15 @@ class TestNamedRules:
 class TestScoringValidation:
     def test_thiele_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            ThieleScore(1, (F(1), F(2)))
+            ThieleScore((F(1), F(2)))
 
     def test_thiele_must_be_nondecreasing(self):
         with pytest.raises(ValueError):
-            ThieleScore(2, (F(0), F(2), F(1)))
+            ThieleScore((F(0), F(2), F(1)))
 
     def test_bswav_nonnegative(self):
         with pytest.raises(ValueError):
-            BswavWeights(2, (F(1), F(-1)))
+            BswavWeights((F(1), F(-1)))
 
     def test_table_active_range_only(self):
         # k=2, m=3: a size-2 ballot always intersects a committee in 1 or 2
@@ -98,7 +98,7 @@ class TestScoringValidation:
             (F(1), F(1), F(0)),
             (F(1), F(2), F(1)),
         )
-        AbcScoringTable(2, 3, values)
+        AbcScoringTable(values)
         # ...but a dip inside the active range of y=2 is rejected.
         bad = (
             (F(0), F(0), F(0)),
@@ -106,13 +106,32 @@ class TestScoringValidation:
             (F(1), F(2), F(1)),
         )
         with pytest.raises(ValueError):
-            AbcScoringTable(2, 3, bad)
+            AbcScoringTable(bad)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(), ((),), ((F(0), F(0)), (F(1),)), ((F(0),), (F(1), F(1)))],
+        ids=["no-rows", "empty-row", "short-row", "long-row"],
+    )
+    def test_table_rows_must_be_non_empty_and_of_one_length(self, values):
+        with pytest.raises(ValueError, match="non-empty and of one length"):
+            AbcScoringTable(values)
+
+    def test_dimensions_are_the_parameters_lengths(self):
+        table = tuple((F(x),) * 3 for x in range(3))  # k = 2, m = 3
+        assert Rule("t", 2, AbcScoringTable(table)).k == 2
+        with pytest.raises(ValueError, match="does not match"):
+            Rule("t", 1, AbcScoringTable(table))
+        with pytest.raises(ValueError, match="parameterized for m=3, profile has m=4"):
+            winners(Rule("t", 2, AbcScoringTable(table)), Profile.from_ballots(4, [fs(0)]))
+        with pytest.raises(ValueError, match="parameterized for m=3, profile has m=4"):
+            winners(Rule("w", 2, BswavWeights((F(1),) * 3)), Profile.from_ballots(4, [fs(0)]))
 
     def test_rule_k_consistency(self):
         with pytest.raises(ValueError):
-            Rule("x", 2, ThieleScore(3, (F(0), F(1), F(2), F(3))))
+            Rule("x", 2, ThieleScore((F(0), F(1), F(2), F(3))))
         with pytest.raises(ValueError):
-            Rule("x", 4, BswavWeights(4, (F(1),) * 4))
+            Rule("x", 4, BswavWeights((F(1),) * 4))
 
 
 class TestCommitteeScore:
@@ -505,7 +524,7 @@ class TestScoringTableRule:
         k, m = 2, 4
         pav = named_rule("pav", k, m)
         values = tuple(tuple(pav.score(x, y) for y in range(1, m + 1)) for x in range(k + 1))
-        table_rule = Rule("pav-as-table", k, AbcScoringTable(k, m, values))
+        table_rule = Rule("pav-as-table", k, AbcScoringTable(values))
         for n in range(1, 3):
             for profile in raw_profiles(m, n):
                 assert winners(table_rule, profile) == winners(pav, profile)

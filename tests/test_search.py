@@ -130,8 +130,13 @@ class TestKeptSpaces:
         second = list(enumerate_profiles(4, 3))
         assert CountingTable.lookups == 0
         assert all(map(operator.is_, second, first)) and len(second) == len(first) == 65
-        # pair searches read the kept tuple itself
-        assert search._representatives(4, 3) is search._kept[4, 3]
+        # pair searches read both sides through the stream: the kept profiles themselves, no lookup
+        ones, twos = list(enumerate_profiles(4, 1)), list(enumerate_profiles(4, 2))
+        CountingTable.lookups = 0
+        pairs = list(search._pairs(4, 4))
+        assert CountingTable.lookups == 0
+        kept = [*itertools.product(ones, first), *itertools.product(twos, twos), *itertools.product(first, ones)]
+        assert len(pairs) == len(kept) and all(a is c and b is d for (a, b), (c, d) in zip(pairs, kept))
 
     def test_walk_stopped_early_keeps_nothing(self, fresh_walks):
         stream = enumerate_profiles(5, 3)
@@ -316,10 +321,10 @@ class TestFindCounterexample:
         profile = Profile.from_ballots(6, [frozenset(range(6))] * 5)
         iol, rule = axioms.lookup("independence-of-losers"), named_rule("av", 1, 6)
         with pytest.raises(axioms.CapExceeded):
-            iol.check(rule, profile, CheckOptions(1))
-        verdict = search._check(iol, rule, (profile,), CheckOptions(1))
-        assert verdict.passed and verdict.checked == 6 * CheckOptions(1).count
-        assert search._check(iol, rule, (profile,), CheckOptions(1)) == verdict
+            iol.check(rule, profile, CheckOptions())
+        verdict = search._check(iol, rule, (profile,), CheckOptions())
+        assert verdict.passed and verdict.checked == 6 * CheckOptions().count
+        assert search._check(iol, rule, (profile,), CheckOptions()) == verdict
 
     def test_min_approval_rule_shape(self):
         choose = min_approval_rule(1)
