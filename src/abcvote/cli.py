@@ -226,7 +226,7 @@ def cmd_fit(args) -> int:
     parse = functools.partial(identify.parse_observations, k=args.k)
     observations = _parsed(parse, args.observations, _read_text(args.observations))
     if not observations:
-        raise ValueError("observations file is empty")
+        raise ValueError(f"{args.observations}: observations file is empty")
     fit = identify.fit_thiele if args.family == "thiele" else identify.fit_bswav
     result = fit(observations)
     rendered = identify.format_fit(result)

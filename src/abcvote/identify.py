@@ -12,11 +12,14 @@ strictly feasible parameter vector scales to clear margin one.  Rows are
 built on the scoring kernel's committee bitmasks from the terms each
 observation carries, one (ballot mask, count) per distinct ballot, and
 the fitted rule is re-checked by the kernel on the same terms.  Row
-entries are integers.  Feasibility is decided by an exact rational LP
-(dual simplex, Bland's rule), and each unknown in turn is fixed to the
-midpoint of its feasible interval so fitted values are deterministic;
-infeasibility comes with a checkable non-negative combination of the rows
-of that system that sums to an impossible row.
+entries are integers.  Feasibility is decided by midpoint stages: each
+unknown in turn is fixed to the midpoint of its feasible interval, whose
+ends are exact rational LPs (dual simplex, Bland's rule) on integer rows
+over one stage denominator, so fitted values are deterministic; the last
+unknown is read off its two tightest rows with no LP.  Only when a stage
+finds no point does a Farkas LP run, to certify infeasibility with a
+checkable non-negative combination of the rows of that system that sums
+to an impossible row.
 """
 
 from __future__ import annotations
@@ -199,28 +202,38 @@ class FeasibilityResult:
 def _tightest(rows):
     """Per direction, the row with the largest right-hand side.
 
-    `rows` holds (coefficients, rhs, source) with integer coefficients, not
-    all zero.  Each row is divided by the gcd of its coefficients, so rows
-    fall into the same classes as when divided by the absolute value of
-    their leading coefficient, and within a class the first of the largest
-    right-hand sides wins.  Returns (direction, rhs, source, gcd) tuples in
-    order of first appearance.
+    `rows` holds (coefficients, numerator, source): integer coefficients, not
+    all zero, and the integer numerator of the right-hand side, all rows'
+    over one common denominator.  Each row is divided by the gcd h of its
+    coefficients, so rows fall into the same classes as when divided by the
+    absolute value of their leading coefficient, and within a class the first
+    of the largest numerator / h wins, compared by cross-multiplying.
+    Returns (direction, numerator, source, h) tuples in order of first
+    appearance.
     """
     best: dict[tuple[int, ...], tuple] = {}
-    for coeffs, rhs, source in rows:
+    for coeffs, num, source in rows:
         h = gcd(*coeffs)
-        if h != 1:
-            coeffs, rhs = [c // h for c in coeffs], Fraction(rhs, h)
-        key = tuple(coeffs)
-        if key not in best or rhs > best[key][1]:
-            best[key] = (key, rhs, source, h)
+        key = tuple(coeffs) if h == 1 else tuple(c // h for c in coeffs)
+        kept = best.get(key)
+        if kept is None or num * kept[3] > kept[1] * h:
+            best[key] = (key, num, source, h)
     return list(best.values())
 
 
-def _integer_costs(costs: list[Fraction]) -> tuple[list[int], int]:
-    """The costs times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(c.denominator for c in costs))
-    return [c.numerator * (scale // c.denominator) for c in costs], scale
+def _integer_costs(stage) -> tuple[list[int], int]:
+    """The right-hand sides numerator / h of `_tightest`'s rows as integers
+    over their least common denominator, and that denominator."""
+    reduced = []
+    for _, num, _, h in stage:
+        g = gcd(num, h)
+        reduced.append((num // g, h // g))
+    scale = lcm(*(d for _, d in reduced))
+    return [num * (scale // d) for num, d in reduced], scale
+
+
+class _Unbounded(ArithmeticError):
+    """The linear program's objective is unbounded above."""
 
 
 def _simplex(columns: list[tuple[int, ...]], rhs: tuple[int, ...], costs: list[int] | None = None):
@@ -228,7 +241,8 @@ def _simplex(columns: list[tuple[int, ...]], rhs: tuple[int, ...], costs: list[i
 
     Maximizes costs . y subject to sum_i y_i * columns[i] = rhs and y >= 0,
     with integer columns, rhs and costs.  Returns None when no such y exists,
-    else (optimum, {column: y_column > 0}); with costs None only phase 1 runs
+    raises `_Unbounded` when costs . y has no maximum, else
+    (optimum, {column: y_column > 0}); with costs None only phase 1 runs
     and the optimum is 0.  The tableau is kept fraction-free (Edmonds'
     integer pivoting): its true entries are the stored integers over the
     common denominator `denom`, and every division below is exact.
@@ -298,7 +312,7 @@ def _simplex(columns: list[tuple[int, ...]], rhs: tuple[int, ...], costs: list[i
         if costs[b]:
             z = [a - costs[b] * x for a, x in zip(z, row)]
     if not run():
-        raise ArithmeticError("the linear program is unbounded")
+        raise _Unbounded("the linear program is unbounded")
     return Fraction(-z[-1], denom), _solution(tableau, basis, denom, ncols)
 
 
@@ -312,18 +326,71 @@ def _eliminate(row: list[int], prow: list[int], p: int, f: int, denom: int) -> l
     return [(p * a - f * b) // denom for a, b in zip(row, prow)]
 
 
+def _midpoint(lower: Fraction | None, upper: Fraction | None) -> Fraction:
+    if lower is not None and upper is not None:
+        return (lower + upper) / 2
+    if lower is not None:
+        return lower + 1
+    if upper is not None:
+        return upper - 1
+    return Fraction(0)
+
+
+def _midpoint_point(distinct, n: int) -> list[Fraction] | None:
+    """The midpoint rule's values, unknown by unknown, or None once a stage
+    shows the rows infeasible.
+
+    A stage's rows are `_tightest`'s over the unknowns not yet fixed, with
+    numerators over the stage denominator `denom`.  Each end of an interval
+    is the optimum of the dual LP max{b'.y : A'^T y = +-e_0, y >= 0}, whose
+    costs are those numerators; an infeasible dual leaves that end open, an
+    unbounded one shows the rows infeasible.  One unknown left, its rows are
+    one x >= lower and one x <= upper at most, read off with no LP.
+    """
+    values: list[Fraction] = []
+    stage, denom = distinct, 1
+    for j in range(n - 1):
+        columns = [key for key, *_ in stage]
+        costs, scale = _integer_costs(stage)
+        denom *= scale
+        unit = (0,) * (n - j - 1)
+        ends = []
+        for sign in (1, -1):
+            try:
+                optimum = _simplex(columns, (sign, *unit), costs)
+            except _Unbounded:
+                return None
+            ends.append(None if optimum is None else sign * optimum[0] / denom)
+        value = _midpoint(*ends)
+        values.append(value)
+        # substituting x_j keeps parallel rows parallel: again keep the tightest
+        common = lcm(denom, value.denominator)
+        a, b = common // denom, common // value.denominator * value.numerator
+        stage = _tightest((key[1:], cost * a - key[0] * b, None) for key, cost in zip(columns, costs) if any(key[1:]))
+        denom = common
+    if n:
+        ends = [None, None]
+        for (c,), num, _, h in stage:  # c is 1 (a lower end) or -1 (an upper end)
+            ends[c < 0] = Fraction(c * num, h * denom)
+        if None not in ends and ends[0] > ends[1]:
+            return None
+        values.append(_midpoint(*ends))
+    return values
+
+
 def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
     """Exact rational LP (dual simplex, Bland's rule) with the midpoint rule.
 
-    Feasible systems yield the deterministic point obtained by fixing
-    variables in index order to the midpoint of their residual interval
-    (lower + 1 when unbounded above, upper - 1 when unbounded below, 0 when
-    unconstrained).  Each end of the interval is the optimum of the dual LP
-    max{b'.y : A'^T y = +-e_0, y >= 0} over the rows with the earlier
-    variables substituted; an infeasible dual means that end is unbounded.
-    Infeasible systems yield a certificate: non-negative multipliers over
-    original row indices combining to 0 >= positive, read off a feasible
-    y >= 0 with A^T y = 0 and b.y = 1 (Farkas).  Row entries must be ints.
+    The midpoint stages decide feasibility: they fix the unknowns in index
+    order to the midpoint of their residual interval (lower + 1 when
+    unbounded above, upper - 1 when unbounded below, 0 when unconstrained),
+    two dual LPs per unknown but the last, whose interval is read off its two
+    tightest rows, and the point is returned once it satisfies every row.
+    Only when a stage's dual LP is unbounded, the last interval is empty or
+    the point fails a row does the Farkas LP run, to certify infeasibility:
+    non-negative multipliers over original row indices combining to
+    0 >= positive, read off a feasible y >= 0 with A^T y = 0 and b.y = 1.
+    Row entries must be ints.
     """
     n = len(system.unknowns)
     if n > MAX_UNKNOWNS:
@@ -339,47 +406,26 @@ def solve_feasibility(system: ConstraintSystem) -> FeasibilityResult:
         rows.append((coeffs, rhs, i))
     distinct = _tightest(rows)
 
-    costs, scale = _integer_costs([rhs for _, rhs, *_ in distinct])
+    values = _midpoint_point(distinct, n)
+    if values is not None:
+        point = tuple(values)
+        scale = lcm(*(v.denominator for v in point))
+        scaled = [v.numerator * (scale // v.denominator) for v in point]
+        # every row but the all-zero ones, times a positive integer
+        if all(sum(c * v for c, v in zip(ints, scaled)) >= rhs * scale for ints, rhs, _ in rows):
+            return FeasibilityResult(True, point, None)
+
+    costs, scale = _integer_costs(distinct)
     farkas = _simplex([key + (c,) for (key, *_), c in zip(distinct, costs)], (0,) * n + (scale,))
-    if farkas is not None:
-        certificate = {}
-        for col, y in farkas[1].items():
-            _, _, i, h = distinct[col]
-            certificate[i] = y / h
-        if not verify_certificate(system, certificate):
-            raise AssertionError("the LP produced an invalid certificate")
-        return FeasibilityResult(False, None, certificate)
-
-    values: list[Fraction] = []
-    stage = distinct
-    for j in range(n):
-        columns = [key for key, *_ in stage]
-        costs, scale = _integer_costs([rhs for _, rhs, *_ in stage])
-        unit = (0,) * (n - j - 1)
-        ends = []
-        for sign in (1, -1):
-            optimum = _simplex(columns, (sign, *unit), costs)
-            ends.append(None if optimum is None else sign * optimum[0] / scale)
-        lower, upper = ends
-        if lower is not None and upper is not None:
-            value = (lower + upper) / 2
-        elif lower is not None:
-            value = lower + 1
-        elif upper is not None:
-            value = upper - 1
-        else:
-            value = Fraction(0)
-        values.append(value)
-        # substituting x_j keeps parallel rows parallel: again keep the tightest
-        stage = _tightest((key[1:], rhs - key[0] * value, None) for key, rhs, *_ in stage if any(key[1:]))
-
-    point = tuple(values)
-    scale = lcm(*(v.denominator for v in point))
-    scaled = [v.numerator * (scale // v.denominator) for v in point]
-    for ints, rhs, _ in rows:  # every row but the all-zero ones, times a positive integer
-        if sum(c * v for c, v in zip(ints, scaled)) < rhs * scale:
-            raise AssertionError("the LP produced an infeasible point")
-    return FeasibilityResult(True, point, None)
+    if farkas is None:
+        raise AssertionError("the midpoint stages failed but the Farkas LP found no certificate")
+    certificate = {}
+    for col, y in farkas[1].items():
+        _, _, i, h = distinct[col]
+        certificate[i] = y / h
+    if not verify_certificate(system, certificate):
+        raise AssertionError("the LP produced an invalid certificate")
+    return FeasibilityResult(False, None, certificate)
 
 
 def verify_certificate(system: ConstraintSystem, certificate: dict[int, Fraction]) -> bool:

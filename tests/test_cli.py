@@ -518,6 +518,13 @@ class TestFitCommand:
         assert main(["fit", "--family", family, "--k", "2", "--observations", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: line 9: observations must share m and k: m=4 here, m=3 before\n"
 
+    @pytest.mark.parametrize("text", ["", "# no observations yet\n\n"])
+    def test_empty_observations_file_named(self, tmp_path, text, capsys):
+        path = tmp_path / "obs.txt"
+        path.write_text(text)
+        assert main(["fit", "--family", "thiele", "--k", "1", "--observations", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: observations file is empty\n"
+
     def test_ballot_lines_are_checked_again_when_m_changes(self, tmp_path, capsys):
         # `0 5` passed in the m = 6 block; the m = 4 block must not take it from the line cache
         path = tmp_path / "obs.txt"

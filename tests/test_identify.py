@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcvote import identify
@@ -30,6 +31,11 @@ from abcvote.search import enumerate_profiles
 from conftest import oracle_fm_solve, oracle_full_observation_rows, oracle_tie_observation_rows
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
+FIT_CORPUS = json.loads((GOLDEN / "fit_corpus.json").read_text(encoding="utf-8"))
+# certificates of the fit corpus's infeasible fits and of small contradictions, as row index -> "p/q",
+# captured from the solver that ran the Farkas LP first on every system
+CERTIFICATES = json.loads((GOLDEN / "fit_certificates.json").read_text(encoding="utf-8"))
 
 
 def fs(*xs):
@@ -272,17 +278,32 @@ def small_systems(draw):
 
 @st.composite
 def raw_systems(draw):
-    """Up to ten random rows over one to three unknowns: unlike fit systems,
+    """Up to ten random rows over one to four unknowns: unlike fit systems,
     these leave unknowns unbounded below or on both sides."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     row = st.tuples(*[st.integers(-3, 3)] * n)
     weak = draw(st.lists(row, max_size=6))
     strict = draw(st.lists(row, max_size=4))
     return ConstraintSystem(tuple(f"x_{i}" for i in range(n)), weak, strict)
 
 
-@settings(max_examples=200, deadline=None)
+PINNED = {case["name"]: case for case in CERTIFICATES["systems"]}
+
+
+def pinned_system(name: str) -> ConstraintSystem:
+    case = PINNED[name]
+    return ConstraintSystem(tuple(case["unknowns"]), list(map(tuple, case["weak"])), list(map(tuple, case["strict"])))
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(small_systems(), raw_systems()))
+# one unknown, so no LP at all: read off its two rows, feasible and not
+@example(ConstraintSystem(("x",), weak=[(1,)], strict=[(2,), (4,)]))
+@example(pinned_system("one unknown bounded both ways"))
+# rows that substituting x and then y would leave constant: the first stage
+# leaves x open, the second stage's dual LP is unbounded
+@example(pinned_system("the second stage's dual is unbounded"))
+@example(pinned_system("the last interval is empty"))
 def test_lp_point_matches_fourier_motzkin(system):
     point = oracle_fm_solve(system)
     result = solve_feasibility(system)
@@ -315,6 +336,87 @@ def test_repeated_rows_give_same_point_and_certificate(system, data):
     assert (repeated.feasible, repeated.point) == (once.feasible, once.point)
     if not once.feasible:
         assert repeated.certificate == {moved[i]: y for i, y in once.certificate.items()}
+
+
+def pq(certificate: dict[int, Fraction]) -> dict[str, str]:
+    return {str(i): f"{y.numerator}/{y.denominator}" for i, y in sorted(certificate.items())}
+
+
+@pytest.mark.parametrize("case", CERTIFICATES["fits"], ids=lambda case: f"{case['family']} {case['observations']}")
+def test_fit_certificate_pinned(case):
+    fit = fit_thiele if case["family"] == "thiele" else fit_bswav
+    result = fit(parse_observations(FIT_CORPUS["observations"][case["observations"]], case["k"]))
+    assert not result.feasible
+    assert pq(result.certificate) == case["certificate"]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_certificate_pinned(name):
+    result = solve_feasibility(pinned_system(name))
+    assert not result.feasible
+    assert pq(result.certificate) == PINNED[name]["certificate"]
+
+
+def count_lps(monkeypatch) -> list[bool]:
+    """Record each `_simplex` call from now on: True for a Farkas LP, which has no costs."""
+    calls = []
+    simplex = identify._simplex
+
+    def counted(columns, rhs, costs=None):
+        calls.append(costs is None)
+        return simplex(columns, rhs, costs)
+
+    monkeypatch.setattr(identify, "_simplex", counted)
+    return calls
+
+
+def test_feasible_system_takes_two_lps_per_unknown_but_the_last(monkeypatch):
+    """n unknowns take 2(n - 1) LPs: none certifies, and the last unknown is
+    read off its rows.  Thiele fits of PAV at k = 1..8, weights of SAV at
+    m = 2..9."""
+    rng = random.Random(24)
+    systems = []
+    for n in range(1, identify.MAX_UNKNOWNS + 1):
+        for family, rule, m, k in (("thiele", "pav", n + 3, n), ("bswav", "sav", n + 1, 1)):
+            ballot = lambda: frozenset(c for c in range(m) if rng.random() < 0.4) or frozenset([rng.randrange(m)])
+            profiles = [Profile.from_ballots(m, [ballot() for _ in range(6)]) for _ in range(3)]
+            systems.append(build_system(observe(named_rule(rule, k, m), profiles, k), family))
+    calls = count_lps(monkeypatch)
+    for system in systems:
+        calls.clear()
+        assert solve_feasibility(system).feasible
+        assert calls == [False] * (2 * len(system.unknowns) - 2)
+
+
+@pytest.mark.parametrize(
+    "name, stage_lps",
+    [
+        ("one unknown bounded both ways", 0),
+        ("the first stage's dual is unbounded", 1),
+        ("the last interval is empty", 2),
+        ("the second stage's dual is unbounded", 3),
+        ("parallel rows of different scale", 2),
+        ("an all-zero row", None),
+    ],
+)
+def test_infeasible_system_ends_with_one_farkas_lp(monkeypatch, name, stage_lps):
+    """The stages run until one shows the rows infeasible, then one Farkas LP
+    certifies; an all-zero row needs no LP."""
+    calls = count_lps(monkeypatch)
+    assert not solve_feasibility(pinned_system(name)).feasible
+    assert calls == ([] if stage_lps is None else [False] * stage_lps + [True])
+
+
+def test_point_failing_a_row_is_certified(monkeypatch):
+    """A point that fails a row sends the system to the Farkas LP: the pinned
+    certificate when the rows are infeasible, an internal error when they
+    are not.  No consistent stage leaves such a point: a row that would turn
+    into a false constant makes its stage's dual LP unbounded first."""
+    monkeypatch.setattr(identify, "_midpoint_point", lambda distinct, n: [F(0)] * n)
+    name = "four unknowns, fractional multipliers"
+    assert pq(solve_feasibility(pinned_system(name)).certificate) == PINNED[name]["certificate"]
+    with pytest.raises(AssertionError, match="no certificate"):
+        solve_feasibility(ConstraintSystem(("x", "y"), weak=[(0, 1)], strict=[(1, -1)]))
 
 
 class TestFitThiele:
