@@ -14,8 +14,10 @@ without running it, and walk only other rules.
 The axioms quantify over all profiles; these checkers decide fixed
 instances, and the search module supplies the quantifier at bounded scale.
 `AXIOMS` at the end of this module lists every axiom, general and
-party-list, with its aliases, arity, domain, checker and replayer; the CLI,
-the search driver and `replay` all look axioms up there.
+party-list, with its aliases, arity, domain, checker, replayer and the
+names of the keyword settings its checker reads; the CLI, the search driver
+and `replay` all look axioms up there, and each setting's default is the
+checker's own.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -302,24 +305,19 @@ def _reductions_for(ballot: int, own: int) -> list[int]:
 
 
 def check_independence_of_losers(
-    rule,
-    profile: Profile,
-    mode: str = "all",
-    seed: int = 0,
-    count: int = 200,
-    cap: int = IOL_EXHAUSTIVE_CAP,
+    rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20
 ) -> AxiomVerdict:
     """Winners must stay winning when voters disapprove non-members.
 
     Mode "all" covers, for every winner, the product of all per-voter
-    reductions, and raises CapExceeded for a winner with more than `cap` of
-    them, counted exactly: a ballot that misses the winner has 2**d - 1, not
-    2**d, for its d droppable members.  "sample" draws `count` reductions
-    from one generator seeded with `seed`.  `checked` counts reduced
-    profiles.  In mode "all" a library `Rule` decides each winner at once
-    with `survives_every_reduction`, counts a surviving winner's product
-    without walking it, and walks only a failing winner's, to find its first
-    witness; other rules walk every winner's product.
+    reductions, counted exactly: a ballot that misses the winner has
+    2**d - 1, not 2**d, for its d droppable members.  A library `Rule`
+    decides each winner at once with `survives_every_reduction` and counts a
+    surviving winner's product without walking it; only the walks that run,
+    every winner's for other rules and a failing winner's to its first
+    witness, raise CapExceeded past IOL_EXHAUSTIVE_CAP reduced profiles.
+    "sample" draws `count` reductions per winner from one generator seeded
+    with `seed`.  `checked` counts reduced profiles.
     """
     choose = as_choice_fn(rule)
     base = choose(profile)
@@ -329,11 +327,11 @@ def check_independence_of_losers(
         own = ballot_mask(committee)
         if mode == "all":
             total = math.prod(2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks)
-            if total > cap:
-                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
             if isinstance(rule, Rule) and survives_every_reduction(rule, profile, committee):
                 checked += total
                 continue
+            if total > IOL_EXHAUSTIVE_CAP:
+                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {IOL_EXHAUSTIVE_CAP}")
             combos = itertools.product(*(_reductions_for(ballot, own) for ballot in profile.masks))
         elif mode == "sample":
             options = [_reductions_for(ballot, own) for ballot in profile.masks]
@@ -430,63 +428,52 @@ def _replay_convexity(w, choose):
 # --- the axiom table --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckOptions:
-    """Settings handed to every checker; each reads only the ones it needs.
-
-    `mode` "all" walks every case (for independence of losers: every
-    reduction, up to IOL_EXHAUSTIVE_CAP), "sample" draws `count` seeded
-    cases.  The defaults are the search driver's; `check` sets mode, seed
-    and count from its flags.
-    """
-
-    mode: str = "all"
-    seed: int = 0
-    count: int = 200
-    lambda_cap: int | None = 64
+# the settings of the checkers that walk all cases or sample them
+_WALK = ("mode", "seed", "count")
 
 
 @dataclass(frozen=True)
 class Axiom:
     """One axiom: its names, what it is checked on, and how.
 
-    `check` takes the rule, `arity` profiles and a `CheckOptions`; `domain`,
-    when set, says which profiles the axiom applies to at all.
+    `checker` takes the rule and `arity` profiles, then as keywords the
+    `settings` it names, each with its own default; `domain`, when set, says
+    which profiles the axiom applies to at all.
     """
 
     name: str
     aliases: tuple[str, ...]
     arity: int
     domain: Callable[[Profile], bool] | None
-    check: Callable[..., AxiomVerdict]
+    checker: Callable[..., AxiomVerdict]
     replay: Replayer
+    settings: tuple[str, ...] = ()
+
+    def check(self, rule, profiles, settings) -> AxiomVerdict:
+        """The checker's verdict on `rule` and `profiles`, given those of the
+        `settings` (a mapping from setting name to value) that it names.  The
+        checker is looked up on its module at each call, so a wrapper
+        installed there is what runs."""
+        checker = getattr(sys.modules[self.checker.__module__], self.checker.__name__)
+        return checker(rule, *profiles, **{name: settings[name] for name in self.settings if name in settings})
 
 
 _party_list = partylist.is_party_list
 
 AXIOMS: tuple[Axiom, ...] = (
-    Axiom("anonymity", (), 1, None,
-          lambda r, p, o: check_anonymity(r, p, o.mode, o.seed, o.count), _replay_anonymity),
-    Axiom("neutrality", (), 1, None,
-          lambda r, p, o: check_neutrality(r, p, o.mode, o.seed, o.count), _replay_neutrality),
-    Axiom("consistency", (), 2, None,
-          lambda r, a, b, o: check_consistency_pair(r, a, b), _replay_consistency),
-    Axiom("continuity", (), 2, None,
-          lambda r, a, b, o: check_continuity(r, a, b, o.lambda_cap), _replay_continuity),
-    Axiom("weak-efficiency", (), 1, None,
-          lambda r, p, o: check_weak_efficiency(r, p), _replay_weak_efficiency),
-    Axiom("independence-of-losers", ("iol",), 1, None,
-          lambda r, p, o: check_independence_of_losers(r, p, o.mode, o.seed, o.count), _replay_iol),
-    Axiom("choice-set-convexity", ("convexity",), 1, None,
-          lambda r, p, o: check_choice_set_convexity(r, p), _replay_convexity),
-    Axiom("excellence", (), 1, _party_list,
-          lambda r, p, o: partylist.check_excellence(r, p), partylist.replay_excellence),
+    Axiom("anonymity", (), 1, None, check_anonymity, _replay_anonymity, _WALK),
+    Axiom("neutrality", (), 1, None, check_neutrality, _replay_neutrality, _WALK),
+    Axiom("consistency", (), 2, None, check_consistency_pair, _replay_consistency),
+    Axiom("continuity", (), 2, None, check_continuity, _replay_continuity, ("lambda_cap",)),
+    Axiom("weak-efficiency", (), 1, None, check_weak_efficiency, _replay_weak_efficiency),
+    Axiom("independence-of-losers", ("iol",), 1, None, check_independence_of_losers, _replay_iol, _WALK),
+    Axiom("choice-set-convexity", ("convexity",), 1, None, check_choice_set_convexity, _replay_convexity),
+    Axiom("excellence", (), 1, _party_list, partylist.check_excellence, partylist.replay_excellence),
     Axiom("party-proportionality", ("party-prop",), 1, _party_list,
-          lambda r, p, o: partylist.check_party_proportionality(r, p), partylist.replay_party_proportionality),
+          partylist.check_party_proportionality, partylist.replay_party_proportionality),
     Axiom("aversion-unanimous", ("aversion",), 1, _party_list,
-          lambda r, p, o: partylist.check_aversion_unanimous(r, p), partylist.replay_aversion_unanimous),
-    Axiom("msav-threshold", (), 1, _party_list,
-          lambda r, p, o: partylist.check_msav_threshold(r, p), partylist.replay_msav_threshold),
+          partylist.check_aversion_unanimous, partylist.replay_aversion_unanimous),
+    Axiom("msav-threshold", (), 1, _party_list, partylist.check_msav_threshold, partylist.replay_msav_threshold),
 )
 
 _BY_NAME = {name: axiom for axiom in AXIOMS for name in (axiom.name, *axiom.aliases)}

@@ -125,22 +125,32 @@ def _print_witness(verdict) -> None:
             print(f"# {key}: {json.dumps(value, sort_keys=True)}")
 
 
-_SAMPLED = ("anonymity", "neutrality", "independence-of-losers")
+def _read_by(reads) -> tuple:
+    """A scope for a flag that the axioms passing `reads` read: its test, and the
+    axioms' names from the table for the error."""
+    return lambda axiom, args: reads(axiom), "--axiom " + ", ".join(a.name for a in axioms.AXIOMS if reads(a))
+
 
 # The `check` and `search` flags that only some checks read: each flag, whether the
 # check at hand reads it, and where it applies, for the error when it does not.
 # An unset flag is None.
 _FLAG_SCOPES = (
-    ("profile2", lambda axiom, args: axiom.arity == 2, "--axiom consistency, continuity"),
-    ("lambda_cap", lambda axiom, args: axiom.name == "continuity", "--axiom continuity"),
+    ("profile2", *_read_by(lambda axiom: axiom.arity == 2)),
+    ("lambda_cap", *_read_by(lambda axiom: "lambda_cap" in axiom.settings)),
     # consistency alone can also be checked over the bipartitions of one profile
     ("splits", lambda axiom, args: axiom.name == "consistency" and not args.profile2,
      "--axiom consistency without --profile2"),
     ("max_voters", lambda axiom, args: args.splits, "--splits"),
-    ("mode", lambda axiom, args: axiom.name in _SAMPLED, f"--axiom {', '.join(_SAMPLED)}"),
+    ("mode", *_read_by(lambda axiom: "mode" in axiom.settings)),
     ("seed", lambda axiom, args: args.mode == "sample", "--mode sample"),
     ("count", lambda axiom, args: args.mode == "sample", "--mode sample"),
 )
+
+
+def _given(args, *flags) -> dict:
+    """The flags among `flags` that the user set, by name: an unset one is left to
+    its reader's default."""
+    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
 
 
 def _lookup_axiom(args):
@@ -161,18 +171,17 @@ def cmd_check(args) -> int:
             raise ValueError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
         profiles.append(_read_profile(args.profile2, args.k))
     rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
-    cap = args.lambda_cap
-    if axiom.name == "continuity" and not cap:
-        cap = continuity_lambda_bound(rule, *profiles)
+    settings = _given(args, "mode", "seed", "count", "lambda_cap")
+    if axiom.name == "continuity" and "lambda_cap" not in settings:
+        settings["lambda_cap"] = continuity_lambda_bound(rule, *profiles)
     if args.splits:
-        max_voters = 10 if args.max_voters is None else args.max_voters
-        verdict = axioms.check_consistency_splits(rule, profiles[0], max_voters)
+        verdict = axioms.check_consistency_splits(rule, profiles[0], **_given(args, "max_voters"))
     else:
-        options = axioms.CheckOptions(args.mode or "all", args.seed or 0, args.count or 20, lambda_cap=cap)
-        verdict = axiom.check(rule, *profiles, options)
+        verdict = axiom.check(rule, profiles, settings)
 
     if axiom.name == "continuity":
         lam = verdict.checked if verdict.passed else None
+        cap = settings["lambda_cap"]
         if args.format == "json":
             _emit_json({"axiom": "continuity", "lambda": lam, "lambda_cap": cap})
         else:
@@ -189,12 +198,7 @@ def cmd_check(args) -> int:
 
 def cmd_search(args) -> int:
     axiom = _lookup_axiom(args)
-    bounds = search.SearchBounds(
-        m_max=args.max_m,
-        k_set=(args.k,),
-        n_max=args.max_n,
-        lambda_cap=args.lambda_cap or 64,
-    )
+    bounds = search.SearchBounds(m_max=args.max_m, k_set=(args.k,), n_max=args.max_n, **_given(args, "lambda_cap"))
     result = search.find_counterexample(args.rule, axiom.name, bounds)
     if args.format == "json":
         payload = {

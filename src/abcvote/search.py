@@ -11,13 +11,13 @@ an exact, reproducible instance count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from math import comb, factorial
 from typing import Callable, Iterator
 
 from . import axioms
-from .axioms import Axiom, AxiomVerdict, CheckOptions, replay
-from .profiles import ChoiceSet, Profile, all_ballots, ballot_mask, ballot_permutation_tables
+from .axioms import Axiom, AxiomVerdict, replay
+from .profiles import ChoiceSet, Profile, _ballot_positions, ballot_permutation_tables
 from .rules import NAMED_RULES, _scores, named_rule, thiele_rule
 
 MAX_SEARCH_M = 6
@@ -25,6 +25,9 @@ MAX_SEARCH_N = 6
 
 # the rules `search` takes by name: the library rules and one negative control
 SEARCH_RULES = (*NAMED_RULES, "min-approval")
+
+# draws per winner when an exhaustive walk is over its cap and is sampled instead
+FALLBACK_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ def enumerate_profiles(m: int, n: int, canonical: bool = True) -> Iterator[Profi
     if canonical and (m, n) in _kept:
         yield from _kept[m, n]
         return
-    ballots = [ballot_mask(ballot) for ballot in all_ballots(m)]
+    ballots = _ballot_positions(m)[0]
     tables = ballot_permutation_tables(m) if canonical else ()
     # every orbit holds at most m! multisets, so more than MAX_KEPT_PROFILES * m!
     # multisets make more representatives than are kept: collect none of them
@@ -141,13 +144,13 @@ class SearchResult:
     instances: int
 
 
-def _check(axiom: Axiom, rule_obj, profiles: tuple[Profile, ...], options: CheckOptions) -> AxiomVerdict:
+def _check(axiom: Axiom, rule_obj, profiles: tuple[Profile, ...], settings: dict) -> AxiomVerdict:
     try:
-        return axiom.check(rule_obj, *profiles, options)
+        return axiom.check(rule_obj, profiles, settings)
     except axioms.CapExceeded:
         # documented fallback: an exhaustive walk over its cap (independence
-        # of losers at larger m, n) is sampled with the fixed seed instead
-        return axiom.check(rule_obj, *profiles, replace(options, mode="sample"))
+        # of losers at larger m, n) is sampled with the checker's seed instead
+        return axiom.check(rule_obj, profiles, {**settings, "mode": "sample", "count": FALLBACK_SAMPLES})
 
 
 def _confirm(verdict: AxiomVerdict, rule_obj) -> None:
@@ -198,7 +201,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     spec = axioms.lookup(axiom)
     factory = library_factory(rule) if isinstance(rule, str) else rule
     name = rule if isinstance(rule, str) else getattr(rule, "__name__", "custom")
-    options = CheckOptions(lambda_cap=bounds.lambda_cap)
+    settings = {"lambda_cap": bounds.lambda_cap}
     rules: dict[tuple[int, int], object] = {}
     instances = 0
     for m, k, profiles in _instances(spec.arity, bounds):
@@ -207,7 +210,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
         rule_obj = rules[m, k]
         if spec.domain is not None and not spec.domain(profiles[0]):
             continue
-        verdict = _check(spec, rule_obj, profiles, options)
+        verdict = _check(spec, rule_obj, profiles, settings)
         instances += 1
         if not verdict.passed:
             _confirm(verdict, rule_obj)
@@ -297,7 +300,7 @@ def separation_suite(factories: dict[str, RuleFactory] | None = None) -> Separat
     def instance_entry(rule: str, axiom: str, expected: str, degenerate=False):
         profile = unanimity_threshold_instance()
         rule_obj = lib[rule](profile.m, 2)
-        verdict = _check(axioms.lookup(axiom), rule_obj, (profile,), CheckOptions())
+        verdict = _check(axioms.lookup(axiom), rule_obj, (profile,), {})
         observed = "none" if verdict.passed else "violation"
         detail = "passed" if verdict.passed else _witness_summary(verdict)
         report.entries.append(

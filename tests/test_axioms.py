@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -329,16 +331,25 @@ class TestIndependenceOfLosers:
         verdict = check_independence_of_losers(named_rule("av", 1, 2), profile)
         assert verdict.passed
 
-    def test_cap_counts_only_reductions_that_exist(self):
+    def test_cap_counts_only_reductions_that_exist(self, monkeypatch):
         # {1,2} misses the winner (0,): it keeps one of its members, 3 reductions, not 4
         profile = Profile.from_ballots(3, [fs(0), fs(0), fs(1, 2)])
-        verdict = check_independence_of_losers(named_rule("av", 1, 3), profile, cap=3)
+        monkeypatch.setattr(axioms, "IOL_EXHAUSTIVE_CAP", 3)
+        verdict = check_independence_of_losers(as_choice_fn(named_rule("av", 1, 3)), profile)
         assert (verdict.passed, verdict.checked) == (True, 3)
 
     def test_cap_enforced(self):
-        profile = Profile.from_ballots(6, [fs(0, 1, 2, 3, 4, 5)] * 4)
-        with pytest.raises(ValueError):
-            check_independence_of_losers(named_rule("ccav", 1, 6), profile, cap=2**4)
+        # four full ballots at m = 6: each winner of ccav has 32**4 = 2**20 reductions
+        full = Profile.from_ballots(6, [fs(0, 1, 2, 3, 4, 5)] * 4)
+        rule = named_rule("ccav", 1, 6)
+        with pytest.raises(CapExceeded, match=r"^1048576 reduced profiles for committee \(0,\), over cap 65536$"):
+            check_independence_of_losers(as_choice_fn(rule), full)
+        # the rule's winners survive and are counted without a walk
+        assert check_independence_of_losers(rule, full).checked == 6 * 2**20
+        # sav's winners (0,) and (1,) survive; (2,) fails, and its walk is over the cap
+        profile = Profile.from_ballots(6, [fs(0, 1), fs(0, 1), fs(2)] + [fs(0, 1, 2, 3, 4, 5)] * 4)
+        with pytest.raises(CapExceeded, match=r"^9437184 reduced profiles for committee \(2,\), over cap 65536$"):
+            check_independence_of_losers(named_rule("sav", 1, 6), profile)
 
     def test_sample_mode_deterministic(self):
         profile = Profile.from_ballots(3, [fs(0, 1), fs(0, 1), fs(2)])
@@ -378,7 +389,8 @@ def iol_instances(draw):
 
 def _iol_outcome(rule, profile, cap):
     try:
-        verdict = check_independence_of_losers(rule, profile, cap=cap)
+        with mock.patch.object(axioms, "IOL_EXHAUSTIVE_CAP", cap):
+            verdict = check_independence_of_losers(rule, profile)
     except CapExceeded as err:
         return "cap exceeded", str(err)
     return verdict.passed, verdict.checked, verdict.witness
@@ -389,9 +401,17 @@ def _iol_outcome(rule, profile, cap):
 def test_iol_least_margins_match_the_walk(instance):
     """A library rule is decided by per-voter least margins; the same rule as
     a bare choice function walks every reduced profile.  Verdict, count,
-    witness and cap message must all agree."""
+    witness and cap message must all agree.  Where the walk is over a small
+    cap, the rule walks only a failing winner: it agrees with the walk under
+    the full cap, or refuses at that walk's failing winner."""
     rule, profile, cap = instance
-    assert _iol_outcome(rule, profile, cap) == _iol_outcome(as_choice_fn(rule), profile, cap)
+    decided, walked = _iol_outcome(rule, profile, cap), _iol_outcome(as_choice_fn(rule), profile, cap)
+    if walked[0] == "cap exceeded":
+        walked = _iol_outcome(as_choice_fn(rule), profile, IOL_EXHAUSTIVE_CAP)
+        if decided[0] == "cap exceeded":
+            assert walked[0] is False and f" for committee {walked[2]['committee']}, " in decided[1]
+            return
+    assert decided == walked
 
 
 def _by_form_outcome(check, rule, *args):
@@ -496,6 +516,25 @@ def test_by_form_refuses_as_the_walk_does(check, rule, args):
     assert isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
 
 
+@pytest.mark.parametrize("axiom", axioms.AXIOMS, ids=[axiom.name for axiom in axioms.AXIOMS])
+def test_the_table_names_the_settings_its_checker_reads(axiom):
+    """After the rule and the profiles, a checker's parameters are exactly the
+    settings its table entry names, in that order; each setting but
+    continuity's λ cap has its default there and nowhere else."""
+    params = list(inspect.signature(axiom.checker).parameters.values())
+    assert [p.name for p in params[1 + axiom.arity:]] == list(axiom.settings)
+    assert all(p.default is not p.empty for p in params[1 + axiom.arity:] if p.name != "lambda_cap")
+
+
+def test_the_table_passes_only_the_settings_a_checker_names():
+    profile = Profile.from_ballots(3, [fs(0, 1), fs(0, 1), fs(2)])
+    everything = {"mode": "sample", "seed": 3, "count": 5, "lambda_cap": 7}
+    iol = axioms.lookup("iol").check(named_rule("sav", 1, 3), (profile,), everything)
+    assert iol == check_independence_of_losers(named_rule("sav", 1, 3), profile, "sample", 3, 5)
+    convexity = axioms.lookup("convexity").check(named_rule("pav", 2, 3), (profile,), everything)
+    assert convexity == check_choice_set_convexity(named_rule("pav", 2, 3), profile)
+
+
 @pytest.mark.parametrize(
     "axiom, profile",
     [
@@ -508,9 +547,9 @@ def test_search_falls_back_to_sampling_as_the_walk_does(axiom, profile):
 
     rule = named_rule("pav", 2, profile.m)
     with pytest.raises(CapExceeded):
-        axioms.lookup(axiom).check(rule, profile, axioms.CheckOptions())
-    verdict = _check(axioms.lookup(axiom), rule, (profile,), axioms.CheckOptions())
-    walked = _check(axioms.lookup(axiom), as_choice_fn(rule), (profile,), axioms.CheckOptions())
+        axioms.lookup(axiom).check(rule, (profile,), {})
+    verdict = _check(axioms.lookup(axiom), rule, (profile,), {})
+    walked = _check(axioms.lookup(axiom), as_choice_fn(rule), (profile,), {})
     assert (verdict.passed, verdict.checked, verdict.witness) == (walked.passed, walked.checked, walked.witness)
     assert verdict.checked == 200
 

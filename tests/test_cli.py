@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from abcvote import cli, identify, rules
+from abcvote import axioms, cli, identify, rules
 from abcvote import profiles as profiles_module
 from abcvote.cli import main
 from abcvote.identify import Observation, format_observations
@@ -702,6 +702,32 @@ class TestFlags:
         assert main([str(path) if arg == "{a}" else arg for arg in argv]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    # each flag that only some axioms read: whether the table says an axiom reads it, a value, and the refusal
+    TABLE_FLAGS = {
+        "--mode": (lambda axiom: "mode" in axiom.settings, "all",
+                   "--mode applies only to --axiom anonymity, neutrality, independence-of-losers"),
+        "--lambda-cap": (lambda axiom: "lambda_cap" in axiom.settings, "7",
+                         "--lambda-cap applies only to --axiom continuity"),
+        "--profile2": (lambda axiom: axiom.arity == 2, "{a}",
+                       "--profile2 applies only to --axiom consistency, continuity"),
+    }
+
+    @pytest.mark.parametrize("flag", TABLE_FLAGS)
+    @pytest.mark.parametrize("axiom", axioms.AXIOMS, ids=[axiom.name for axiom in axioms.AXIOMS])
+    def test_check_reads_a_flag_exactly_where_the_table_says(self, tmp_path, axiom, flag, capsys):
+        reads, value, message = self.TABLE_FLAGS[flag]
+        path = tmp_path / "a.abc"
+        path.write_text("m=2\n0\n")
+        argv = ["check", "--rule", "av", "--k", "1", "--axiom", axiom.name, "--profile", "{a}", flag, value]
+        if axiom.arity == 2 and flag != "--profile2":
+            argv += ["--profile2", "{a}"]
+        code = main([str(path) if arg == "{a}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        if reads(axiom):
+            assert (code, captured.err) == (0, "")
+        else:
+            assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 class TestCommitteeSizeRefusal:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcvote import axioms, search
-from abcvote.axioms import CheckOptions, replay
+from abcvote.axioms import as_choice_fn, replay
 from abcvote.profiles import MAX_CANONICAL_M, Profile, canonical_form, profile_to_vector
 from abcvote.rules import named_rule, thiele_rule, winners
 from abcvote.search import (
@@ -317,14 +317,17 @@ class TestFindCounterexample:
 
     def test_iol_cap_falls_back_to_sampling(self):
         # five full ballots at m = 6: each of the six tied winners of k = 1 has
-        # 32**5 = 2**25 reductions, over the cap, so the seeded sample decides
+        # 32**5 = 2**25 reductions, over the cap, so a choice function's walk is
+        # sampled with the fixed seed instead; the rule itself is decided exactly
         profile = Profile.from_ballots(6, [frozenset(range(6))] * 5)
         iol, rule = axioms.lookup("independence-of-losers"), named_rule("av", 1, 6)
+        choose = as_choice_fn(rule)
         with pytest.raises(axioms.CapExceeded):
-            iol.check(rule, profile, CheckOptions())
-        verdict = search._check(iol, rule, (profile,), CheckOptions())
-        assert verdict.passed and verdict.checked == 6 * CheckOptions().count
-        assert search._check(iol, rule, (profile,), CheckOptions()) == verdict
+            iol.check(choose, (profile,), {})
+        verdict = search._check(iol, choose, (profile,), {})
+        assert verdict.passed and verdict.checked == 6 * search.FALLBACK_SAMPLES
+        assert search._check(iol, choose, (profile,), {}) == verdict
+        assert search._check(iol, rule, (profile,), {}).checked == 6 * 2**25
 
     def test_min_approval_rule_shape(self):
         choose = min_approval_rule(1)
