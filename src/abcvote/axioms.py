@@ -14,19 +14,19 @@ without running it, and walk only other rules.
 The axioms quantify over all profiles; these checkers decide fixed
 instances, and the search module supplies the quantifier at bounded scale.
 `AXIOMS` at the end of this module lists every axiom, general and
-party-list, with its aliases, arity, domain, checker, replayer and the
-names of the keyword settings its checker reads; the CLI, the search driver
-and `replay` all look axioms up there, and each setting's default is the
-checker's own.
+party-list, with its aliases, arity, domain, checker and replayer; the CLI,
+the search driver and `replay` all look axioms up there.  A checker's keyword
+settings, each defaulting there, are read off its signature.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
-import sys
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable
 
 from . import partylist
@@ -304,6 +304,11 @@ def _reductions_for(ballot: int, own: int) -> list[int]:
     return out
 
 
+def _margin_steps(profile: Profile, own: int) -> int:
+    """The steps of `survives_every_reduction` for the committee `own`: C(m, k) per distinct ballot's reduction."""
+    return math.comb(profile.m, own.bit_count()) * sum(2 ** (ballot & ~own).bit_count() for ballot, _ in profile.terms)
+
+
 def check_independence_of_losers(
     rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20
 ) -> AxiomVerdict:
@@ -312,26 +317,29 @@ def check_independence_of_losers(
     Mode "all" covers, for every winner, the product of all per-voter
     reductions, counted exactly: a ballot that misses the winner has
     2**d - 1, not 2**d, for its d droppable members.  A library `Rule`
-    decides each winner at once with `survives_every_reduction` and counts a
-    surviving winner's product without walking it; only the walks that run,
-    every winner's for other rules and a failing winner's to its first
-    witness, raise CapExceeded past IOL_EXHAUSTIVE_CAP reduced profiles.
-    "sample" draws `count` reductions per winner from one generator seeded
-    with `seed`.  `checked` counts reduced profiles.
+    decides a winner by `survives_every_reduction` where its product or
+    those least margins' steps are within IOL_EXHAUSTIVE_CAP, and counts a
+    surviving winner's product without walking it.  Every other winner is
+    walked, and a walk over the cap raises CapExceeded.  "sample" draws
+    `count` reductions per winner from one generator seeded with `seed`.
+    `checked` counts reduced profiles.
     """
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
     rng = random.Random(seed) if mode == "sample" else None
+    cap = IOL_EXHAUSTIVE_CAP
     for committee in sorted(base):
         own = ballot_mask(committee)
         if mode == "all":
             total = math.prod(2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks)
-            if isinstance(rule, Rule) and survives_every_reduction(rule, profile, committee):
+            # the least margins cost at most twice the walk, so only past its cap do they need their own bound
+            by_margins = isinstance(rule, Rule) and (total <= cap or _margin_steps(profile, own) <= cap)
+            if by_margins and survives_every_reduction(rule, profile, committee):
                 checked += total
                 continue
-            if total > IOL_EXHAUSTIVE_CAP:
-                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {IOL_EXHAUSTIVE_CAP}")
+            if total > cap:
+                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
             combos = itertools.product(*(_reductions_for(ballot, own) for ballot in profile.masks))
         elif mode == "sample":
             options = [_reductions_for(ballot, own) for ballot in profile.masks]
@@ -428,17 +436,13 @@ def _replay_convexity(w, choose):
 # --- the axiom table --------------------------------------------------------
 
 
-# the settings of the checkers that walk all cases or sample them
-_WALK = ("mode", "seed", "count")
-
-
 @dataclass(frozen=True)
 class Axiom:
     """One axiom: its names, what it is checked on, and how.
 
-    `checker` takes the rule and `arity` profiles, then as keywords the
-    `settings` it names, each with its own default; `domain`, when set, says
-    which profiles the axiom applies to at all.
+    `checker` takes the rule and `arity` profiles, then as keywords its
+    `settings`, each with its own default; `domain`, when set, says which
+    profiles the axiom applies to at all.
     """
 
     name: str
@@ -447,26 +451,28 @@ class Axiom:
     domain: Callable[[Profile], bool] | None
     checker: Callable[..., AxiomVerdict]
     replay: Replayer
-    settings: tuple[str, ...] = ()
 
-    def check(self, rule, profiles, settings) -> AxiomVerdict:
-        """The checker's verdict on `rule` and `profiles`, given those of the
-        `settings` (a mapping from setting name to value) that it names.  The
-        checker is looked up on its module at each call, so a wrapper
-        installed there is what runs."""
-        checker = getattr(sys.modules[self.checker.__module__], self.checker.__name__)
-        return checker(rule, *profiles, **{name: settings[name] for name in self.settings if name in settings})
+    @cached_property
+    def settings(self) -> tuple[str, ...]:
+        """The names of the checker's parameters after the rule and the profiles."""
+        return tuple(inspect.signature(self.checker).parameters)[1 + self.arity:]
+
+    def bind(self, settings) -> Callable[..., AxiomVerdict]:
+        """The checker, to call with the rule and the profiles, given the `settings` (by name) it
+        reads; looked up on its module here, so a wrapper installed there is what runs."""
+        checker = getattr(inspect.getmodule(self.checker), self.checker.__name__)
+        return partial(checker, **{name: settings[name] for name in self.settings if name in settings})
 
 
 _party_list = partylist.is_party_list
 
 AXIOMS: tuple[Axiom, ...] = (
-    Axiom("anonymity", (), 1, None, check_anonymity, _replay_anonymity, _WALK),
-    Axiom("neutrality", (), 1, None, check_neutrality, _replay_neutrality, _WALK),
+    Axiom("anonymity", (), 1, None, check_anonymity, _replay_anonymity),
+    Axiom("neutrality", (), 1, None, check_neutrality, _replay_neutrality),
     Axiom("consistency", (), 2, None, check_consistency_pair, _replay_consistency),
-    Axiom("continuity", (), 2, None, check_continuity, _replay_continuity, ("lambda_cap",)),
+    Axiom("continuity", (), 2, None, check_continuity, _replay_continuity),
     Axiom("weak-efficiency", (), 1, None, check_weak_efficiency, _replay_weak_efficiency),
-    Axiom("independence-of-losers", ("iol",), 1, None, check_independence_of_losers, _replay_iol, _WALK),
+    Axiom("independence-of-losers", ("iol",), 1, None, check_independence_of_losers, _replay_iol),
     Axiom("choice-set-convexity", ("convexity",), 1, None, check_choice_set_convexity, _replay_convexity),
     Axiom("excellence", (), 1, _party_list, partylist.check_excellence, partylist.replay_excellence),
     Axiom("party-proportionality", ("party-prop",), 1, _party_list,

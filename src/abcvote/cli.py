@@ -126,8 +126,7 @@ def _print_witness(verdict) -> None:
 
 
 def _read_by(reads) -> tuple:
-    """A scope for a flag that the axioms passing `reads` read: its test, and the
-    axioms' names from the table for the error."""
+    """The scope of a flag that the axioms passing `reads` read: that test, and their names for the error."""
     return lambda axiom, args: reads(axiom), "--axiom " + ", ".join(a.name for a in axioms.AXIOMS if reads(a))
 
 
@@ -148,8 +147,7 @@ _FLAG_SCOPES = (
 
 
 def _given(args, *flags) -> dict:
-    """The flags among `flags` that the user set, by name: an unset one is left to
-    its reader's default."""
+    """The flags among `flags` that the user set, by name: an unset one keeps its reader's default."""
     return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
 
 
@@ -177,15 +175,14 @@ def cmd_check(args) -> int:
     if args.splits:
         verdict = axioms.check_consistency_splits(rule, profiles[0], **_given(args, "max_voters"))
     else:
-        verdict = axiom.check(rule, profiles, settings)
+        verdict = axiom.bind(settings)(rule, *profiles)
 
     if axiom.name == "continuity":
         lam = verdict.checked if verdict.passed else None
-        cap = settings["lambda_cap"]
         if args.format == "json":
-            _emit_json({"axiom": "continuity", "lambda": lam, "lambda_cap": cap})
+            _emit_json({"axiom": "continuity", "lambda": lam, "lambda_cap": settings["lambda_cap"]})
         else:
-            print(f"lambda {lam if lam is not None else 'not-found'} (cap {cap})")
+            print(f"lambda {lam if lam is not None else 'not-found'} (cap {settings['lambda_cap']})")
     elif args.format == "json":
         _emit_json(axioms.verdict_to_json(verdict))
     elif verdict.passed:

@@ -16,7 +16,7 @@ from math import comb, factorial
 from typing import Callable, Iterator
 
 from . import axioms
-from .axioms import Axiom, AxiomVerdict, replay
+from .axioms import AxiomVerdict, replay
 from .profiles import ChoiceSet, Profile, _ballot_positions, ballot_permutation_tables
 from .rules import NAMED_RULES, _scores, named_rule, thiele_rule
 
@@ -144,13 +144,14 @@ class SearchResult:
     instances: int
 
 
-def _check(axiom: Axiom, rule_obj, profiles: tuple[Profile, ...], settings: dict) -> AxiomVerdict:
+def _check(check, rule_obj, profiles: tuple[Profile, ...]) -> AxiomVerdict:
+    """`check`, a checker bound by `Axiom.bind`, on the rule and the profiles."""
     try:
-        return axiom.check(rule_obj, profiles, settings)
+        return check(rule_obj, *profiles)
     except axioms.CapExceeded:
         # documented fallback: an exhaustive walk over its cap (independence
         # of losers at larger m, n) is sampled with the checker's seed instead
-        return axiom.check(rule_obj, profiles, {**settings, "mode": "sample", "count": FALLBACK_SAMPLES})
+        return check(rule_obj, *profiles, mode="sample", count=FALLBACK_SAMPLES)
 
 
 def _confirm(verdict: AxiomVerdict, rule_obj) -> None:
@@ -201,7 +202,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     spec = axioms.lookup(axiom)
     factory = library_factory(rule) if isinstance(rule, str) else rule
     name = rule if isinstance(rule, str) else getattr(rule, "__name__", "custom")
-    settings = {"lambda_cap": bounds.lambda_cap}
+    check = spec.bind({"lambda_cap": bounds.lambda_cap})
     rules: dict[tuple[int, int], object] = {}
     instances = 0
     for m, k, profiles in _instances(spec.arity, bounds):
@@ -210,7 +211,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
         rule_obj = rules[m, k]
         if spec.domain is not None and not spec.domain(profiles[0]):
             continue
-        verdict = _check(spec, rule_obj, profiles, settings)
+        verdict = _check(check, rule_obj, profiles)
         instances += 1
         if not verdict.passed:
             _confirm(verdict, rule_obj)
@@ -300,7 +301,7 @@ def separation_suite(factories: dict[str, RuleFactory] | None = None) -> Separat
     def instance_entry(rule: str, axiom: str, expected: str, degenerate=False):
         profile = unanimity_threshold_instance()
         rule_obj = lib[rule](profile.m, 2)
-        verdict = _check(axioms.lookup(axiom), rule_obj, (profile,), {})
+        verdict = _check(axioms.lookup(axiom).bind({}), rule_obj, (profile,))
         observed = "none" if verdict.passed else "violation"
         detail = "passed" if verdict.passed else _witness_summary(verdict)
         report.entries.append(

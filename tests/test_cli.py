@@ -298,6 +298,16 @@ class TestCheck:
         assert main(["check", "--axiom", "iol", "--rule", "av", "--k", "1", "--profile", str(path)]) == 0
         assert capsys.readouterr().out == "pass: independence-of-losers holds on this instance (1 cases checked)\n"
 
+    def test_iol_wide_ballot_refused_at_once(self, tmp_path):
+        # one voter approving all of m = 40: each ccav winner has 2**39 reduced
+        # profiles, and deciding it by least margins would take 40 * 2**39 steps
+        path = tmp_path / "wide.abc"
+        path.write_text("m=40\n" + " ".join(map(str, range(40))) + "\n")
+        out = run_limited(["check", "--axiom", "iol", "--rule", "ccav", "--k", "1", "--profile", str(path)], timeout=10)
+        assert out is not None, "the over-cap IOL check did not exit within 10 s"
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: 549755813888 reduced profiles for committee (0,), over cap 65536\n"
+
     @pytest.mark.parametrize("rule, checked", [("pav", 24), ("ccav", 136)])
     def test_iol_exhaustive_pass_counts(self, tmp_path, rule, checked, capsys):
         # every reduced profile of every winner is counted; a ballot that

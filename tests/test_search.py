@@ -320,14 +320,14 @@ class TestFindCounterexample:
         # 32**5 = 2**25 reductions, over the cap, so a choice function's walk is
         # sampled with the fixed seed instead; the rule itself is decided exactly
         profile = Profile.from_ballots(6, [frozenset(range(6))] * 5)
-        iol, rule = axioms.lookup("independence-of-losers"), named_rule("av", 1, 6)
+        iol, rule = axioms.lookup("independence-of-losers").bind({}), named_rule("av", 1, 6)
         choose = as_choice_fn(rule)
         with pytest.raises(axioms.CapExceeded):
-            iol.check(choose, (profile,), {})
-        verdict = search._check(iol, choose, (profile,), {})
+            iol(choose, profile)
+        verdict = search._check(iol, choose, (profile,))
         assert verdict.passed and verdict.checked == 6 * search.FALLBACK_SAMPLES
-        assert search._check(iol, choose, (profile,), {}) == verdict
-        assert search._check(iol, rule, (profile,), {}).checked == 6 * 2**25
+        assert search._check(iol, choose, (profile,)) == verdict
+        assert search._check(iol, rule, (profile,)).checked == 6 * 2**25
 
     def test_min_approval_rule_shape(self):
         choose = min_approval_rule(1)
