@@ -295,18 +295,8 @@ def _reductions_for(ballot: int, own: int) -> list[int]:
     the committee `own`, keeping the ballot non-empty and its committee part intact;
     by the number dropped, then the dropped members in lexicographic order."""
     droppable = [1 << c for c in range(ballot.bit_length()) if ballot >> c & 1 and not own >> c & 1]
-    out = []
-    for size in range(len(droppable) + 1):
-        for drop in itertools.combinations(droppable, size):
-            reduced = ballot - sum(drop)
-            if reduced:
-                out.append(reduced)
-    return out
-
-
-def _margin_steps(profile: Profile, own: int) -> int:
-    """The steps of `survives_every_reduction` for the committee `own`: C(m, k) per distinct ballot's reduction."""
-    return math.comb(profile.m, own.bit_count()) * sum(2 ** (ballot & ~own).bit_count() for ballot, _ in profile.terms)
+    drops = itertools.chain.from_iterable(itertools.combinations(droppable, size) for size in range(len(droppable) + 1))
+    return [reduced for drop in drops if (reduced := ballot - sum(drop))]
 
 
 def check_independence_of_losers(
@@ -317,10 +307,10 @@ def check_independence_of_losers(
     Mode "all" covers, for every winner, the product of all per-voter
     reductions, counted exactly: a ballot that misses the winner has
     2**d - 1, not 2**d, for its d droppable members.  A library `Rule`
-    decides a winner by `survives_every_reduction` where its product or
-    those least margins' steps are within IOL_EXHAUSTIVE_CAP, and counts a
-    surviving winner's product without walking it.  Every other winner is
-    walked, and a walk over the cap raises CapExceeded.  "sample" draws
+    decides every winner by its least margins (`survives_every_reduction`),
+    and counts a surviving winner's product without walking it.  The walk
+    runs for other rules and, to find the first witness, for a failing
+    winner; a walk over IOL_EXHAUSTIVE_CAP raises CapExceeded.  "sample" draws
     `count` reductions per winner from one generator seeded with `seed`.
     `checked` counts reduced profiles.
     """
@@ -328,18 +318,15 @@ def check_independence_of_losers(
     base = choose(profile)
     checked = 0
     rng = random.Random(seed) if mode == "sample" else None
-    cap = IOL_EXHAUSTIVE_CAP
     for committee in sorted(base):
         own = ballot_mask(committee)
         if mode == "all":
             total = math.prod(2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks)
-            # the least margins cost at most twice the walk, so only past its cap do they need their own bound
-            by_margins = isinstance(rule, Rule) and (total <= cap or _margin_steps(profile, own) <= cap)
-            if by_margins and survives_every_reduction(rule, profile, committee):
+            if isinstance(rule, Rule) and survives_every_reduction(rule, profile, committee):
                 checked += total
                 continue
-            if total > cap:
-                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
+            if total > IOL_EXHAUSTIVE_CAP:
+                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {IOL_EXHAUSTIVE_CAP}")
             combos = itertools.product(*(_reductions_for(ballot, own) for ballot in profile.masks))
         elif mode == "sample":
             options = [_reductions_for(ballot, own) for ballot in profile.masks]

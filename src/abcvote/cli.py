@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -99,7 +100,7 @@ def cmd_score(args) -> int:
         raise ValueError(f"committee {args.committee!r} must list plain digits, none outside 0..{m - 1}")
     committee = tuple(sorted(int(tok) for tok in tokens))
     # before the rule, whose k + 1 Thiele values at a huge k would never be built
-    check_committee(frozenset(committee), args.k, m)
+    check_committee(committee, args.k, m)
     rule = parse_rule_spec(args.rule, args.k, m)
     score = ballots_score(rule, m, counts, committee)
     if args.format == "json":
@@ -271,10 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--profile2", help="second profile (consistency, continuity)")
     p.add_argument("--splits", action="store_true", default=None, help="check consistency over all bipartitions")
-    p.add_argument("--max-voters", type=int, help="most voters for --splits (default 10)")
-    p.add_argument("--mode", choices=("all", "sample"), help="walk all cases (default) or sample them")
-    p.add_argument("--seed", type=int, help="seed for sample mode (default 0)")
-    p.add_argument("--count", type=int, help="samples in sample mode (default 20)")
+    walk = inspect.signature(next(a.checker for a in axioms.AXIOMS if "mode" in a.settings)).parameters
+    splits = inspect.signature(axioms.check_consistency_splits).parameters
+    p.add_argument("--max-voters", type=int, help=f"most voters for --splits (default {splits['max_voters'].default})")
+    modes = {"all": "walk all cases", "sample": "sample them"}
+    modes[walk["mode"].default] += " (default)"
+    p.add_argument("--mode", choices=tuple(modes), help=" or ".join(modes.values()))
+    p.add_argument("--seed", type=int, help=f"seed for sample mode (default {walk['seed'].default})")
+    p.add_argument("--count", type=int, help=f"samples in sample mode (default {walk['count'].default})")
     p.add_argument("--lambda-cap", type=int, default=None)
     p.set_defaults(func=cmd_check)
 

@@ -11,7 +11,8 @@ identities like harmonic sums come out exactly.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -276,7 +277,8 @@ def _committee_masks(m: int, k: int) -> tuple[tuple[Committee, ...], tuple[int, 
 class _IntTable(dict):
     """A rule's integer table on m candidates: ballot size y maps to (T[y], line),
     T[y][x] = s(x, y) * D for x = 0..k, and line = (b, a) when T[y][x] = b + a * x
-    on the active range, else None.  Rows are built on first use, so only the
+    on the active range, else None; a key (a, d, c, q) maps to a least margin of
+    `survives_every_reduction`.  Entries are built on first use, so only the
     ballot sizes that occur cost anything, whatever m is."""
 
     def __init__(self, rule: Rule, m: int):
@@ -284,7 +286,14 @@ class _IntTable(dict):
         self.scoring, self.k, self.m = rule.scoring, rule.k, m
         self.scale = lcm(*(value.denominator for value in _parameters(rule.scoring)))
 
-    def __missing__(self, y: int):
+    def __missing__(self, y: int | tuple[int, int, int, int]):
+        if isinstance(y, tuple):  # (a, d, c, q): the least margin read by survives_every_reduction
+            a, d, c, q = y
+            self[y] = least = min(
+                self[size][0][a] - self[size][0][c + j]
+                for j in range(q + 1) for size in range(max(a + j, 1), a + j + d - q + 1)
+            )
+            return least
         if isinstance(self.scoring, BswavWeights):  # alpha_y * x, scaled once, in ints
             alpha = self.scoring.alpha[y - 1]
             unit = alpha.numerator * (self.scale // alpha.denominator)
@@ -448,8 +457,10 @@ def _argmax(committees: tuple[Committee, ...], scores: list[int]) -> ChoiceSet:
     return frozenset(w for w, score in zip(committees, scores) if score == best)
 
 
-def check_committee(members: frozenset[int], k: int, m: int) -> None:
-    """Refuse a committee that does not have k members, all among the m candidates."""
+def check_committee(members: Collection[int], k: int, m: int) -> None:
+    """Refuse a committee that lists a candidate twice, or lacks k members, all among the m candidates."""
+    if len(set(members)) < len(members):
+        raise ValueError(f"committee lists candidate {Counter(members).most_common(1)[0][0]} more than once")
     if len(members) != k:
         raise ValueError(f"committee size {len(members)} does not match rule k={k}")
     if not all(isinstance(c, int) and 0 <= c < m for c in members):
@@ -466,8 +477,8 @@ def ballots_score(rule: Rule, m: int, counts: dict[Ballot, int], committee: Comm
     sets, over m candidates: the sum of count * T[|A|][|A ∩ W|] over D, read off
     the rule's integer table.  No mask is built, so a huge index costs nothing."""
     _check_dimensions(rule, m)
+    check_committee(committee, rule.k, m)
     members = frozenset(committee)
-    check_committee(members, rule.k, m)
     table = _int_table(rule, m)
     score = sum(count * table[len(ballot)][0][len(ballot & members)] for ballot, count in counts.items())
     return Fraction(score, table.scale)
@@ -543,9 +554,12 @@ def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee)
     Scores are sums over voters and each voter reduces on their own, so this
     holds iff, against every committee W', the voters' least margins
     T[|r|][|r ∩ W|] - T[|r|][|r ∩ W'|], each over that voter's reductions r,
-    sum to at least 0.  Identical ballots share one row of least margins,
-    weighted by their count: the cost is C(m, k) times the reductions of the
-    distinct ballots, with no product over voters.
+    sum to at least 0.  A ballot with a members in W and d droppable ones, q
+    of them in W', has reductions that keep j of those q and l of the other
+    d - q: of size a + j + l, meeting W' in c + j, with c = |A ∩ W ∩ W'|.  So
+    its least margin depends only on (a, d, c, q), and the table works it out
+    once: a committee costs two popcounts and a lookup per distinct ballot,
+    weighted by its count, with no product over voters or reductions.
     """
     _, masks = _committees(rule, profile.m)
     table = _int_table(rule, profile.m)
@@ -553,18 +567,8 @@ def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee)
     totals = [0] * len(masks)
     for ballot, weight in profile.terms:
         kept, droppable = ballot & own, ballot & ~own
-        least = None
-        dropped = droppable  # every subset of the droppable members, all of them first
-        while True:
-            reduced = ballot ^ dropped
-            if reduced:
-                row = table[reduced.bit_count()][0]
-                own_score = row[kept.bit_count()]
-                margins = [own_score - row[(reduced & cm).bit_count()] for cm in masks]
-                least = margins if least is None else list(map(min, least, margins))
-            if not dropped:
-                break
-            dropped = (dropped - 1) & droppable
+        a, d = kept.bit_count(), droppable.bit_count()
+        least = [table[a, d, (kept & cm).bit_count(), (droppable & cm).bit_count()] for cm in masks]
         totals = [total + weight * margin for total, margin in zip(totals, least)]
     return min(totals) >= 0
 

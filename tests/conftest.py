@@ -6,17 +6,19 @@ s(x, y) and nothing else, so the kernel is always checked against the
 scoring definition itself.  Likewise the canonical-form oracle renames the
 candidates of the profile itself under all m! permutations and compares
 dense count vectors, without the ballot tables of `abcvote.profiles` or
-anything from `abcvote.search`.  The oracles code and decode ballot masks
-themselves, with `oracle_mask` and `oracle_ballot`.  The Fourier-Motzkin
-oracle eliminates the unknowns of a constraint system one by one and
-back-substitutes midpoints, without linear programming, and the
-observation-row oracles build a fit's constraint rows from a profile's
-decoded ballots, one voter at a time, without bitmasks: the tie rows a fit
-states, and the full rows (every chosen committee against every other) that
-they imply.
+anything from `abcvote.search`.  The independence-of-losers oracle walks
+each voter's reductions one submask at a time and reads s(x, y) directly.
+The oracles code and decode ballot masks themselves, with `oracle_mask` and
+`oracle_ballot`.  The Fourier-Motzkin oracle eliminates the unknowns of a
+constraint system one by one and back-substitutes midpoints, without linear
+programming, and the observation-row oracles build a fit's constraint rows
+from a profile's decoded ballots, one voter at a time, without bitmasks: the
+tie rows a fit states, and the full rows (every chosen committee against
+every other) that they imply.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -79,6 +81,36 @@ def oracle_scores(score_fn, weighted_ballots, m, k):
             total += Fraction(weight) * score_fn(len(ballot & members), len(ballot))
         out.append((committee, total))
     return out
+
+
+def oracle_survives_every_reduction(score_fn, profile, committee, k):
+    """Whether `committee` wins every reduction of `profile`, voter by voter:
+    each voter's least margin s(|r ∩ W|, |r|) - s(|r ∩ W'|, |r|) against every
+    size-k committee W', over every non-empty r left when the voter drops a
+    submask of their approved non-members, summed over the voters; on the
+    scores scaled to integers by the lcm of their denominators."""
+    m = profile.m
+    values = {(x, y): Fraction(score_fn(x, y)) for x in range(k + 1) for y in range(1, m + 1)}
+    scale = math.lcm(*(value.denominator for value in values.values()))
+    table = {key: int(value * scale) for key, value in values.items()}
+    own = oracle_mask(committee)
+    rivals = [oracle_mask(w) for w in itertools.combinations(range(m), k)]
+    totals = [0] * len(rivals)
+    for ballot in profile.masks:
+        kept, droppable = ballot & own, ballot & ~own
+        least = None
+        dropped = droppable  # every submask of the droppable members, all of them first
+        while True:
+            reduced = ballot ^ dropped
+            if reduced:
+                size, x = bin(reduced).count("1"), bin(kept).count("1")
+                margins = [table[x, size] - table[bin(reduced & w).count("1"), size] for w in rivals]
+                least = margins if least is None else list(map(min, least, margins))
+            if not dropped:
+                break
+            dropped = (dropped - 1) & droppable
+        totals = [total + margin for total, margin in zip(totals, least)]
+    return min(totals) >= 0
 
 
 def oracle_profile_scores(score_fn, profile, k):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcvote.axioms import (
@@ -44,7 +44,7 @@ from abcvote.rules import (
     winners,
 )
 
-from conftest import raw_profiles
+from conftest import oracle_survives_every_reduction, raw_profiles
 from test_kernel import bswav_specs, tables, thiele_specs
 
 
@@ -352,16 +352,15 @@ class TestIndependenceOfLosers:
         with pytest.raises(CapExceeded, match=r"^9437184 reduced profiles for committee \(2,\), over cap 65536$"):
             check_independence_of_losers(named_rule("sav", 1, 6), profile)
 
-    def test_cap_bounds_the_least_margins(self):
-        # one voter approving all of m = 18: each winner of ccav at k = 1 has 2**17
-        # reductions, and deciding it by least margins would take 18 * 2**17 steps
+    def test_least_margins_decide_past_the_cap(self):
+        # one voter approving all of m = 18: each of ccav's 18 winners at k = 1 has
+        # 2**17 reduced profiles, over the cap; its least margins take 18 lookups
         wide = Profile.from_ballots(18, [fs(*range(18))])
-        with pytest.raises(CapExceeded, match=r"^131072 reduced profiles for committee \(0,\), over cap 65536$"):
-            check_independence_of_losers(named_rule("ccav", 1, 18), wide)
+        verdict = check_independence_of_losers(named_rule("ccav", 1, 18), wide)
+        assert (verdict.passed, verdict.checked) == (True, 18 * 2**17)
 
     def test_least_margins_run_where_the_walk_is_within_the_cap(self):
-        # av's one winner (0,) at m = 20: its least margins take 20 * (2**12 + 1)
-        # steps, over the cap, but at most twice its walk of 2**12 reduced profiles
+        # av's one winner (0,) at m = 20, with 2**12 reduced profiles
         profile = Profile.from_ballots(20, [fs(*range(13)), fs(0)])
         rule = named_rule("av", 1, 20)
         verdict = check_independence_of_losers(rule, profile)
@@ -421,8 +420,7 @@ def test_iol_least_margins_match_the_walk(instance):
     a verdict, verdict, count and witness equal the walk's under the full cap,
     which no walk at these sizes meets.  The rule refuses only where the walk
     under the same cap refuses too, at that winner or a later one: it walks a
-    winner only where its least margins fail, or where both they and its walk
-    are over the cap."""
+    winner only where its least margins fail."""
     rule, profile, cap = instance
     decided, walked = _iol_outcome(rule, profile, cap), _iol_outcome(as_choice_fn(rule), profile, cap)
     if decided[0] == "cap exceeded":
@@ -431,6 +429,29 @@ def test_iol_least_margins_match_the_walk(instance):
         assert ast.literal_eval(committee.search(walked[1])[1]) <= ast.literal_eval(committee.search(decided[1])[1])
     else:
         assert decided == _iol_outcome(as_choice_fn(rule), profile, IOL_EXHAUSTIVE_CAP)
+
+
+@st.composite
+def reduction_instances(draw):
+    """A rule at m <= 7, as `scoring_rules` draws it, and a profile of 1-5 voters."""
+    m = draw(st.integers(2, 7))
+    k = draw(st.integers(1, m - 1))
+    return draw(scoring_rules(m, k)), draw(_profiles(m, 1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_instances())
+# (1, 2) fails against (0, 3) only by the reduction of {0,3} that keeps both
+@example((rules.parse_rule_spec("thiele:0,0,1", 2, 4), Profile.from_ballots(4, [fs(0, 3)])))
+# sav's (1,) fails against (0,) only by the reduction of {1,2} that keeps its one non-member
+@example((named_rule("sav", 1, 3), Profile.from_ballots(3, [fs(0), fs(1, 2)])))
+def test_least_margins_match_the_submask_oracle(instance):
+    """The least margins read off (|A ∩ W ∩ W'|, |A ∩ W' outside W|) decide
+    every committee as the walk over each voter's 2**d reductions does."""
+    rule, profile = instance
+    for committee in itertools.combinations(range(profile.m), rule.k):
+        expected = oracle_survives_every_reduction(rule.score, profile, committee, rule.k)
+        assert rules.survives_every_reduction(rule, profile, committee) == expected
 
 
 def _by_form_outcome(check, rule, *args):

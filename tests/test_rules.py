@@ -157,6 +157,21 @@ class TestCommitteeScore:
         with pytest.raises(ValueError):
             committee_score(named_rule("av", 2, 4), self.PROFILE, (0, 1, 2))
 
+    @pytest.mark.parametrize(
+        "k, committee", [(1, (0, 0)), (2, (0, 0, 1)), (2, (1, 5, 5))], ids=["av", "pav", "out-of-range"]
+    )
+    def test_repeated_member_refused(self, k, committee):
+        # before the size and range checks, naming the candidate: the first two
+        # were scored as {0} and {0,1}
+        rule = named_rule("av" if k == 1 else "pav", k, 4)
+        message = f"^committee lists candidate {committee[1]} more than once$"
+        with pytest.raises(ValueError, match=message):
+            committee_score(rule, self.PROFILE, committee)
+        with pytest.raises(ValueError, match=message):
+            rules.ballots_score(rule, 4, {fs(0, 1): 1, fs(0): 1}, committee)
+        with pytest.raises(ValueError, match=message):
+            rules.check_committee(committee, k, 4)
+
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
