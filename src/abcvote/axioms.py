@@ -16,7 +16,7 @@ instances, and the search module supplies the quantifier at bounded scale.
 `AXIOMS` at the end of this module lists every axiom, general and
 party-list, with its aliases, arity, domain, checker and replayer; the CLI,
 the search driver and `replay` all look axioms up there.  A checker's keyword
-settings, each defaulting there, are read off its signature.
+settings are read off its signature.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
-from . import partylist
+from . import partylist, rules
 from .profiles import (
     ChoiceSet,
     Committee,
@@ -41,63 +40,38 @@ from .profiles import (
     format_profile,
     scale_profile,
 )
-from .rules import Rule, _committees, least_continuity_lambda, survives_every_reduction
+from .rules import CapExceeded, Rule, _committees, _reductions_for, first_losing_reduction, least_continuity_lambda
 from .verdict import AxiomVerdict, Replayer, as_choice_fn, fail
-
-IOL_EXHAUSTIVE_CAP = 2**16
-
-
-class CapExceeded(ValueError):
-    """An exhaustive walk would exceed its cap; sample mode still applies."""
 
 
 def _committee_image(choices: ChoiceSet, tau: tuple[int, ...]) -> ChoiceSet:
     return frozenset(tuple(sorted(tau[c] for c in w)) for w in choices)
 
 
-def _walk_size(items: int, mode: str, count: int, too_many: str) -> int:
-    """How many orderings `_permutations` yields for `items` items, raising
-    what it raises: n! in mode "all" (at most 8 items), `count` in "sample"."""
-    if mode == "all":
-        if items > 8:
-            raise CapExceeded(too_many)
-        return math.factorial(items)
-    if mode == "sample":
-        return len(range(count))
-    raise ValueError(f"unknown mode {mode!r}")
+def _walk_size(items: int, too_many: str) -> int:
+    """n!, the orderings of n `items` that a permutation walk visits; over 8 items raise CapExceeded."""
+    if items > 8:
+        raise CapExceeded(too_many)
+    return math.factorial(items)
 
 
-def _permutations(items, mode: str, seed: int, count: int, too_many: str):
-    """Every ordering of `items` (mode "all", at most 8 items) or `count`
-    seeded shuffles (mode "sample"), each as a tuple."""
-    ordered = list(items)
-    _walk_size(len(ordered), mode, count, too_many)
-    if mode == "all":
-        yield from itertools.permutations(ordered)
-    else:
-        rng = random.Random(seed)
-        for _ in range(count):
-            image = ordered[:]
-            rng.shuffle(image)
-            yield tuple(image)
-
-
-def check_anonymity(rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20) -> AxiomVerdict:
-    """The choice set must be unchanged under every (tested) voter permutation.
+def check_anonymity(rule, profile: Profile) -> AxiomVerdict:
+    """The choice set must be unchanged under every voter permutation.
 
     A library `Rule` passes by its form, once the errors of its first
-    `winners` call are raised; `checked` is still the walk's count, n! or
-    `count` whatever the seed.  Other rules run on every permuted profile.
+    `winners` call are raised; `checked` is still the walk's count, n!.
+    Other rules run on every permuted profile.
     """
-    too_many = "exhaustive mode over voter permutations needs at most 8 voters"
+    too_many = "anonymity is checked on at most 8 voters"
     if isinstance(rule, Rule):
         _committees(rule, profile.m)
-        return AxiomVerdict("anonymity", True, None, _walk_size(profile.n_voters, mode, count, too_many))
+        return AxiomVerdict("anonymity", True, None, _walk_size(profile.n_voters, too_many))
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
     voters = range(profile.n_voters)
-    for image in _permutations(voters, mode, seed, count, too_many):
+    _walk_size(profile.n_voters, too_many)
+    for image in itertools.permutations(voters):
         checked += 1
         mapping = dict(zip(voters, image))
         permuted = profile.permute_voters(mapping)
@@ -117,21 +91,22 @@ def _replay_anonymity(w, choose):
     return choose(w["profile"]) != choose(w["permuted_profile"])
 
 
-def check_neutrality(rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20) -> AxiomVerdict:
+def check_neutrality(rule, profile: Profile) -> AxiomVerdict:
     """Renaming candidates by tau must map the choice set to its tau-image.
 
     A library `Rule` passes by its form, once the errors of its first
-    `winners` call are raised; `checked` is still the walk's count, m! or
-    `count` whatever the seed.  Other rules run on every renamed profile.
+    `winners` call are raised; `checked` is still the walk's count, m!.
+    Other rules run on every renamed profile.
     """
-    too_many = "exhaustive mode over candidate permutations needs m <= 8"
+    too_many = "neutrality is checked on at most 8 candidates"
     if isinstance(rule, Rule):
         _committees(rule, profile.m)
-        return AxiomVerdict("neutrality", True, None, _walk_size(profile.m, mode, count, too_many))
+        return AxiomVerdict("neutrality", True, None, _walk_size(profile.m, too_many))
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
-    for tau in _permutations(range(profile.m), mode, seed, count, too_many):
+    _walk_size(profile.m, too_many)
+    for tau in itertools.permutations(range(profile.m)):
         checked += 1
         renamed = apply_candidate_permutation(profile, tau)
         expected = _committee_image(base, tau)
@@ -195,9 +170,14 @@ def _replay_consistency(w, choose):
 
 
 def check_consistency_splits(rule, profile: Profile, max_voters: int = 10) -> AxiomVerdict:
-    """Consistency over every non-trivial bipartition of the electorate; a
-    library `Rule` passes each split by its form (see `check_consistency_pair`)."""
+    """Consistency over every non-trivial bipartition of the electorate.  A library
+    `Rule` passes all 2**(n-1) - 1 by its form (see `check_consistency_pair`), once it
+    raises what the first split's pair would; other rules walk them, on at most `max_voters`."""
     n = profile.n_voters
+    if isinstance(rule, Rule):
+        if n > 1:
+            _committees(rule, profile.m)
+        return AxiomVerdict("consistency", True, None, 2 ** (n - 1) - 1)
     if n > max_voters:
         raise ValueError(f"profile has {n} voters, over the split cap {max_voters}")
     checked = 0
@@ -290,61 +270,44 @@ def _replay_weak_efficiency(w, choose):
     return w["swapped"] not in base
 
 
-def _reductions_for(ballot: int, own: int) -> list[int]:
-    """All reduced ballot masks: drop any subset of the approved candidates outside
-    the committee `own`, keeping the ballot non-empty and its committee part intact;
-    by the number dropped, then the dropped members in lexicographic order."""
-    droppable = [1 << c for c in range(ballot.bit_length()) if ballot >> c & 1 and not own >> c & 1]
-    drops = itertools.chain.from_iterable(itertools.combinations(droppable, size) for size in range(len(droppable) + 1))
-    return [reduced for drop in drops if (reduced := ballot - sum(drop))]
-
-
-def check_independence_of_losers(
-    rule, profile: Profile, mode: str = "all", seed: int = 0, count: int = 20
-) -> AxiomVerdict:
+def check_independence_of_losers(rule, profile: Profile) -> AxiomVerdict:
     """Winners must stay winning when voters disapprove non-members.
 
-    Mode "all" covers, for every winner, the product of all per-voter
-    reductions, counted exactly: a ballot that misses the winner has
-    2**d - 1, not 2**d, for its d droppable members.  A library `Rule`
-    decides every winner by its least margins (`survives_every_reduction`),
-    and counts a surviving winner's product without walking it.  The walk
-    runs for other rules and, to find the first witness, for a failing
-    winner; a walk over IOL_EXHAUSTIVE_CAP raises CapExceeded.  "sample" draws
-    `count` reductions per winner from one generator seeded with `seed`.
-    `checked` counts reduced profiles.
+    For every winner this covers the product of all per-voter reductions,
+    in `_reductions_for` order, counted exactly: a ballot that misses the
+    winner has 2**d - 1, not 2**d, for its d droppable members.  A library
+    `Rule` decides each winner, and finds its first losing reduced profile,
+    by least margins (`first_losing_reduction`).  Other rules walk the
+    product; a walk over IOL_EXHAUSTIVE_CAP raises CapExceeded.  `checked`
+    counts reduced profiles, up to the first witness.
     """
     choose = as_choice_fn(rule)
     base = choose(profile)
     checked = 0
-    rng = random.Random(seed) if mode == "sample" else None
     for committee in sorted(base):
         own = ballot_mask(committee)
-        if mode == "all":
-            total = math.prod(2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks)
-            if isinstance(rule, Rule) and survives_every_reduction(rule, profile, committee):
-                checked += total
-                continue
-            if total > IOL_EXHAUSTIVE_CAP:
-                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {IOL_EXHAUSTIVE_CAP}")
-            combos = itertools.product(*(_reductions_for(ballot, own) for ballot in profile.masks))
-        elif mode == "sample":
-            options = [_reductions_for(ballot, own) for ballot in profile.masks]
-            combos = (tuple(rng.choice(opt) for opt in options) for _ in range(count))
+        total = math.prod(2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks)
+        if isinstance(rule, Rule):
+            found = first_losing_reduction(rule, profile, committee)
         else:
-            raise ValueError(f"unknown mode {mode!r}")
-        for combo in combos:
-            checked += 1
-            reduced = Profile(profile.m, combo)
-            if committee not in choose(reduced):
-                witness = {
-                    "profile": profile,
-                    "reduced_profile": reduced,
-                    "committee": committee,
-                    "choice_set": base,
-                    "reduced_choice_set": choose(reduced),
-                }
-                return fail("independence-of-losers", witness, choose, checked, _replay_iol)
+            cap = rules.IOL_EXHAUSTIVE_CAP
+            if total > cap:
+                raise CapExceeded(f"{total} reduced profiles for committee {committee}, over cap {cap}")
+            combos = itertools.product(*(_reductions_for(ballot, own) for ballot in profile.masks))
+            walked = ((i, Profile(profile.m, combo)) for i, combo in enumerate(combos, 1))
+            found = next(((i, reduced) for i, reduced in walked if committee not in choose(reduced)), None)
+        if found is None:
+            checked += total
+            continue
+        position, reduced = found
+        witness = {
+            "profile": profile,
+            "reduced_profile": reduced,
+            "committee": committee,
+            "choice_set": base,
+            "reduced_choice_set": choose(reduced),
+        }
+        return fail("independence-of-losers", witness, choose, checked + position, _replay_iol)
     return AxiomVerdict("independence-of-losers", True, None, checked)
 
 
@@ -428,8 +391,8 @@ class Axiom:
     """One axiom: its names, what it is checked on, and how.
 
     `checker` takes the rule and `arity` profiles, then as keywords its
-    `settings`, each with its own default; `domain`, when set, says which
-    profiles the axiom applies to at all.
+    `settings`; `domain`, when set, says which profiles the axiom applies
+    to at all.
     """
 
     name: str

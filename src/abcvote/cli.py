@@ -10,8 +10,8 @@ decimals, and output is byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import inspect
 import json
 import sys
 
@@ -71,21 +71,37 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """No limit on the digits of an int turned into text while the block runs, as an
+    exact score or count of cases can pass CPython's default of 4,300; parsers keep it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_winners(args) -> int:
     profile = _read_profile(args.profile, args.k)
     rule = parse_rule_spec(args.rule, args.k, profile.m)
     chosen, score = winners_and_score(rule, profile)
-    if args.format == "json":
-        _emit_json(
-            {
-                "rule": rule.name,
-                "k": rule.k,
-                "winners": [list(w) for w in sorted(chosen)],
-                "score": format_rational(score),
-            }
-        )
-    else:
-        print(f"{format_choice_set(chosen)}  score {format_rational(score)}")
+    with _any_int_digits():
+        if args.format == "json":
+            _emit_json(
+                {
+                    "rule": rule.name,
+                    "k": rule.k,
+                    "winners": [list(w) for w in sorted(chosen)],
+                    "score": format_rational(score),
+                }
+            )
+        else:
+            print(f"{format_choice_set(chosen)}  score {format_rational(score)}")
     return 0
 
 
@@ -103,17 +119,18 @@ def cmd_score(args) -> int:
     check_committee(committee, args.k, m)
     rule = parse_rule_spec(args.rule, args.k, m)
     score = ballots_score(rule, m, counts, committee)
-    if args.format == "json":
-        _emit_json(
-            {
-                "rule": rule.name,
-                "k": rule.k,
-                "committee": list(committee),
-                "score": format_rational(score),
-            }
-        )
-    else:
-        print(f"{format_committee(committee)}  score {format_rational(score)}")
+    with _any_int_digits():
+        if args.format == "json":
+            _emit_json(
+                {
+                    "rule": rule.name,
+                    "k": rule.k,
+                    "committee": list(committee),
+                    "score": format_rational(score),
+                }
+            )
+        else:
+            print(f"{format_committee(committee)}  score {format_rational(score)}")
     return 0
 
 
@@ -140,10 +157,6 @@ _FLAG_SCOPES = (
     # consistency alone can also be checked over the bipartitions of one profile
     ("splits", lambda axiom, args: axiom.name == "consistency" and not args.profile2,
      "--axiom consistency without --profile2"),
-    ("max_voters", lambda axiom, args: args.splits, "--splits"),
-    ("mode", *_read_by(lambda axiom: "mode" in axiom.settings)),
-    ("seed", lambda axiom, args: args.mode == "sample", "--mode sample"),
-    ("count", lambda axiom, args: args.mode == "sample", "--mode sample"),
 )
 
 
@@ -170,27 +183,27 @@ def cmd_check(args) -> int:
             raise ValueError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
         profiles.append(_read_profile(args.profile2, args.k))
     rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
-    settings = _given(args, "mode", "seed", "count", "lambda_cap")
+    settings = _given(args, "lambda_cap")
     if axiom.name == "continuity" and "lambda_cap" not in settings:
         settings["lambda_cap"] = continuity_lambda_bound(rule, *profiles)
     if args.splits:
-        verdict = axioms.check_consistency_splits(rule, profiles[0], **_given(args, "max_voters"))
+        verdict = axioms.check_consistency_splits(rule, profiles[0])
     else:
         verdict = axiom.bind(settings)(rule, *profiles)
-
-    if axiom.name == "continuity":
-        lam = verdict.checked if verdict.passed else None
-        if args.format == "json":
-            _emit_json({"axiom": "continuity", "lambda": lam, "lambda_cap": settings["lambda_cap"]})
+    with _any_int_digits():
+        if axiom.name == "continuity":
+            lam = verdict.checked if verdict.passed else None
+            if args.format == "json":
+                _emit_json({"axiom": "continuity", "lambda": lam, "lambda_cap": settings["lambda_cap"]})
+            else:
+                print(f"lambda {lam if lam is not None else 'not-found'} (cap {settings['lambda_cap']})")
+        elif args.format == "json":
+            _emit_json(axioms.verdict_to_json(verdict))
+        elif verdict.passed:
+            print(f"pass: {verdict.axiom} holds on this instance ({verdict.checked} cases checked)")
         else:
-            print(f"lambda {lam if lam is not None else 'not-found'} (cap {settings['lambda_cap']})")
-    elif args.format == "json":
-        _emit_json(axioms.verdict_to_json(verdict))
-    elif verdict.passed:
-        print(f"pass: {verdict.axiom} holds on this instance ({verdict.checked} cases checked)")
-    else:
-        print(f"violation: {verdict.axiom}")
-        _print_witness(verdict)
+            print(f"violation: {verdict.axiom}")
+            _print_witness(verdict)
     return 0 if verdict.passed else 1
 
 
@@ -272,14 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--profile2", help="second profile (consistency, continuity)")
     p.add_argument("--splits", action="store_true", default=None, help="check consistency over all bipartitions")
-    walk = inspect.signature(next(a.checker for a in axioms.AXIOMS if "mode" in a.settings)).parameters
-    splits = inspect.signature(axioms.check_consistency_splits).parameters
-    p.add_argument("--max-voters", type=int, help=f"most voters for --splits (default {splits['max_voters'].default})")
-    modes = {"all": "walk all cases", "sample": "sample them"}
-    modes[walk["mode"].default] += " (default)"
-    p.add_argument("--mode", choices=tuple(modes), help=" or ".join(modes.values()))
-    p.add_argument("--seed", type=int, help=f"seed for sample mode (default {walk['seed'].default})")
-    p.add_argument("--count", type=int, help=f"samples in sample mode (default {walk['count'].default})")
     p.add_argument("--lambda-cap", type=int, default=None)
     p.set_defaults(func=cmd_check)
 
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("k", "count", "lambda_cap", "max_voters"):
+    for flag in ("k", "lambda_cap"):
         if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
             print(f"error: --{flag.replace('_', '-')} must be at least 1", file=sys.stderr)
             return 2

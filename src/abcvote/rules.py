@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from operator import sub
+from operator import add, sub
 
 from .profiles import (
     Ballot,
@@ -35,6 +35,14 @@ from .profiles import (
 )
 
 NAMED_RULES = ("av", "pav", "ccav", "sav", "msav", "triv")
+
+# the most reductions `first_losing_reduction` tries for one committee, and the
+# most reduced profiles a choice function's independence-of-losers walk visits
+IOL_EXHAUSTIVE_CAP = 2**16
+
+
+class CapExceeded(ValueError):
+    """A walk, or the search for a witness, would exceed its cap."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -278,7 +286,7 @@ class _IntTable(dict):
     """A rule's integer table on m candidates: ballot size y maps to (T[y], line),
     T[y][x] = s(x, y) * D for x = 0..k, and line = (b, a) when T[y][x] = b + a * x
     on the active range, else None; a key (a, d, c, q) maps to a least margin of
-    `survives_every_reduction`.  Entries are built on first use, so only the
+    `first_losing_reduction`.  Entries are built on first use, so only the
     ballot sizes that occur cost anything, whatever m is."""
 
     def __init__(self, rule: Rule, m: int):
@@ -287,7 +295,7 @@ class _IntTable(dict):
         self.scale = lcm(*(value.denominator for value in _parameters(rule.scoring)))
 
     def __missing__(self, y: int | tuple[int, int, int, int]):
-        if isinstance(y, tuple):  # (a, d, c, q): the least margin read by survives_every_reduction
+        if isinstance(y, tuple):  # (a, d, c, q): the least margin read by first_losing_reduction
             a, d, c, q = y
             self[y] = least = min(
                 self[size][0][a] - self[size][0][c + j]
@@ -547,30 +555,64 @@ def least_continuity_lambda(rule: Rule, a: Profile, b: Profile) -> int:
     return max([1] + [(sb - top_b) // (best_a - sa) + 1 for sa, sb in zip(scores_a, scores_b) if sa != best_a])
 
 
-def survives_every_reduction(rule: Rule, profile: Profile, committee: Committee) -> bool:
-    """Whether `committee` wins every reduction of `profile`: each voter may
-    drop any approved non-members, keeping the ballot non-empty.
+def _reductions_for(ballot: int, own: int) -> Iterator[int]:
+    """Every reduced ballot mask, dropping any approved candidates outside the committee
+    `own` but keeping the ballot non-empty: by the number dropped, then the dropped
+    members in lexicographic order.  The walk runs the voters' product in this order."""
+    droppable = [1 << c for c in range(ballot.bit_length()) if ballot >> c & 1 and not own >> c & 1]
+    for size in range(len(droppable) + 1):
+        for drop in combinations(droppable, size):
+            if reduced := ballot - sum(drop):
+                yield reduced
 
-    Scores are sums over voters and each voter reduces on their own, so this
-    holds iff, against every committee W', the voters' least margins
-    T[|r|][|r ∩ W|] - T[|r|][|r ∩ W'|], each over that voter's reductions r,
-    sum to at least 0.  A ballot with a members in W and d droppable ones, q
-    of them in W', has reductions that keep j of those q and l of the other
-    d - q: of size a + j + l, meeting W' in c + j, with c = |A ∩ W ∩ W'|.  So
-    its least margin depends only on (a, d, c, q), and the table works it out
-    once: a committee costs two popcounts and a lookup per distinct ballot,
-    weighted by its count, with no product over voters or reductions.
+
+def first_losing_reduction(rule: Rule, profile: Profile, committee: Committee) -> tuple[int, Profile] | None:
+    """None if `committee` wins every reduction of `profile` (each voter may drop
+    any approved non-members, keeping the ballot non-empty), else (i, reduced):
+    the first reduced profile it loses on in the product of the voters'
+    `_reductions_for`, and its 1-based position i there.
+
+    Scores are sums over voters, so W survives iff, against every committee
+    W', the voters' least margins T[|r|][|r ∩ W|] - T[|r|][|r ∩ W'|] over
+    their reductions r sum to at least 0.  A ballot with a members in W and d
+    droppable ones, q of them in W', meets W' in c + j (c = |A ∩ W ∩ W'|) on
+    a reduction that keeps j of those q, so its least margin depends only on
+    (a, d, c, q), and the table works it out once.  A losing W is read voter
+    by voter: each takes its first reduction after which the later voters'
+    least margins still make W lose to some W'.  Trying more than
+    IOL_EXHAUSTIVE_CAP reductions raises CapExceeded.
     """
     _, masks = _committees(rule, profile.m)
     table = _int_table(rule, profile.m)
     own = ballot_mask(committee)
-    totals = [0] * len(masks)
-    for ballot, weight in profile.terms:
+
+    def least(ballot: int) -> list[int]:
         kept, droppable = ballot & own, ballot & ~own
         a, d = kept.bit_count(), droppable.bit_count()
-        least = [table[a, d, (kept & cm).bit_count(), (droppable & cm).bit_count()] for cm in masks]
-        totals = [total + weight * margin for total, margin in zip(totals, least)]
-    return min(totals) >= 0
+        return [table[a, d, (kept & cm).bit_count(), (droppable & cm).bit_count()] for cm in masks]
+
+    later = [0] * len(masks)  # the least margins of the voters not yet read
+    for ballot, weight in profile.terms:
+        later = [total + weight * margin for total, margin in zip(later, least(ballot))]
+    if min(later) >= 0:
+        return None
+    earlier = [0] * len(masks)  # the margins of the reductions taken so far
+    position, tried, reduced = 0, 0, []
+    for ballot in profile.masks:
+        later = list(map(sub, later, least(ballot)))
+        for index, cut in enumerate(_reductions_for(ballot, own)):
+            tried += 1
+            if tried > IOL_EXHAUSTIVE_CAP:
+                raise CapExceeded(f"over {IOL_EXHAUSTIVE_CAP} reductions tried for committee {committee}")
+            row = table[cut.bit_count()][0]
+            ours = row[(cut & own).bit_count()]
+            margins = [total + ours - row[(cut & cm).bit_count()] for total, cm in zip(earlier, masks)]
+            if min(map(add, margins, later)) < 0:  # some reduction of this voter's does, the least
+                break
+        earlier = margins
+        position = position * (2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1)) + index
+        reduced.append(cut)
+    return position + 1, Profile(profile.m, tuple(reduced))
 
 
 def scaled_pair_winners(rule: Rule, a: Profile, b: Profile, lam: int) -> ChoiceSet:

@@ -26,9 +26,6 @@ MAX_SEARCH_N = 6
 # the rules `search` takes by name: the library rules and one negative control
 SEARCH_RULES = (*NAMED_RULES, "min-approval")
 
-# draws per winner when an exhaustive walk is over its cap and is sampled instead
-FALLBACK_SAMPLES = 200
-
 
 @dataclass(frozen=True)
 class SearchBounds:
@@ -144,16 +141,6 @@ class SearchResult:
     instances: int
 
 
-def _check(check, rule_obj, profiles: tuple[Profile, ...]) -> AxiomVerdict:
-    """`check`, a checker bound by `Axiom.bind`, on the rule and the profiles."""
-    try:
-        return check(rule_obj, *profiles)
-    except axioms.CapExceeded:
-        # documented fallback: an exhaustive walk over its cap (independence
-        # of losers at larger m, n) is sampled with the checker's seed instead
-        return check(rule_obj, *profiles, mode="sample", count=FALLBACK_SAMPLES)
-
-
 def _confirm(verdict: AxiomVerdict, rule_obj) -> None:
     if not replay(verdict, rule_obj):
         raise RuntimeError(f"{verdict.axiom} witness does not replay against the rule")
@@ -185,7 +172,8 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     `rule` is a library rule name or a factory (m, k) -> evaluable rule,
     called once per (m, k).  Instances outside the axiom's domain are
     skipped and not counted.  A returned witness has always been
-    independently re-confirmed by replaying it against the rule.
+    independently re-confirmed by replaying it against the rule.  A
+    checker's walk over its cap raises `CapExceeded` out of the search.
 
     Profiles are searched only up to candidate renaming, and each as a
     multiset of ballots, which is sound only for neutral and anonymous
@@ -211,7 +199,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
         rule_obj = rules[m, k]
         if spec.domain is not None and not spec.domain(profiles[0]):
             continue
-        verdict = _check(check, rule_obj, profiles)
+        verdict = check(rule_obj, *profiles)
         instances += 1
         if not verdict.passed:
             _confirm(verdict, rule_obj)
@@ -301,7 +289,7 @@ def separation_suite(factories: dict[str, RuleFactory] | None = None) -> Separat
     def instance_entry(rule: str, axiom: str, expected: str, degenerate=False):
         profile = unanimity_threshold_instance()
         rule_obj = lib[rule](profile.m, 2)
-        verdict = _check(axioms.lookup(axiom).bind({}), rule_obj, (profile,))
+        verdict = axioms.lookup(axiom).bind({})(rule_obj, profile)
         observed = "none" if verdict.passed else "violation"
         detail = "passed" if verdict.passed else _witness_summary(verdict)
         report.entries.append(

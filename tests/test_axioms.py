@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcvote.axioms import (
-    IOL_EXHAUSTIVE_CAP,
     CapExceeded,
     as_choice_fn,
     check_anonymity,
@@ -35,6 +34,7 @@ from abcvote.profiles import (
 )
 from abcvote import axioms, rules
 from abcvote.rules import (
+    IOL_EXHAUSTIVE_CAP,
     NAMED_RULES,
     AbcScoringTable,
     Rule,
@@ -133,13 +133,6 @@ class TestAnonymity:
         verdict = check_anonymity(dictator_rule(1), Profile.from_ballots(2, [fs(0)]))
         assert verdict.passed and verdict.checked == 1
 
-    def test_sample_mode_deterministic(self):
-        profile = Profile.from_ballots(3, [fs(0), fs(1), fs(2)])
-        rule = named_rule("av", 1, 3)
-        a = check_anonymity(rule, profile, mode="sample", seed=5, count=10)
-        b = check_anonymity(rule, profile, mode="sample", seed=5, count=10)
-        assert (a.passed, a.checked) == (b.passed, b.checked) == (True, 10)
-
 
 class TestNeutrality:
     def test_pav_exhaustive_small(self):
@@ -210,9 +203,13 @@ class TestConsistency:
         assert verdict.checked == 2 ** (4 - 1) - 1
 
     def test_voter_cap(self):
+        # the cap bounds only a choice function's walk; a rule passes all 2**10 - 1 splits by its form
         profile = Profile.from_ballots(2, [fs(0)] * 11)
-        with pytest.raises(ValueError):
-            check_consistency_splits(named_rule("av", 1, 2), profile)
+        with pytest.raises(ValueError, match=r"^profile has 11 voters, over the split cap 10$"):
+            check_consistency_splits(as_choice_fn(named_rule("av", 1, 2)), profile)
+        verdict = check_consistency_splits(named_rule("av", 1, 2), profile)
+        assert (verdict.passed, verdict.checked) == (True, 2**10 - 1)
+        assert check_consistency_splits(named_rule("av", 1, 2), Profile.from_ballots(2, [fs(0)] * 20)).checked == 524287
 
     def test_split_mock_fails_with_witness(self):
         profile = Profile.from_ballots(2, [fs(0), fs(0, 1)])
@@ -320,8 +317,8 @@ class TestIndependenceOfLosers:
         rule = named_rule("sav", 2, 4)
         walked = check_independence_of_losers(as_choice_fn(rule), profile)
         listed = []
-        reductions = axioms._reductions_for
-        monkeypatch.setattr(axioms, "_reductions_for", lambda ballot, own: listed.append(own) or reductions(ballot, own))
+        reductions = rules._reductions_for
+        monkeypatch.setattr(rules, "_reductions_for", lambda ballot, own: listed.append(own) or reductions(ballot, own))
         verdict = check_independence_of_losers(rule, profile)
         assert set(listed) == {0b1001}
         assert (verdict.passed, verdict.checked, verdict.witness) == (False, walked.checked, walked.witness)
@@ -335,7 +332,7 @@ class TestIndependenceOfLosers:
     def test_cap_counts_only_reductions_that_exist(self, monkeypatch):
         # {1,2} misses the winner (0,): it keeps one of its members, 3 reductions, not 4
         profile = Profile.from_ballots(3, [fs(0), fs(0), fs(1, 2)])
-        monkeypatch.setattr(axioms, "IOL_EXHAUSTIVE_CAP", 3)
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 3)
         verdict = check_independence_of_losers(as_choice_fn(named_rule("av", 1, 3)), profile)
         assert (verdict.passed, verdict.checked) == (True, 3)
 
@@ -347,10 +344,30 @@ class TestIndependenceOfLosers:
             check_independence_of_losers(as_choice_fn(rule), full)
         # the rule's winners survive and are counted without a walk
         assert check_independence_of_losers(rule, full).checked == 6 * 2**20
-        # sav's winners (0,) and (1,) survive; (2,) fails, and its walk is over the cap
+        # sav's winners (0,) and (1,) survive, 4 * 2**20 reduced profiles each; (2,) fails, and its
+        # first witness, with the second voter's {0,1} cut to {1}, is found past the walk's cap
         profile = Profile.from_ballots(6, [fs(0, 1), fs(0, 1), fs(2)] + [fs(0, 1, 2, 3, 4, 5)] * 4)
-        with pytest.raises(CapExceeded, match=r"^9437184 reduced profiles for committee \(2,\), over cap 65536$"):
-            check_independence_of_losers(named_rule("sav", 1, 6), profile)
+        with pytest.raises(CapExceeded, match=r"^4194304 reduced profiles for committee \(0,\), over cap 65536$"):
+            check_independence_of_losers(as_choice_fn(named_rule("sav", 1, 6)), profile)
+        verdict = check_independence_of_losers(named_rule("sav", 1, 6), profile)
+        assert (verdict.passed, verdict.checked) == (False, 8 * 2**20 + 2**20 + 1)
+        reduced = Profile.from_ballots(6, [fs(0, 1), fs(1), fs(2)] + [fs(0, 1, 2, 3, 4, 5)] * 4)
+        assert (verdict.witness["committee"], verdict.witness["reduced_profile"]) == ((2,), reduced)
+
+    def test_reductions_tried_over_the_cap(self, monkeypatch):
+        # sav's (2,) loses first where the second voter's {0,1} is cut to {1}: 1 + 2 + 1
+        # reductions are tried on the way, then one per full ballot, 8 in all
+        profile = Profile.from_ballots(6, [fs(0, 1), fs(0, 1), fs(2)] + [fs(0, 1, 2, 3, 4, 5)] * 4)
+        rule = named_rule("sav", 1, 6)
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 8)
+        assert rules.first_losing_reduction(rule, profile, (2,))[0] == 2**20 + 1
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 7)
+        with pytest.raises(CapExceeded, match=r"^over 7 reductions tried for committee \(2,\)$"):
+            rules.first_losing_reduction(rule, profile, (2,))
+        with pytest.raises(CapExceeded, match=r"^over 7 reductions tried for committee \(2,\)$"):
+            check_independence_of_losers(rule, profile)
+        # a surviving winner tries none
+        assert rules.first_losing_reduction(rule, profile, (0,)) is None
 
     def test_least_margins_decide_past_the_cap(self):
         # one voter approving all of m = 18: each of ccav's 18 winners at k = 1 has
@@ -367,14 +384,15 @@ class TestIndependenceOfLosers:
         assert verdict == check_independence_of_losers(as_choice_fn(rule), profile)
         assert (verdict.passed, verdict.checked) == (True, 2**12)
 
-    def test_sample_mode_deterministic(self):
-        profile = Profile.from_ballots(3, [fs(0, 1), fs(0, 1), fs(2)])
-        rule = named_rule("sav", 1, 3)
-        a = check_independence_of_losers(rule, profile, mode="sample", seed=3, count=50)
-        b = check_independence_of_losers(rule, profile, mode="sample", seed=3, count=50)
-        assert a.passed == b.passed
-        if not a.passed:
-            assert a.witness == b.witness
+    def test_first_witness_among_few_losing_reductions(self):
+        # sav's one winner (1,) first loses on the 33rd of its 96 reduced profiles, and loses
+        # on 7 in all: 20 random draws among them miss every one about a fifth of the time
+        profile = parse_profile("m=5\n2 3\n0 1 4\n1 3\n1 2 4\n")
+        rule = named_rule("sav", 1, 5)
+        verdict = check_independence_of_losers(rule, profile)
+        assert verdict == check_independence_of_losers(as_choice_fn(rule), profile)
+        assert (verdict.passed, verdict.checked, verdict.witness["committee"]) == (False, 33, (1,))
+        assert verdict.witness["reduced_profile"] == parse_profile("m=5\n3\n0 1 4\n1 3\n1 2 4\n")
 
 
 @st.composite
@@ -405,7 +423,7 @@ def iol_instances(draw):
 
 def _iol_outcome(rule, profile, cap):
     try:
-        with mock.patch.object(axioms, "IOL_EXHAUSTIVE_CAP", cap):
+        with mock.patch.object(rules, "IOL_EXHAUSTIVE_CAP", cap):
             verdict = check_independence_of_losers(rule, profile)
     except CapExceeded as err:
         return "cap exceeded", str(err)
@@ -414,21 +432,53 @@ def _iol_outcome(rule, profile, cap):
 
 @settings(max_examples=400, deadline=None)
 @given(iol_instances())
+# sav's (1,) first loses on its 33rd reduced profile, after 5 reductions tried
+@example((named_rule("sav", 1, 5), parse_profile("m=5\n2 3\n0 1 4\n1 3\n1 2 4\n"), 2))
+@example((named_rule("sav", 1, 5), parse_profile("m=5\n2 3\n0 1 4\n1 3\n1 2 4\n"), 8))
+@example((named_rule("sav", 1, 3), parse_profile("m=3\n0 1\n0 1\n2\n"), IOL_EXHAUSTIVE_CAP))
+@example((named_rule("msav", 2, 4), parse_profile("m=4\n1 2 3\n0 3\n0 1 2\n"), 32))
 def test_iol_least_margins_match_the_walk(instance):
-    """A library rule is decided by per-voter least margins; the same rule as
-    a bare choice function walks every reduced profile.  Where the rule gives
-    a verdict, verdict, count and witness equal the walk's under the full cap,
-    which no walk at these sizes meets.  The rule refuses only where the walk
-    under the same cap refuses too, at that winner or a later one: it walks a
-    winner only where its least margins fail."""
+    """A library rule decides each winner, and finds its first losing reduced
+    profile, by per-voter least margins; the same rule as a bare choice
+    function walks every reduced profile.  Wherever the rule does not refuse
+    under the drawn cap, its verdict, count and witness equal the walk's
+    under the full cap, which no walk at these sizes meets.  The rule refuses
+    only when it tries more reductions than the cap for a losing winner."""
     rule, profile, cap = instance
-    decided, walked = _iol_outcome(rule, profile, cap), _iol_outcome(as_choice_fn(rule), profile, cap)
+    decided = _iol_outcome(rule, profile, cap)
     if decided[0] == "cap exceeded":
-        assert walked[0] == "cap exceeded"
-        committee = re.compile(r" for committee (\(.*\)), over cap ")
-        assert ast.literal_eval(committee.search(walked[1])[1]) <= ast.literal_eval(committee.search(decided[1])[1])
+        assert re.fullmatch(rf"over {cap} reductions tried for committee \(.*\)", decided[1])
+        committee = ast.literal_eval(decided[1].rsplit(" committee ", 1)[1])
+        assert rules.first_losing_reduction(rule, profile, committee) is not None
     else:
         assert decided == _iol_outcome(as_choice_fn(rule), profile, IOL_EXHAUSTIVE_CAP)
+
+
+def test_iol_first_witness_matches_the_walk_on_seeded_instances():
+    """The same comparison on 2,000 seeded instances of the rules that fail
+    independence of losers (sav, msav and random ballot-size weights and
+    tables) at m <= 5 and 2-3 voters, so that over a hundred first
+    witnesses are compared, not the few that the drawn examples reach."""
+    rng = random.Random(28)
+    failed = 0
+    for _ in range(2000):
+        m = rng.randint(2, 5)
+        k = rng.randint(1, m - 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rule = named_rule(rng.choice(("sav", "msav")), k, m)
+        elif kind == 1:
+            rule = rules.bswav_rule("weights", k, [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(m)])
+        else:
+            rows = [list(itertools.accumulate(rng.randint(0, 3) for _ in range(k + 1))) for _ in range(m)]
+            values = tuple(tuple(Fraction(row[x]) for row in rows) for x in range(k + 1))
+            rule = Rule("table", k, AbcScoringTable(values))
+        profile = Profile.from_ballots(m, [rng.choice(all_ballots(m)) for _ in range(rng.randint(2, 3))])
+        decided = check_independence_of_losers(rule, profile)
+        walked = check_independence_of_losers(as_choice_fn(rule), profile)
+        assert (decided.passed, decided.checked, decided.witness) == (walked.passed, walked.checked, walked.witness)
+        failed += not decided.passed
+    assert failed > 100, failed
 
 
 @st.composite
@@ -451,7 +501,7 @@ def test_least_margins_match_the_submask_oracle(instance):
     rule, profile = instance
     for committee in itertools.combinations(range(profile.m), rule.k):
         expected = oracle_survives_every_reduction(rule.score, profile, committee, rule.k)
-        assert rules.survives_every_reduction(rule, profile, committee) == expected
+        assert (rules.first_losing_reduction(rule, profile, committee) is None) == expected
 
 
 def _by_form_outcome(check, rule, *args):
@@ -477,14 +527,11 @@ def _profiles(m, min_size, max_size):
 
 @st.composite
 def by_form_instances(draw):
-    """A rule at m <= 5, a profile of 1-5 voters, a second one of 1-3 voters,
-    and a mode, seed and count for the permutation walks."""
+    """A rule at m <= 5, a profile of 1-5 voters and a second one of 1-3 voters."""
     m = draw(st.integers(2, 5))
     k = draw(st.integers(1, m - 1))
     rule = draw(scoring_rules(m, k))
-    profile, other = draw(_profiles(m, 1, 5)), draw(_profiles(m, 1, 3))
-    mode = draw(st.sampled_from(("all", "sample")))
-    return rule, profile, other, mode, draw(st.integers(0, 2**32)), draw(st.integers(-2, 30))
+    return rule, draw(_profiles(m, 1, 5)), draw(_profiles(m, 1, 3))
 
 
 @settings(max_examples=300, deadline=None)
@@ -493,11 +540,11 @@ def test_by_form_axioms_match_the_walk(instance):
     """A `Rule` passes anonymity, neutrality and consistency without a kernel
     call; the same rule as a bare choice function walks every permutation,
     pair and split.  Verdict and count must agree."""
-    rule, profile, other, mode, seed, count = instance
+    rule, profile, other = instance
     walk = as_choice_fn(rule)
     for check, args in (
-        (check_anonymity, (profile, mode, seed, count)),
-        (check_neutrality, (profile, mode, seed, count)),
+        (check_anonymity, (profile,)),
+        (check_neutrality, (profile,)),
         (check_consistency_pair, (profile, other)),
         (check_consistency_pair, (other, profile)),
         (check_consistency_splits, (profile,)),
@@ -516,7 +563,7 @@ def test_by_form_axioms_call_no_kernel(monkeypatch):
     for name in NAMED_RULES:
         rule = named_rule(name, 2, 4)
         assert check_anonymity(rule, profile).checked == 24
-        assert check_neutrality(rule, profile, "sample", 7, 5).checked == 5
+        assert check_neutrality(rule, profile).checked == 24
         assert check_consistency_pair(rule, profile, other).checked == 1
         assert check_consistency_splits(rule, profile).checked == 7
     assert calls == []
@@ -544,10 +591,9 @@ BSWAV_M3 = rules.parse_rule_spec("bswav:1,1/2,1/3", 1, 3)
         (check_neutrality, named_rule("av", 1, HUGE_M), (Profile.from_ballots(HUGE_M, [fs(0, 1), fs(2)]),)),
         (check_consistency_pair, named_rule("av", 1, HUGE_M),
          (Profile.from_ballots(HUGE_M, [fs(0, 1)]), Profile.from_ballots(HUGE_M, [fs(2)]))),
-        # the exhaustive walks' caps, and an unknown mode
+        # the permutation walks' caps
         (check_anonymity, named_rule("pav", 2, 3), (Profile.from_ballots(3, [fs(0)] * 9),)),
         (check_neutrality, named_rule("sav", 2, 9), (Profile.from_ballots(9, [fs(0, 1), fs(8)]),)),
-        (check_anonymity, named_rule("ccav", 1, 2), (Profile.from_ballots(2, [fs(0)]), "every")),
     ],
 )
 def test_by_form_refuses_as_the_walk_does(check, rule, args):
@@ -557,42 +603,37 @@ def test_by_form_refuses_as_the_walk_does(check, rule, args):
 
 
 def test_the_table_reads_each_checkers_settings_off_its_signature():
-    """After the rule and the profiles: the sampled checkers' walk settings,
-    continuity's λ cap, and nothing for the other seven."""
-    walk = ("mode", "seed", "count")
-    expected = {"anonymity": walk, "neutrality": walk, "independence-of-losers": walk, "continuity": ("lambda_cap",)}
-    assert {axiom.name: axiom.settings for axiom in axioms.AXIOMS if axiom.settings} == expected
+    """After the rule and the profiles: continuity's λ cap, and nothing for the other ten."""
+    assert {axiom.name: axiom.settings for axiom in axioms.AXIOMS if axiom.settings} == {"continuity": ("lambda_cap",)}
 
 
 def test_the_table_passes_only_the_settings_a_checker_reads():
+    a, b = Profile.from_ballots(2, [fs(0)]), Profile.from_ballots(2, [fs(1)])
+    everything = {"lambda_cap": 7}
+    continuity = axioms.lookup("continuity").bind(everything)
+    assert continuity.keywords == {"lambda_cap": 7}
+    assert continuity(named_rule("av", 1, 2), a, b) == axioms.check_continuity(named_rule("av", 1, 2), a, b, 7)
     profile = Profile.from_ballots(3, [fs(0, 1), fs(0, 1), fs(2)])
-    everything = {"mode": "sample", "seed": 3, "count": 5, "lambda_cap": 7}
-    iol = axioms.lookup("iol").bind(everything)
-    assert iol.keywords == {"mode": "sample", "seed": 3, "count": 5}
-    expected = check_independence_of_losers(named_rule("sav", 1, 3), profile, "sample", 3, 5)
-    assert iol(named_rule("sav", 1, 3), profile) == expected
     convexity = axioms.lookup("convexity").bind(everything)
     assert convexity.keywords == {}
     assert convexity(named_rule("pav", 2, 3), profile) == check_choice_set_convexity(named_rule("pav", 2, 3), profile)
 
 
 @pytest.mark.parametrize(
-    "axiom, profile",
+    "axiom, profile, message",
     [
-        ("anonymity", Profile.from_ballots(3, [fs(0), fs(1, 2)] * 4 + [fs(2)])),
-        ("neutrality", Profile.from_ballots(9, [fs(0, 1), fs(8), fs(3, 4, 5)])),
+        ("anonymity", Profile.from_ballots(3, [fs(0), fs(1, 2)] * 4 + [fs(2)]),
+         "anonymity is checked on at most 8 voters"),
+        ("neutrality", Profile.from_ballots(9, [fs(0, 1), fs(8), fs(3, 4, 5)]),
+         "neutrality is checked on at most 8 candidates"),
     ],
+    ids=["anonymity", "neutrality"],
 )
-def test_search_falls_back_to_sampling_as_the_walk_does(axiom, profile):
-    from abcvote.search import _check
-
+def test_permutation_walks_over_the_cap_raise(axiom, profile, message):
     rule = named_rule("pav", 2, profile.m)
-    with pytest.raises(CapExceeded):
-        axioms.lookup(axiom).bind({})(rule, profile)
-    verdict = _check(axioms.lookup(axiom).bind({}), rule, (profile,))
-    walked = _check(axioms.lookup(axiom).bind({}), as_choice_fn(rule), (profile,))
-    assert (verdict.passed, verdict.checked, verdict.witness) == (walked.passed, walked.checked, walked.witness)
-    assert verdict.checked == 200
+    for evaluated in (rule, as_choice_fn(rule)):
+        with pytest.raises(CapExceeded, match=f"^{message}$"):
+            axioms.lookup(axiom).bind({})(evaluated, profile)
 
 
 class TestConvexHull:

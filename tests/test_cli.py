@@ -1,4 +1,3 @@
-import inspect
 import json
 import random
 import subprocess
@@ -296,16 +295,73 @@ class TestCheck:
         assert "violation: independence-of-losers" in out
         assert "m=3" in out  # witness profile rendered in core format
 
-    @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_sample_count_below_one_exits_2(self, tmp_path, count, capsys):
+    @pytest.mark.parametrize(
+        "flag", [["--mode", "sample"], ["--mode", "all"], ["--seed", "3"], ["--count", "4"], ["--max-voters", "40"]]
+    )
+    def test_walk_flags_are_unknown(self, tmp_path, flag, capsys):
+        # every check of a library rule is decided exactly, so nothing is sampled and no walk needs a cap
         path = tmp_path / "ce.abc"
         path.write_text(SAV_CE)
-        code = main(["check", "--axiom", "iol", "--rule", "sav", "--k", "1", "--profile", str(path),
-                     "--mode", "sample", "--count", count])
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", "--axiom", "iol", "--rule", "sav", "--k", "1", "--profile", str(path), *flag])
+        assert exit_.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --count must be at least 1\n"
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+
+    def test_iol_first_witness_past_the_walk_cap(self, tmp_path, capsys):
+        # sav's winner (2,) has 9 * 2**20 reduced profiles, over the walk's cap of 65,536; least
+        # margins find its first losing one, where the second voter's {0,1} is cut to {1}
+        path = tmp_path / "sav.abc"
+        full = "0 1 2 3 4 5\n"
+        path.write_text("m=6\n0 1\n0 1\n2\n" + full * 4)
+        argv = ["check", "--axiom", "iol", "--rule", "sav", "--k", "1", "--profile", str(path), "--format", "json"]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["passed"], payload["checked"]) == (False, 9437185)
+        assert payload["witness"]["reduced_profile"] == "m=6\n0 1\n1\n2\n" + full * 4
+
+    def test_counts_past_the_int_text_limit(self, tmp_path, capsys):
+        # 300 voters approving all of m = 50: each of ccav's 50 winners has (2**49)**300 reduced
+        # profiles, a count of 4,426 digits, over CPython's default limit of 4,300 for int to text
+        path = tmp_path / "wide.abc"
+        path.write_text("m=50\n" + (" ".join(map(str, range(50))) + "\n") * 300)
+        argv = ["check", "--axiom", "iol", "--rule", "ccav", "--k", "1", "--profile", str(path)]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert main(argv) == 0
+        checked = 50 * 2**14700
+        with cli._any_int_digits():
+            text = str(checked)
+        passed = f"pass: independence-of-losers holds on this instance ({text} cases checked)\n"
+        assert capsys.readouterr() == (passed, "")
+        assert main(argv + ["--format", "json"]) == 0
+        payload = capsys.readouterr().out
+        with cli._any_int_digits():
+            assert json.loads(payload)["checked"] == checked
+        # the limit is lifted only while the output is written
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.parametrize("verb", ["winners", "score"])
+    def test_scores_past_the_int_text_limit(self, tmp_path, verb, capsys):
+        # weights 1/p and 1/q with 3,001-digit p and q give candidate 0 the score
+        # (p + q)/(p * q), whose denominator has 6,001 digits
+        p, q = 10**3000 + 1, 10**3000 + 3
+        path = tmp_path / "p.abc"
+        path.write_text("m=3\n0\n0 1\n")
+        with cli._any_int_digits():
+            rule, score = f"bswav:1/{p},1/{q},1", f"{p + q}/{p * q}"
+        committee = ["--committee", "0"] if verb == "score" else []
+        argv = [verb, "--rule", rule, "--k", "1", "--profile", str(path), *committee]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (f"{{0}}  score {score}\n", "")
+
+    def test_splits_over_ten_voters(self, tmp_path, capsys):
+        # a rule passes every split by its form; 20 voters have 2**19 - 1 of them
+        path = tmp_path / "twenty.abc"
+        path.write_text("m=3\n" + "0 1\n2\n" * 10)
+        argv = ["check", "--axiom", "consistency", "--rule", "pav", "--k", "2", "--profile", str(path), "--splits"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "pass: consistency holds on this instance (524287 cases checked)\n"
 
     def test_iol_cap_counts_only_reductions_that_exist(self, tmp_path, capsys):
         # a ballot {1} missing the winner (0,) has one reduction, itself, not 2; the
@@ -331,7 +387,7 @@ class TestCheck:
         # misses a winner (such as {3,4} against pav's) must keep one candidate
         path = tmp_path / "p.abc"
         path.write_text("m=5\n0 1\n0 1 2\n2\n3 4\n")
-        argv = ["check", "--axiom", "iol", "--mode", "all", "--rule", rule, "--k", "2", "--profile", str(path)]
+        argv = ["check", "--axiom", "iol", "--rule", rule, "--k", "2", "--profile", str(path)]
         assert main(argv) == 0
         passed = f"pass: independence-of-losers holds on this instance ({checked} cases checked)\n"
         assert capsys.readouterr().out == passed
@@ -656,26 +712,6 @@ class TestFlags:
     def test_missing_file(self):
         assert main(["winners", "--rule", "av", "--k", "2", "--profile", "/nonexistent.abc"]) == 2
 
-    def test_check_help_shows_the_checkers_defaults(self, capsys):
-        # every table checker that takes a setting gives it one default, and the
-        # help reads it, and --splits' cap, off the checkers' signatures
-        defaults = {}
-        for axiom in axioms.AXIOMS:
-            parameters = inspect.signature(axiom.checker).parameters
-            for setting in axiom.settings:
-                defaults.setdefault(setting, set()).add(parameters[setting].default)
-        assert set(defaults) == {"mode", "seed", "count", "lambda_cap"}
-        assert all(len(given) == 1 for given in defaults.values())
-        (mode,), (seed,), (count,) = defaults["mode"], defaults["seed"], defaults["count"]
-        max_voters = inspect.signature(axioms.check_consistency_splits).parameters["max_voters"].default
-        with pytest.raises(SystemExit):
-            main(["check", "--help"])
-        shown = " ".join(capsys.readouterr().out.split())
-        assert {"all": "walk all cases (default) or", "sample": "or sample them (default)"}[mode] in shown
-        assert f"seed for sample mode (default {seed})" in shown
-        assert f"samples in sample mode (default {count})" in shown
-        assert f"most voters for --splits (default {max_voters})" in shown
-
     @pytest.mark.parametrize("cap", ["0", "-3"])
     @pytest.mark.parametrize(
         "argv",
@@ -692,16 +728,6 @@ class TestFlags:
         assert main([str(path) if arg == "{a}" else arg for arg in argv] + ["--lambda-cap", cap]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --lambda-cap must be at least 1\n")
-
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_max_voters_below_one_exits_2(self, tmp_path, cap, capsys):
-        # used to be taken as a split cap, and to fail later as "profile has 2 voters, over the split cap -5"
-        path = tmp_path / "a.abc"
-        path.write_text("m=2\n0\n1\n")
-        argv = ["check", "--axiom", "consistency", "--rule", "av", "--k", "1", "--profile", str(path), "--splits"]
-        assert main(argv + ["--max-voters", cap]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: --max-voters must be at least 1\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -724,22 +750,12 @@ class TestFlags:
             (["--axiom", "convexity", "--splits"], "--splits applies only to --axiom consistency without --profile2"),
             (["--axiom", "consistency", "--profile2", "{a}", "--splits"],
              "--splits applies only to --axiom consistency without --profile2"),
-            (["--axiom", "consistency", "--profile2", "{a}", "--max-voters", "4"], "--max-voters applies only to --splits"),
-            (["--axiom", "anonymity", "--max-voters", "4"], "--max-voters applies only to --splits"),
-            (["--axiom", "convexity", "--mode", "sample", "--count", "4"],
-             "--mode applies only to --axiom anonymity, neutrality, independence-of-losers"),
-            (["--axiom", "weak-efficiency", "--mode", "all"],
-             "--mode applies only to --axiom anonymity, neutrality, independence-of-losers"),
-            (["--axiom", "convexity", "--seed", "3"], "--seed applies only to --mode sample"),
-            (["--axiom", "anonymity", "--count", "4"], "--count applies only to --mode sample"),
-            (["--axiom", "iol", "--mode", "all", "--seed", "0"], "--seed applies only to --mode sample"),
             (["--axiom", "convexity", "--profile2", "{a}"], "--profile2 applies only to --axiom consistency, continuity"),
             # refused before the file is read
             (["--axiom", "anonymity", "--profile2", "no-such-file.abc"],
              "--profile2 applies only to --axiom consistency, continuity"),
         ],
-        ids=["splits", "splits-pair", "max-voters-pair", "max-voters", "mode-sample", "mode-all", "seed", "count",
-             "seed-all", "profile2", "profile2-missing"],
+        ids=["splits", "splits-pair", "profile2", "profile2-missing"],
     )
     def test_check_flag_the_axiom_does_not_read_exits_2(self, tmp_path, argv, message, capsys):
         # these flags used to be accepted and ignored
@@ -752,8 +768,6 @@ class TestFlags:
 
     # each flag that only some axioms read: whether the table says an axiom reads it, a value, and the refusal
     TABLE_FLAGS = {
-        "--mode": (lambda axiom: "mode" in axiom.settings, "all",
-                   "--mode applies only to --axiom anonymity, neutrality, independence-of-losers"),
         "--lambda-cap": (lambda axiom: "lambda_cap" in axiom.settings, "7",
                          "--lambda-cap applies only to --axiom continuity"),
         "--profile2": (lambda axiom: axiom.arity == 2, "{a}",

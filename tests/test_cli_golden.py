@@ -2,9 +2,11 @@
 
 `golden/check_corpus.json` pins the exit code and exact stdout of
 `abcvote check`, in text and JSON, for every axiom name and alias plus the
-sampling, splits, lambda-cap and usage-error variants.  It was captured
-from the implementation before the axiom table replaced the per-verb
-dispatch, and must not change unless a change means to alter the output.
+splits, lambda-cap and usage-error variants.  It was captured from the
+implementation before the axiom table replaced the per-verb dispatch, and
+must not change unless a change means to alter the output.  Its ten cases
+that passed `--mode`, `--seed`, `--count` or `--max-voters` were
+re-captured on other instances when those flags were removed.
 `@name` arguments stand for profile files written from its `profiles`.
 
 `golden/search_corpus.json` likewise pins `abcvote search` (witnesses

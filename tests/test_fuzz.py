@@ -140,8 +140,7 @@ def test_cli_winners_and_score(workdir, verb, rule, k, profile, committee, fmt):
     st.one_of(st.none(), profile_texts()),
     st.lists(
         st.sampled_from(
-            [["--splits"], ["--mode", "sample"], ["--seed", "3"], ["--count", "4"], ["--lambda-cap", "3"],
-             ["--lambda-cap", "0"], ["--lambda-cap", "-1"], ["--max-voters", "2"], ["--format", "json"]]
+            [["--splits"], ["--lambda-cap", "3"], ["--lambda-cap", "0"], ["--lambda-cap", "-1"], ["--format", "json"]]
         ),
         max_size=3,
     ),

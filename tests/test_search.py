@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abcvote import axioms, search
+from abcvote import axioms, rules, search
 from abcvote.axioms import as_choice_fn, replay
 from abcvote.profiles import MAX_CANONICAL_M, Profile, canonical_form, profile_to_vector
 from abcvote.rules import named_rule, thiele_rule, winners
@@ -315,19 +315,19 @@ class TestFindCounterexample:
         with pytest.raises(ValueError):
             find_counterexample("av", "committee-monotonicity", SearchBounds())
 
-    def test_iol_cap_falls_back_to_sampling(self):
-        # five full ballots at m = 6: each of the six tied winners of k = 1 has
-        # 32**5 = 2**25 reductions, over the cap, so a choice function's walk is
-        # sampled with the fixed seed instead; the rule itself is decided exactly
-        profile = Profile.from_ballots(6, [frozenset(range(6))] * 5)
-        iol, rule = axioms.lookup("independence-of-losers").bind({}), named_rule("av", 1, 6)
-        choose = as_choice_fn(rule)
-        with pytest.raises(axioms.CapExceeded):
-            iol(choose, profile)
-        verdict = search._check(iol, choose, (profile,))
-        assert verdict.passed and verdict.checked == 6 * search.FALLBACK_SAMPLES
-        assert search._check(iol, choose, (profile,)) == verdict
-        assert search._check(iol, rule, (profile,)).checked == 6 * 2**25
+    def test_iol_walk_over_the_cap_raises(self, monkeypatch):
+        # a choice function walks every reduced profile; over the cap the search stops,
+        # and never reports "exhausted" for a walk it did not finish
+        factory = lambda m, k: as_choice_fn(named_rule("av", k, m))
+        bounds = SearchBounds(3, (1,), 2)
+        walked = find_counterexample(factory, "iol", bounds)
+        assert (walked.found, walked.instances) == (False, 18)
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 2)
+        with pytest.raises(axioms.CapExceeded, match=r"^4 reduced profiles for committee \(0,\), over cap 2$"):
+            find_counterexample(factory, "iol", bounds)
+        # the rule itself is decided by least margins: no winner of av loses, so none tries a reduction
+        decided = find_counterexample("av", "iol", bounds)
+        assert (decided.found, decided.instances) == (False, 18)
 
     def test_min_approval_rule_shape(self):
         choose = min_approval_rule(1)
