@@ -481,6 +481,27 @@ def test_iol_first_witness_matches_the_walk_on_seeded_instances():
     assert failed > 100, failed
 
 
+@pytest.mark.parametrize("name", NAMED_RULES)
+def test_iol_library_rule_matches_the_walk_on_every_small_profile(name):
+    """Each library rule, on every profile of 1-2 voters at m = 3 and m = 4
+    and every k < m: its least-margins verdict, count and witness equal the
+    walk of the same rule as a bare choice function."""
+    failed = 0
+    for m in (3, 4):
+        for n in (1, 2):
+            for ballots in itertools.combinations_with_replacement(all_ballots(m), n):
+                profile = Profile.from_ballots(m, list(ballots))
+                for k in range(1, m):
+                    rule = named_rule(name, k, m)
+                    decided = check_independence_of_losers(rule, profile)
+                    walked = check_independence_of_losers(as_choice_fn(rule), profile)
+                    assert (decided.passed, decided.checked, decided.witness) == (
+                        walked.passed, walked.checked, walked.witness), (k, profile)
+                    failed += not decided.passed
+    # the Thiele rules satisfy independence of losers; sav and msav do not
+    assert (failed > 0) == (name in ("sav", "msav"))
+
+
 @st.composite
 def reduction_instances(draw):
     """A rule at m <= 7, as `scoring_rules` draws it, and a profile of 1-5 voters."""

@@ -363,6 +363,23 @@ class TestCheck:
         assert main(argv) == 0
         assert capsys.readouterr().out == "pass: consistency holds on this instance (524287 cases checked)\n"
 
+    @pytest.mark.parametrize(
+        "axiom, text, message",
+        [
+            ("anonymity", "m=3\n" + "0\n1 2\n" * 4 + "2\n", "anonymity is checked on at most 8 voters"),
+            ("neutrality", "m=9\n0 1\n8\n3 4 5\n", "neutrality is checked on at most 8 candidates"),
+        ],
+        ids=["anonymity", "neutrality"],
+    )
+    def test_permutation_walk_cap_exits_2(self, tmp_path, axiom, text, message, capsys):
+        # a rule refuses past the cap as its walk would, and the message names no mode
+        path = tmp_path / "p.abc"
+        path.write_text(text)
+        for fmt in ("text", "json"):
+            argv = ["check", "--axiom", axiom, "--rule", "pav", "--k", "2", "--profile", str(path), "--format", fmt]
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_iol_cap_counts_only_reductions_that_exist(self, tmp_path, capsys):
         # a ballot {1} missing the winner (0,) has one reduction, itself, not 2; the
         # 17 of them once counted 2**17 = 131072 reduced profiles, over the cap
@@ -772,6 +789,9 @@ class TestFlags:
                          "--lambda-cap applies only to --axiom continuity"),
         "--profile2": (lambda axiom: axiom.arity == 2, "{a}",
                        "--profile2 applies only to --axiom consistency, continuity"),
+        # a switch: it takes no value, and it stands in for the second profile
+        "--splits": (lambda axiom: axiom.name == "consistency", None,
+                     "--splits applies only to --axiom consistency without --profile2"),
     }
 
     @pytest.mark.parametrize("flag", TABLE_FLAGS)
@@ -780,8 +800,9 @@ class TestFlags:
         reads, value, message = self.TABLE_FLAGS[flag]
         path = tmp_path / "a.abc"
         path.write_text("m=2\n0\n")
-        argv = ["check", "--rule", "av", "--k", "1", "--axiom", axiom.name, "--profile", "{a}", flag, value]
-        if axiom.arity == 2 and flag != "--profile2":
+        argv = ["check", "--rule", "av", "--k", "1", "--axiom", axiom.name, "--profile", "{a}", flag]
+        argv += [value] if value is not None else []
+        if axiom.arity == 2 and flag not in ("--profile2", "--splits"):
             argv += ["--profile2", "{a}"]
         code = main([str(path) if arg == "{a}" else arg for arg in argv])
         captured = capsys.readouterr()
