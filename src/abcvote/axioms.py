@@ -15,8 +15,7 @@ The axioms quantify over all profiles; these checkers decide fixed
 instances, and the search module supplies the quantifier at bounded scale.
 `AXIOMS` at the end of this module lists every axiom, general and
 party-list, with its aliases, arity, domain, checker and replayer; the CLI,
-the search driver and `replay` all look axioms up there.  A checker's keyword
-settings are read off its signature.
+the search driver and `replay` all look axioms up there.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
 from typing import Callable
 
 from . import partylist, rules
@@ -169,17 +167,17 @@ def _replay_consistency(w, choose):
     return choose(w["joint"]) != left & right
 
 
-def check_consistency_splits(rule, profile: Profile, max_voters: int = 10) -> AxiomVerdict:
+def check_consistency_splits(rule, profile: Profile) -> AxiomVerdict:
     """Consistency over every non-trivial bipartition of the electorate.  A library
     `Rule` passes all 2**(n-1) - 1 by its form (see `check_consistency_pair`), once it
-    raises what the first split's pair would; other rules walk them, on at most `max_voters`."""
+    raises what the first split's pair would; other rules walk them, on at most 10 voters."""
     n = profile.n_voters
     if isinstance(rule, Rule):
         if n > 1:
             _committees(rule, profile.m)
         return AxiomVerdict("consistency", True, None, 2 ** (n - 1) - 1)
-    if n > max_voters:
-        raise ValueError(f"profile has {n} voters, over the split cap {max_voters}")
+    if n > 10:
+        raise ValueError(f"profile has {n} voters, over the split cap 10")
     checked = 0
     voters = profile.masks
     for size in range(1, n):
@@ -390,9 +388,9 @@ def _replay_convexity(w, choose):
 class Axiom:
     """One axiom: its names, what it is checked on, and how.
 
-    `checker` takes the rule and `arity` profiles, then as keywords its
-    `settings`; `domain`, when set, says which profiles the axiom applies
-    to at all.
+    `checker` takes the rule and `arity` profiles (continuity's also its
+    `lambda_cap`); `domain`, when set, says which profiles the axiom
+    applies to at all.
     """
 
     name: str
@@ -402,16 +400,10 @@ class Axiom:
     checker: Callable[..., AxiomVerdict]
     replay: Replayer
 
-    @cached_property
-    def settings(self) -> tuple[str, ...]:
-        """The names of the checker's parameters after the rule and the profiles."""
-        return tuple(inspect.signature(self.checker).parameters)[1 + self.arity:]
-
-    def bind(self, settings) -> Callable[..., AxiomVerdict]:
-        """The checker, to call with the rule and the profiles, given the `settings` (by name) it
-        reads; looked up on its module here, so a wrapper installed there is what runs."""
-        checker = getattr(inspect.getmodule(self.checker), self.checker.__name__)
-        return partial(checker, **{name: settings[name] for name in self.settings if name in settings})
+    @property
+    def check(self) -> Callable[..., AxiomVerdict]:
+        """The checker as its module holds it now, so a wrapper installed there is what runs."""
+        return getattr(inspect.getmodule(self.checker), self.checker.__name__)
 
 
 _party_list = partylist.is_party_list

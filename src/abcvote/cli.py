@@ -153,7 +153,7 @@ def _read_by(reads) -> tuple:
 # An unset flag is None.
 _FLAG_SCOPES = (
     ("profile2", *_read_by(lambda axiom: axiom.arity == 2)),
-    ("lambda_cap", *_read_by(lambda axiom: "lambda_cap" in axiom.settings)),
+    ("lambda_cap", *_read_by(lambda axiom: axiom.name == "continuity")),
     # consistency alone can also be checked over the bipartitions of one profile
     ("splits", lambda axiom, args: axiom.name == "consistency" and not args.profile2,
      "--axiom consistency without --profile2"),
@@ -183,20 +183,20 @@ def cmd_check(args) -> int:
             raise ValueError(f"{axiom.name} takes two profiles: --profile A --profile2 B{alternative}")
         profiles.append(_read_profile(args.profile2, args.k))
     rule = parse_rule_spec(args.rule, args.k, profiles[0].m)
-    settings = _given(args, "lambda_cap")
-    if axiom.name == "continuity" and "lambda_cap" not in settings:
-        settings["lambda_cap"] = continuity_lambda_bound(rule, *profiles)
     if args.splits:
         verdict = axioms.check_consistency_splits(rule, profiles[0])
+    elif axiom.name == "continuity":
+        cap = args.lambda_cap if args.lambda_cap is not None else continuity_lambda_bound(rule, *profiles)
+        verdict = axiom.check(rule, *profiles, lambda_cap=cap)
     else:
-        verdict = axiom.bind(settings)(rule, *profiles)
+        verdict = axiom.check(rule, *profiles)
     with _any_int_digits():
         if axiom.name == "continuity":
             lam = verdict.checked if verdict.passed else None
             if args.format == "json":
-                _emit_json({"axiom": "continuity", "lambda": lam, "lambda_cap": settings["lambda_cap"]})
+                _emit_json({"axiom": "continuity", "lambda": lam, "lambda_cap": cap})
             else:
-                print(f"lambda {lam if lam is not None else 'not-found'} (cap {settings['lambda_cap']})")
+                print(f"lambda {lam if lam is not None else 'not-found'} (cap {cap})")
         elif args.format == "json":
             _emit_json(axioms.verdict_to_json(verdict))
         elif verdict.passed:

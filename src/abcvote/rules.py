@@ -36,8 +36,9 @@ from .profiles import (
 
 NAMED_RULES = ("av", "pav", "ccav", "sav", "msav", "triv")
 
-# the most reductions `first_losing_reduction` tries for one committee, and the
-# most reduced profiles a choice function's independence-of-losers walk visits
+# the most reductions `first_losing_reduction` tries for one committee past each
+# voter's first, and the most reduced profiles a choice function's
+# independence-of-losers walk visits
 IOL_EXHAUSTIVE_CAP = 2**16
 
 
@@ -580,7 +581,9 @@ def first_losing_reduction(rule: Rule, profile: Profile, committee: Committee) -
     (a, d, c, q), and the table works it out once.  A losing W is read voter
     by voter: each takes its first reduction after which the later voters'
     least margins still make W lose to some W'.  Trying more than
-    IOL_EXHAUSTIVE_CAP reductions raises CapExceeded.
+    IOL_EXHAUSTIVE_CAP reductions past each voter's first raises
+    CapExceeded.  Those are at most the product's size minus 1, so this
+    refuses only a winner whose walk would be over the cap too.
     """
     _, masks = _committees(rule, profile.m)
     table = _int_table(rule, profile.m)
@@ -601,7 +604,7 @@ def first_losing_reduction(rule: Rule, profile: Profile, committee: Committee) -
     for ballot in profile.masks:
         later = list(map(sub, later, least(ballot)))
         for index, cut in enumerate(_reductions_for(ballot, own)):
-            tried += 1
+            tried += index > 0  # a voter's first reduction costs no more than its least margins did
             if tried > IOL_EXHAUSTIVE_CAP:
                 raise CapExceeded(f"over {IOL_EXHAUSTIVE_CAP} reductions tried for committee {committee}")
             row = table[cut.bit_count()][0]

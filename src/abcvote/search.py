@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from math import comb, factorial
 from typing import Callable, Iterator
 
@@ -190,7 +191,7 @@ def find_counterexample(rule: str | RuleFactory, axiom: str, bounds: SearchBound
     spec = axioms.lookup(axiom)
     factory = library_factory(rule) if isinstance(rule, str) else rule
     name = rule if isinstance(rule, str) else getattr(rule, "__name__", "custom")
-    check = spec.bind({"lambda_cap": bounds.lambda_cap})
+    check = partial(spec.check, lambda_cap=bounds.lambda_cap) if spec.name == "continuity" else spec.check
     rules: dict[tuple[int, int], object] = {}
     instances = 0
     for m, k, profiles in _instances(spec.arity, bounds):
@@ -289,7 +290,7 @@ def separation_suite(factories: dict[str, RuleFactory] | None = None) -> Separat
     def instance_entry(rule: str, axiom: str, expected: str, degenerate=False):
         profile = unanimity_threshold_instance()
         rule_obj = lib[rule](profile.m, 2)
-        verdict = axioms.lookup(axiom).bind({})(rule_obj, profile)
+        verdict = axioms.lookup(axiom).check(rule_obj, profile)
         observed = "none" if verdict.passed else "violation"
         detail = "passed" if verdict.passed else _witness_summary(verdict)
         report.entries.append(

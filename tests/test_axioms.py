@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import random
 import re
@@ -210,6 +211,8 @@ class TestConsistency:
         verdict = check_consistency_splits(named_rule("av", 1, 2), profile)
         assert (verdict.passed, verdict.checked) == (True, 2**10 - 1)
         assert check_consistency_splits(named_rule("av", 1, 2), Profile.from_ballots(2, [fs(0)] * 20)).checked == 524287
+        # ten voters are still walked
+        assert check_consistency_splits(as_choice_fn(named_rule("av", 1, 2)), Profile.from_ballots(2, [fs(0)] * 10)).checked == 2**9 - 1
 
     def test_split_mock_fails_with_witness(self):
         profile = Profile.from_ballots(2, [fs(0), fs(0, 1)])
@@ -355,19 +358,37 @@ class TestIndependenceOfLosers:
         assert (verdict.witness["committee"], verdict.witness["reduced_profile"]) == ((2,), reduced)
 
     def test_reductions_tried_over_the_cap(self, monkeypatch):
-        # sav's (2,) loses first where the second voter's {0,1} is cut to {1}: 1 + 2 + 1
-        # reductions are tried on the way, then one per full ballot, 8 in all
-        profile = Profile.from_ballots(6, [fs(0, 1), fs(0, 1), fs(2)] + [fs(0, 1, 2, 3, 4, 5)] * 4)
-        rule = named_rule("sav", 1, 6)
-        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 8)
-        assert rules.first_losing_reduction(rule, profile, (2,))[0] == 2**20 + 1
-        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 7)
-        with pytest.raises(CapExceeded, match=r"^over 7 reductions tried for committee \(2,\)$"):
-            rules.first_losing_reduction(rule, profile, (2,))
-        with pytest.raises(CapExceeded, match=r"^over 7 reductions tried for committee \(2,\)$"):
+        # sav's one winner (3,) first loses where the second voter's {0,1,2} is cut to {1},
+        # its 6th reduction: 5 are tried past the voters' first ones
+        profile = Profile.from_ballots(4, [fs(0, 1), fs(0, 1, 2), fs(3)])
+        rule = named_rule("sav", 1, 4)
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 5)
+        assert rules.first_losing_reduction(rule, profile, (3,)) == (6, Profile.from_ballots(4, [fs(0, 1), fs(1), fs(3)]))
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 4)
+        with pytest.raises(CapExceeded, match=r"^over 4 reductions tried for committee \(3,\)$"):
+            rules.first_losing_reduction(rule, profile, (3,))
+        with pytest.raises(CapExceeded, match=r"^over 4 reductions tried for committee \(3,\)$"):
             check_independence_of_losers(rule, profile)
+        # sav's (2,) on four full ballots behind {0,1}, {0,1}, {2}: the second voter's {0,1}
+        # is cut to {1}, its second reduction, and every other voter keeps its first
+        wide = Profile.from_ballots(6, [fs(0, 1), fs(0, 1), fs(2)] + [fs(0, 1, 2, 3, 4, 5)] * 4)
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 1)
+        assert rules.first_losing_reduction(named_rule("sav", 1, 6), wide, (2,))[0] == 2**20 + 1
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 0)
         # a surviving winner tries none
-        assert rules.first_losing_reduction(rule, profile, (0,)) is None
+        assert rules.first_losing_reduction(named_rule("sav", 1, 6), wide, (0,)) is None
+
+    def test_voters_first_reductions_are_not_counted(self, monkeypatch):
+        # sav's (2,) with three voters each of {0}, {1}, {2}, one more {2} and two {0,1}:
+        # 9 reduced profiles for (2,), under a cap below the 12 voters, so its first
+        # witness is found as the walk finds it
+        profile = Profile.from_ballots(3, [fs(0), fs(1), fs(2)] * 3 + [fs(2), fs(0, 1), fs(0, 1)])
+        rule = named_rule("sav", 1, 3)
+        monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 9)
+        decided = check_independence_of_losers(rule, profile)
+        walked = check_independence_of_losers(as_choice_fn(rule), profile)
+        assert (decided.passed, decided.checked, decided.witness) == (walked.passed, walked.checked, walked.witness)
+        assert (decided.passed, decided.witness["committee"]) == (False, (2,))
 
     def test_least_margins_decide_past_the_cap(self):
         # one voter approving all of m = 18: each of ccav's 18 winners at k = 1 has
@@ -443,13 +464,15 @@ def test_iol_least_margins_match_the_walk(instance):
     function walks every reduced profile.  Wherever the rule does not refuse
     under the drawn cap, its verdict, count and witness equal the walk's
     under the full cap, which no walk at these sizes meets.  The rule refuses
-    only when it tries more reductions than the cap for a losing winner."""
+    only when it tries more reductions than the cap for a losing winner, and
+    only where the walk under the same cap refuses too."""
     rule, profile, cap = instance
     decided = _iol_outcome(rule, profile, cap)
     if decided[0] == "cap exceeded":
         assert re.fullmatch(rf"over {cap} reductions tried for committee \(.*\)", decided[1])
         committee = ast.literal_eval(decided[1].rsplit(" committee ", 1)[1])
         assert rules.first_losing_reduction(rule, profile, committee) is not None
+        assert _iol_outcome(as_choice_fn(rule), profile, cap)[0] == "cap exceeded"
     else:
         assert decided == _iol_outcome(as_choice_fn(rule), profile, IOL_EXHAUSTIVE_CAP)
 
@@ -623,21 +646,14 @@ def test_by_form_refuses_as_the_walk_does(check, rule, args):
     assert isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
 
 
-def test_the_table_reads_each_checkers_settings_off_its_signature():
-    """After the rule and the profiles: continuity's λ cap, and nothing for the other ten."""
-    assert {axiom.name: axiom.settings for axiom in axioms.AXIOMS if axiom.settings} == {"continuity": ("lambda_cap",)}
-
-
-def test_the_table_passes_only_the_settings_a_checker_reads():
-    a, b = Profile.from_ballots(2, [fs(0)]), Profile.from_ballots(2, [fs(1)])
-    everything = {"lambda_cap": 7}
-    continuity = axioms.lookup("continuity").bind(everything)
-    assert continuity.keywords == {"lambda_cap": 7}
-    assert continuity(named_rule("av", 1, 2), a, b) == axioms.check_continuity(named_rule("av", 1, 2), a, b, 7)
-    profile = Profile.from_ballots(3, [fs(0, 1), fs(0, 1), fs(2)])
-    convexity = axioms.lookup("convexity").bind(everything)
-    assert convexity.keywords == {}
-    assert convexity(named_rule("pav", 2, 3), profile) == check_choice_set_convexity(named_rule("pav", 2, 3), profile)
+@pytest.mark.parametrize("axiom", axioms.AXIOMS, ids=[axiom.name for axiom in axioms.AXIOMS])
+def test_the_table_runs_the_checker_its_module_holds(axiom, monkeypatch):
+    """A wrapper installed on the checker's module after the table was built is what runs."""
+    module = inspect.getmodule(axiom.checker)
+    assert axiom.check is axiom.checker
+    wrapper = lambda *args, **kwargs: axiom.checker(*args, **kwargs)  # noqa: E731
+    monkeypatch.setattr(module, axiom.checker.__name__, wrapper)
+    assert axiom.check is wrapper
 
 
 @pytest.mark.parametrize(
@@ -654,7 +670,7 @@ def test_permutation_walks_over_the_cap_raise(axiom, profile, message):
     rule = named_rule("pav", 2, profile.m)
     for evaluated in (rule, as_choice_fn(rule)):
         with pytest.raises(CapExceeded, match=f"^{message}$"):
-            axioms.lookup(axiom).bind({})(evaluated, profile)
+            axioms.lookup(axiom).check(evaluated, profile)
 
 
 class TestConvexHull:

@@ -321,6 +321,18 @@ class TestCheck:
         assert (payload["passed"], payload["checked"]) == (False, 9437185)
         assert payload["witness"]["reduced_profile"] == "m=6\n0 1\n1\n2\n" + full * 4
 
+    def test_iol_witness_on_more_voters_than_the_cap(self, tmp_path, capsys):
+        # 66,003 voters, each with one reduction but the two {0,1}: sav's (0,) and (1,) survive
+        # their 4 reduced profiles each, and (2,) loses on its 2nd of 9, where the second {0,1}
+        # is cut to {1}; one reduction is tried past the voters' first ones
+        path = tmp_path / "many.abc"
+        path.write_text("m=3\n" + "0\n1\n2\n" * 22000 + "2\n0 1\n0 1\n")
+        argv = ["check", "--axiom", "iol", "--rule", "sav", "--k", "1", "--profile", str(path), "--format", "json"]
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["passed"], payload["checked"], payload["witness"]["committee"]) == (False, 10, [2])
+        assert payload["witness"]["reduced_profile"] == "m=3\n" + "0\n1\n2\n" * 22000 + "2\n0 1\n1\n"
+
     def test_counts_past_the_int_text_limit(self, tmp_path, capsys):
         # 300 voters approving all of m = 50: each of ccav's 50 winners has (2**49)**300 reduced
         # profiles, a count of 4,426 digits, over CPython's default limit of 4,300 for int to text
@@ -785,7 +797,7 @@ class TestFlags:
 
     # each flag that only some axioms read: whether the table says an axiom reads it, a value, and the refusal
     TABLE_FLAGS = {
-        "--lambda-cap": (lambda axiom: "lambda_cap" in axiom.settings, "7",
+        "--lambda-cap": (lambda axiom: axiom.name == "continuity", "7",
                          "--lambda-cap applies only to --axiom continuity"),
         "--profile2": (lambda axiom: axiom.arity == 2, "{a}",
                        "--profile2 applies only to --axiom consistency, continuity"),
