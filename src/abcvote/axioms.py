@@ -9,7 +9,9 @@ each replayer sits beside its checker, which re-verifies its own witness
 with it before returning.  A library `Rule` scores a committee as a sum of
 T[|A|][|A ∩ W|] over the profile's distinct ballots and their counts, so it
 is anonymous, neutral and consistent by its form: those checkers pass it
-without running it, and walk only other rules.
+without running it, and walk only other rules.  A `Rule` whose scoring is a
+`ThieleScore` also passes independence of losers by its form: a reduction
+keeps a winner's own terms and can only lower every other committee's.
 
 The axioms quantify over all profiles; these checkers decide fixed
 instances, and the search module supplies the quantifier at bounded scale.
@@ -273,20 +275,25 @@ def check_independence_of_losers(rule, profile: Profile) -> AxiomVerdict:
 
     For every winner this covers the product of all per-voter reductions,
     in `_reductions_for` order, counted exactly: a ballot that misses the
-    winner has 2**d - 1, not 2**d, for its d droppable members.  A library
-    `Rule` decides each winner, and finds its first losing reduced profile,
-    by least margins (`first_losing_reduction`).  Other rules walk the
-    product; a walk over IOL_EXHAUSTIVE_CAP raises CapExceeded.  `checked`
-    counts reduced profiles, up to the first witness.
+    winner has 2**d - 1, not 2**d, for its d droppable members.  A `Rule`
+    with a `ThieleScore` passes every winner by its form, once the errors of
+    its first `winners` call are raised: s(|A ∩ W|) ignores the ballot size,
+    so a reduction A' keeps W's terms, and s is non-decreasing, so every
+    other committee's terms can only fall.  Any other `Rule` decides each
+    winner, and finds its first losing reduced profile, by least margins
+    (`first_losing_reduction`).  Other rules walk the product; a walk over
+    IOL_EXHAUSTIVE_CAP raises CapExceeded.  `checked` counts reduced
+    profiles, up to the first witness.
     """
     choose = as_choice_fn(rule)
     base = choose(profile)
+    thiele = isinstance(rule, Rule) and isinstance(rule.scoring, rules.ThieleScore)
     checked = 0
     for committee in sorted(base):
         own = ballot_mask(committee)
         total = math.prod(2 ** (ballot & ~own).bit_count() - (0 if ballot & own else 1) for ballot in profile.masks)
         if isinstance(rule, Rule):
-            found = first_losing_reduction(rule, profile, committee)
+            found = None if thiele else first_losing_reduction(rule, profile, committee)
         else:
             cap = rules.IOL_EXHAUSTIVE_CAP
             if total > cap:

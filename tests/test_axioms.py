@@ -345,7 +345,7 @@ class TestIndependenceOfLosers:
         rule = named_rule("ccav", 1, 6)
         with pytest.raises(CapExceeded, match=r"^1048576 reduced profiles for committee \(0,\), over cap 65536$"):
             check_independence_of_losers(as_choice_fn(rule), full)
-        # the rule's winners survive and are counted without a walk
+        # the rule's winners pass by its form and are counted without a walk
         assert check_independence_of_losers(rule, full).checked == 6 * 2**20
         # sav's winners (0,) and (1,) survive, 4 * 2**20 reduced profiles each; (2,) fails, and its
         # first witness, with the second voter's {0,1} cut to {1}, is found past the walk's cap
@@ -391,16 +391,16 @@ class TestIndependenceOfLosers:
         assert (decided.passed, decided.witness["committee"]) == (False, (2,))
 
     def test_least_margins_decide_past_the_cap(self):
-        # one voter approving all of m = 18: each of ccav's 18 winners at k = 1 has
+        # one voter approving all of m = 18: each of sav's 18 winners at k = 1 has
         # 2**17 reduced profiles, over the cap; its least margins take 18 lookups
         wide = Profile.from_ballots(18, [fs(*range(18))])
-        verdict = check_independence_of_losers(named_rule("ccav", 1, 18), wide)
+        verdict = check_independence_of_losers(named_rule("sav", 1, 18), wide)
         assert (verdict.passed, verdict.checked) == (True, 18 * 2**17)
 
     def test_least_margins_run_where_the_walk_is_within_the_cap(self):
-        # av's one winner (0,) at m = 20, with 2**12 reduced profiles
+        # sav's one winner (0,) at m = 20, with 2**12 reduced profiles
         profile = Profile.from_ballots(20, [fs(*range(13)), fs(0)])
-        rule = named_rule("av", 1, 20)
+        rule = named_rule("sav", 1, 20)
         verdict = check_independence_of_losers(rule, profile)
         assert verdict == check_independence_of_losers(as_choice_fn(rule), profile)
         assert (verdict.passed, verdict.checked) == (True, 2**12)
@@ -431,13 +431,15 @@ def small_tables(draw, m, k):
 
 @st.composite
 def iol_instances(draw):
-    """A library rule or a random scoring table at m <= 5, a profile of 1-3
-    voters and a cap, often a small one."""
-    m = draw(st.integers(2, 5))
+    """A rule that reaches least margins (sav, msav, a `bswav:` spec or a random
+    scoring table) at 3 <= m <= 5, a profile of 2-3 voters and a cap, often a
+    small one.  Thiele rules pass by their form, and a single voter or m = 2
+    rarely makes a winner lose."""
+    m = draw(st.integers(3, 5))
     k = draw(st.integers(1, m - 1))
-    named = st.sampled_from(NAMED_RULES).map(lambda name: named_rule(name, k, m))
-    rule = draw(st.one_of(named, small_tables(m, k), tables(m, k)))
-    masks = draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=3))
+    named = st.sampled_from(("sav", "msav")).map(lambda name: named_rule(name, k, m))
+    rule = draw(st.one_of(named, bswav_specs(m, k), small_tables(m, k), tables(m, k)))
+    masks = draw(st.lists(st.integers(1, 2**m - 1), min_size=2, max_size=3))
     profile = Profile.from_ballots(m, [frozenset(c for c in range(m) if mask >> c & 1) for mask in masks])
     return rule, profile, draw(st.sampled_from((2, 8, 32, IOL_EXHAUSTIVE_CAP, IOL_EXHAUSTIVE_CAP)))
 
@@ -459,7 +461,7 @@ def _iol_outcome(rule, profile, cap):
 @example((named_rule("sav", 1, 3), parse_profile("m=3\n0 1\n0 1\n2\n"), IOL_EXHAUSTIVE_CAP))
 @example((named_rule("msav", 2, 4), parse_profile("m=4\n1 2 3\n0 3\n0 1 2\n"), 32))
 def test_iol_least_margins_match_the_walk(instance):
-    """A library rule decides each winner, and finds its first losing reduced
+    """A non-Thiele rule decides each winner, and finds its first losing reduced
     profile, by per-voter least margins; the same rule as a bare choice
     function walks every reduced profile.  Wherever the rule does not refuse
     under the drawn cap, its verdict, count and witness equal the walk's
@@ -507,8 +509,9 @@ def test_iol_first_witness_matches_the_walk_on_seeded_instances():
 @pytest.mark.parametrize("name", NAMED_RULES)
 def test_iol_library_rule_matches_the_walk_on_every_small_profile(name):
     """Each library rule, on every profile of 1-2 voters at m = 3 and m = 4
-    and every k < m: its least-margins verdict, count and witness equal the
-    walk of the same rule as a bare choice function."""
+    and every k < m: its verdict, count and witness, by its form for the
+    Thiele rules and by least margins for sav and msav, equal the walk of
+    the same rule as a bare choice function."""
     failed = 0
     for m in (3, 4):
         for n in (1, 2):
@@ -613,6 +616,56 @@ def test_by_form_axioms_call_no_kernel(monkeypatch):
     assert calls == []
     check_anonymity(as_choice_fn(named_rule("av", 2, 4)), profile)
     assert len(calls) == 25
+
+
+def test_thiele_iol_calls_no_least_margins(monkeypatch):
+    calls = []
+    least = axioms.first_losing_reduction
+    monkeypatch.setattr(axioms, "first_losing_reduction", lambda *args: calls.append(args) or least(*args))
+    # repeated ballots, and tied winners under every rule below
+    profiles = [
+        Profile.from_ballots(4, [fs(0, 1), fs(2, 3)] * 2 + [fs(0, 2), fs(1, 3)]),
+        Profile.from_ballots(4, [fs(0, 1, 2, 3)] * 2 + [fs(1)]),
+    ]
+    thiele = [named_rule(name, 2, 4) for name in ("av", "pav", "ccav", "triv")]
+    for rule, profile in itertools.product((*thiele, rules.parse_rule_spec("thiele:0,0,1", 2, 4)), profiles):
+        assert len(winners(rule, profile)) > 1
+        verdict = check_independence_of_losers(rule, profile)
+        walked = check_independence_of_losers(as_choice_fn(rule), profile)
+        assert (verdict.passed, verdict.checked) == (True, walked.checked)
+    assert calls == []
+    # every other rule keeps its least margins, a table whose rows all repeat pav's vector too
+    pav_table = Rule("pav-table", 2, AbcScoringTable(tuple((value,) * 4 for value in thiele[1].scoring.values)))
+    for rule in (named_rule("sav", 2, 4), named_rule("msav", 2, 4), pav_table):
+        check_independence_of_losers(rule, profiles[0])
+        assert calls
+        calls.clear()
+
+
+@st.composite
+def thiele_iol_instances(draw):
+    """A library Thiele rule, a `thiele:` spec or one of steps 0 and 1 (zero steps and
+    repeated values) at m <= 5, and a profile of 1-3 voters: a winner has at most
+    16**3 reduced profiles, so the walk stays within its cap."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, m - 1))
+    named = st.sampled_from(("av", "pav", "ccav", "triv")).map(lambda name: named_rule(name, k, m))
+    steps = st.lists(st.integers(0, 1), min_size=k, max_size=k)
+    flat = steps.map(lambda s: rules.thiele_rule("flat", itertools.accumulate(s, initial=0)))
+    return draw(st.one_of(named, thiele_specs(m, k), flat)), draw(_profiles(m, 1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(thiele_iol_instances())
+def test_thiele_iol_by_form_matches_the_walk(instance):
+    """A Thiele rule passes independence of losers by its form; the same rule as a
+    bare choice function walks every reduced profile.  Verdict, count and witness
+    must agree, and the verdict is always a pass."""
+    rule, profile = instance
+    decided = check_independence_of_losers(rule, profile)
+    walked = check_independence_of_losers(as_choice_fn(rule), profile)
+    assert (decided.passed, decided.checked, decided.witness) == (walked.passed, walked.checked, walked.witness)
+    assert decided.passed
 
 
 HUGE_M = 20_000_000_000

@@ -325,7 +325,7 @@ class TestFindCounterexample:
         monkeypatch.setattr(rules, "IOL_EXHAUSTIVE_CAP", 2)
         with pytest.raises(axioms.CapExceeded, match=r"^4 reduced profiles for committee \(0,\), over cap 2$"):
             find_counterexample(factory, "iol", bounds)
-        # the rule itself is decided by least margins: no winner of av loses, so none tries a reduction
+        # the rule itself passes by its form, as every Thiele rule does, and walks nothing
         decided = find_counterexample("av", "iol", bounds)
         assert (decided.found, decided.instances) == (False, 18)
 
