@@ -9,9 +9,15 @@ each replayer sits beside its checker, which re-verifies its own witness
 with it before returning.  A library `Rule` scores a committee as a sum of
 T[|A|][|A ∩ W|] over the profile's distinct ballots and their counts, so it
 is anonymous, neutral and consistent by its form: those checkers pass it
-without running it, and walk only other rules.  A `Rule` whose scoring is a
-`ThieleScore` also passes independence of losers by its form: a reduction
-keeps a winner's own terms and can only lower every other committee's.
+without running it, and walk only other rules.  Its rows are non-decreasing,
+so it is weakly efficient by its form too: swapping an unapproved member
+for any candidate can only raise a winner's score.  A `Rule` whose scoring
+is a `ThieleScore` also passes independence of losers by its form: a
+reduction keeps a winner's own terms and can only lower every other
+committee's.  One whose rows are affine on the profile's ballot sizes
+passes choice-set convexity by its form: its winners are a common core
+plus every equal-sized subset of one tie set.  The checkers of these three
+axioms still compute the winners, for the walk's count.
 
 The axioms quantify over all profiles; these checkers decide fixed
 instances, and the search module supplies the quantifier at bounded scale.
@@ -235,10 +241,21 @@ def _replay_continuity(w, choose):
 
 def check_weak_efficiency(rule, profile: Profile) -> AxiomVerdict:
     """A winner containing a universally unapproved candidate must stay
-    winning when that candidate is swapped for any other candidate."""
+    winning when that candidate is swapped for any other candidate.
+
+    A library `Rule` passes by its form, once its winners are known: an
+    unapproved c lies on no ballot, so swapping it for r raises each
+    |A ∩ W| by [r ∈ A] at the same ballot size, and every row is
+    non-decreasing on its active range.  `checked` is still the walk's
+    count, m - k swaps per unapproved member of each winner.  Other rules
+    walk every swap.
+    """
     choose = as_choice_fn(rule)
     base = choose(profile)
     approved = profile.approved_candidates()
+    if isinstance(rule, Rule):
+        unapproved_members = sum(c not in approved for committee in base for c in committee)
+        return AxiomVerdict("weak-efficiency", True, None, (profile.m - rule.k) * unapproved_members)
     unapproved = sorted(set(range(profile.m)) - approved)
     checked = 0
     for committee in sorted(base):
@@ -358,10 +375,32 @@ def convex_hull(choices: ChoiceSet) -> ChoiceSet:
             return frozenset(hull)
 
 
+def _additive_convexity_count(base: ChoiceSet, k: int) -> int:
+    """The convexity walk's count over the winners of an additive score: a common
+    core T plus every r-subset of a tie set E.  A winner meets C(r, t) * C(e - r, t)
+    others in all but t members, and C(2t, t) committees lie between the two."""
+    core = frozenset.intersection(*map(frozenset, base))
+    e, r = len(frozenset().union(*base) - core), k - len(core)
+    if len(base) != math.comb(e, r):
+        raise RuntimeError(f"{len(base)} winners of an additive score, not the C({e}, {r}) of a core and tie set")
+    return len(base) * sum(math.comb(r, t) * math.comb(e - r, t) * math.comb(2 * t, t) for t in range(1, r + 1)) // 2
+
+
 def check_choice_set_convexity(rule, profile: Profile) -> AxiomVerdict:
-    """The choice set must contain every committee between two of its members."""
+    """The choice set must contain every committee between two of its members.
+
+    A library `Rule` whose rows are affine on every ballot size in the
+    profile passes by its form, once its winners are known: its score is a
+    constant plus its members' gains, so the winners are the k-sets of a
+    common core T and r = k - |T| members of the tie set E of the k-th
+    largest gain, and every committee between two of them is one too.
+    `checked` is still the walk's count, read off |E| and r.  Other rules,
+    and `Rule`s whose rows are not all affine there, walk every pair.
+    """
     choose = as_choice_fn(rule)
     base = choose(profile)
+    if isinstance(rule, Rule) and rules.additive(rule, profile.m, profile.terms):
+        return AxiomVerdict("choice-set-convexity", True, None, _additive_convexity_count(base, rule.k))
     checked = 0
     for a, b in itertools.combinations(sorted(base), 2):
         for between in committees_between(a, b):

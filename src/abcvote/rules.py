@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import lcm
 from operator import add, sub
@@ -176,9 +176,18 @@ def bswav_rule(name: str, k: int, alpha) -> Rule:
 
 
 def named_rule(name: str, k: int, m: int) -> Rule:
-    """Construct one of the library rules for committee size k over m candidates."""
+    """The library rule `name`, in any case, for committee size k over m candidates.
+
+    One `Rule` per (lower-cased name, k, m) for the life of the process: later
+    calls return the same object, so its integer tables are reused.  A refused
+    name, k or m is refused on every call.
+    """
+    return _library_rule(name.lower(), k, m)
+
+
+@cache
+def _library_rule(name: str, k: int, m: int) -> Rule:
     check_committee_size(m, k)  # before building k + 1 values
-    name = name.lower()
     if name == "av":
         return thiele_rule("av", [Fraction(x) for x in range(k + 1)])
     if name == "pav":
@@ -334,6 +343,14 @@ def _int_table(rule: Rule, m: int) -> _IntTable:
     return table
 
 
+def additive(rule: Rule, m: int, terms: Sequence[tuple[int, int]]) -> bool:
+    """True when the rule's row of every ballot size among the (mask, weight) terms
+    is affine on its active range: a committee's score is then a constant plus
+    the gains of its members, as the kernel scores it."""
+    table = _int_table(rule, m)
+    return all(table[mask.bit_count()][1] is not None for mask, _ in terms)
+
+
 def _vector_terms(vector: ProfileVector) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(L, terms): the entries as (mask, entry * L) in mask order, L the lcm of their denominators."""
     scale = lcm(*(value.denominator for _, value in vector.entries))
@@ -344,10 +361,10 @@ def _kernel(rule: Rule, m: int, terms: Sequence[tuple[int, int]], masks) -> tupl
     """(D, scores): the score times D of every size-k committee of the candidates
     0..m-1, in lexicographic order; `masks` are their bitmasks."""
     table = _int_table(rule, m)
-    entries = [(mask, weight, table[mask.bit_count()]) for mask, weight in terms]
-    if all(line is not None for _, _, (_, line) in entries):
+    if additive(rule, m, terms):
         constant, gains = 0, [0] * m
-        for mask, weight, (_, (intercept, slope)) in entries:
+        for mask, weight in terms:
+            intercept, slope = table[mask.bit_count()][1]
             constant += weight * intercept
             gain = weight * slope
             while gain and mask:  # each approved candidate, lowest bit first
@@ -355,6 +372,7 @@ def _kernel(rule: Rule, m: int, terms: Sequence[tuple[int, int]], masks) -> tupl
                 gains[low.bit_length() - 1] += gain
                 mask ^= low
         return table.scale, [constant + gain for gain in map(sum, combinations(gains, rule.k))]
+    entries = [(mask, weight, table[mask.bit_count()]) for mask, weight in terms]
     least = SLICED_MIN_BALLOTS * rule.k
     if len(entries) > least:  # the rows of steps are counted only where they can matter
         step_rows = {tuple(map(sub, row[1:], row[:-1])) for row in {row for _, _, (row, _) in entries}}

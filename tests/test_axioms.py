@@ -46,7 +46,7 @@ from abcvote.rules import (
 )
 
 from conftest import oracle_survives_every_reduction, raw_profiles
-from test_kernel import bswav_specs, tables, thiele_specs
+from test_kernel import affine_tables, bswav_specs, tables, thiele_specs
 
 
 def fs(*xs):
@@ -564,7 +564,8 @@ def _by_form_outcome(check, rule, *args):
 def scoring_rules(draw, m, k):
     """A library rule, a random `thiele:` or `bswav:` spec, or a random scoring table."""
     named = st.sampled_from(NAMED_RULES).map(lambda name: named_rule(name, k, m))
-    return draw(st.one_of(named, thiele_specs(m, k), bswav_specs(m, k), small_tables(m, k), tables(m, k)))
+    specs = (thiele_specs(m, k), bswav_specs(m, k))
+    return draw(st.one_of(named, *specs, small_tables(m, k), affine_tables(m, k), tables(m, k)))
 
 
 def _profiles(m, min_size, max_size):
@@ -583,10 +584,28 @@ def by_form_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(by_form_instances())
+# unapproved candidates, in winners and out of them
+@example((named_rule("av", 2, 5), Profile.from_ballots(5, [fs(0)]), Profile.from_ballots(5, [fs(4)])))
+@example((named_rule("pav", 3, 5), Profile.from_ballots(5, [fs(0, 1), fs(0, 1)]), Profile.from_ballots(5, [fs(2)])))
+@example((rules.parse_rule_spec("bswav:0,1,1/3,1/4", 2, 4), Profile.from_ballots(4, [fs(1), fs(1, 2)]),
+          Profile.from_ballots(4, [fs(0)])))
+# tie-heavy: full ballots, and ties across ballot sizes
+@example((named_rule("triv", 2, 5), Profile.from_ballots(5, [fs(0, 1, 2, 3, 4)] * 3), Profile.from_ballots(5, [fs(0)])))
+@example((named_rule("sav", 2, 4), Profile.from_ballots(4, [fs(0, 1, 2, 3), fs(0, 1), fs(2, 3)]),
+          Profile.from_ballots(4, [fs(0, 1, 2, 3)])))
+@example((named_rule("msav", 3, 5), Profile.from_ballots(5, [fs(0, 1, 2, 3, 4)] * 2 + [fs(0), fs(1, 2)]),
+          Profile.from_ballots(5, [fs(3, 4)])))
+# not affine: pav and ccav walk convexity and fail it
+@example((named_rule("pav", 2, 4), Profile.from_ballots(4, [fs(0, 1), fs(2, 3), fs(0, 1, 2, 3)]),
+          Profile.from_ballots(4, [fs(0)])))
+@example((named_rule("ccav", 2, 4), Profile.from_ballots(4, [fs(0, 1), fs(2, 3)]), Profile.from_ballots(4, [fs(0)])))
 def test_by_form_axioms_match_the_walk(instance):
     """A `Rule` passes anonymity, neutrality and consistency without a kernel
-    call; the same rule as a bare choice function walks every permutation,
-    pair and split.  Verdict and count must agree."""
+    call, weak efficiency by its form, and convexity by its form where its
+    rows are affine on the profile's ballot sizes; the same rule as a bare
+    choice function walks every permutation, pair, split, swap and pair of
+    winners.  Verdict and count must agree, and so must the witness of a
+    `Rule` that is not affine there and walks convexity too."""
     rule, profile, other = instance
     walk = as_choice_fn(rule)
     for check, args in (
@@ -595,10 +614,15 @@ def test_by_form_axioms_match_the_walk(instance):
         (check_consistency_pair, (profile, other)),
         (check_consistency_pair, (other, profile)),
         (check_consistency_splits, (profile,)),
+        (check_weak_efficiency, (profile,)),
     ):
         outcome = _by_form_outcome(check, rule, *args)
         assert outcome == _by_form_outcome(check, walk, *args)
         assert outcome[0] is True
+    decided, walked = check_choice_set_convexity(rule, profile), check_choice_set_convexity(walk, profile)
+    assert (decided.passed, decided.checked, decided.witness) == (walked.passed, walked.checked, walked.witness)
+    if rules.additive(rule, profile.m, profile.terms):
+        assert decided.passed
 
 
 def test_by_form_axioms_call_no_kernel(monkeypatch):
@@ -642,6 +666,44 @@ def test_thiele_iol_calls_no_least_margins(monkeypatch):
         calls.clear()
 
 
+def test_by_form_convexity_walks_no_pair_of_an_additive_rule(monkeypatch):
+    """Convexity of a `Rule` whose rows are affine on the profile's ballot sizes is
+    counted in closed form, with no call to `committees_between`; pav and ccav at
+    k = 2 are not affine there and walk, to the walk's witness."""
+    calls = []
+    between = axioms.committees_between
+    monkeypatch.setattr(axioms, "committees_between", lambda *args: calls.append(args) or between(*args))
+    # repeated ballots, ties between every candidate, and a full ballot
+    profile = Profile.from_ballots(4, [fs(0, 1), fs(2, 3)] * 2 + [fs(0, 1, 2, 3)])
+    additive = [named_rule(name, 2, 4) for name in ("av", "sav", "msav", "triv")]
+    additive += [rules.parse_rule_spec("bswav:1,1/2,1/2,1/4", 2, 4), named_rule("pav", 1, 4), named_rule("ccav", 1, 4)]
+    for rule in additive:
+        assert len(winners(rule, profile)) > 1
+        verdict = check_choice_set_convexity(rule, profile)
+        assert calls == []
+        walked = check_choice_set_convexity(as_choice_fn(rule), profile)
+        assert (verdict.passed, verdict.checked) == (True, walked.checked)
+        calls.clear()
+    for name in ("pav", "ccav"):
+        rule = named_rule(name, 2, 4)
+        verdict = check_choice_set_convexity(rule, profile)
+        assert calls
+        walked = check_choice_set_convexity(as_choice_fn(rule), profile)
+        assert (verdict.passed, verdict.checked, verdict.witness) == (False, walked.checked, walked.witness)
+        assert (verdict.witness["committee_a"], verdict.witness["committee_b"], verdict.witness["between"]) == (
+            (0, 2), (1, 3), (0, 1))
+        calls.clear()
+
+
+def test_additive_count_refuses_winners_off_its_form():
+    """The closed form reads a core and a tie set off the winners, and refuses
+    winners that are not all the r-subsets of that tie set: here pav's on
+    `0 1` and `2 3`, which miss (0, 1) and (2, 3)."""
+    assert axioms._additive_convexity_count(fs((0, 1), (0, 2), (1, 2)), 2) == 6  # 3 pairs, 2 between each
+    with pytest.raises(RuntimeError, match=r"^4 winners of an additive score, not the C\(4, 2\)"):
+        axioms._additive_convexity_count(fs((0, 2), (0, 3), (1, 2), (1, 3)), 2)
+
+
 @st.composite
 def thiele_iol_instances(draw):
     """A library Thiele rule, a `thiele:` spec or one of steps 0 and 1 (zero steps and
@@ -680,6 +742,8 @@ BSWAV_M3 = rules.parse_rule_spec("bswav:1,1/2,1/3", 1, 3)
         (check_neutrality, BSWAV_M3, (Profile.from_ballots(4, [fs(0)]),)),
         (check_consistency_pair, BSWAV_M3, (Profile.from_ballots(4, [fs(0)]), Profile.from_ballots(4, [fs(1)]))),
         (check_consistency_splits, BSWAV_M3, (Profile.from_ballots(4, [fs(0), fs(1)]),)),
+        (check_weak_efficiency, BSWAV_M3, (Profile.from_ballots(4, [fs(0)]),)),
+        (check_choice_set_convexity, BSWAV_M3, (Profile.from_ballots(4, [fs(0)]),)),
         # a pair whose profiles differ in m
         (check_consistency_pair, named_rule("av", 1, 3),
          (Profile.from_ballots(3, [fs(0)]), Profile.from_ballots(4, [fs(1)]))),
@@ -688,6 +752,8 @@ BSWAV_M3 = rules.parse_rule_spec("bswav:1,1/2,1/3", 1, 3)
         (check_neutrality, named_rule("av", 1, HUGE_M), (Profile.from_ballots(HUGE_M, [fs(0, 1), fs(2)]),)),
         (check_consistency_pair, named_rule("av", 1, HUGE_M),
          (Profile.from_ballots(HUGE_M, [fs(0, 1)]), Profile.from_ballots(HUGE_M, [fs(2)]))),
+        (check_weak_efficiency, named_rule("av", 1, HUGE_M), (Profile.from_ballots(HUGE_M, [fs(0, 1), fs(2)]),)),
+        (check_choice_set_convexity, named_rule("av", 1, HUGE_M), (Profile.from_ballots(HUGE_M, [fs(0, 1), fs(2)]),)),
         # the permutation walks' caps
         (check_anonymity, named_rule("pav", 2, 3), (Profile.from_ballots(3, [fs(0)] * 9),)),
         (check_neutrality, named_rule("sav", 2, 9), (Profile.from_ballots(9, [fs(0, 1), fs(8)]),)),

@@ -76,6 +76,32 @@ class TestNamedRules:
         with pytest.raises(ValueError):
             named_rule("phragmen", 2, 4)
 
+    def test_one_rule_per_name_k_and_m(self):
+        assert named_rule("PAV", 2, 4) is named_rule("pav", 2, 4)
+        assert parse_rule_spec("sav", 2, 5) is named_rule("sav", 2, 5)
+        assert named_rule("sav", 2, 5) is not named_rule("sav", 2, 6)
+        assert named_rule("sav", 2, 5) is not named_rule("sav", 3, 5)
+        # inline specs are built on each call
+        assert parse_rule_spec("thiele:0,1,2", 2, 4) is not parse_rule_spec("thiele:0,1,2", 2, 4)
+
+    def test_a_refused_committee_size_is_refused_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^committee size k=4 must satisfy 1 <= k <= m-1=3$"):
+                named_rule("pav", 4, 4)
+
+    def test_a_second_separation_suite_builds_no_library_rule(self, monkeypatch):
+        from abcvote.search import separation_suite
+
+        first = separation_suite().render()
+        built = []
+        for builder in ("thiele_rule", "bswav_rule"):
+            original = getattr(rules, builder)
+            monkeypatch.setattr(rules, builder, lambda *args, _built=original: built.append(args) or _built(*args))
+        assert separation_suite().render() == first
+        assert built == []
+        parse_rule_spec("thiele:0,1,2", 2, 4)  # an inline spec is built on each call, and counted
+        assert len(built) == 1
+
 
 class TestScoringValidation:
     def test_thiele_must_start_at_zero(self):
