@@ -28,15 +28,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt, sub
+from operator import le, lt, sub
 
 from .profiles import (
     ChoiceSet,
     Profile,
     ProfileFormatError,
     _members,
+    _read_ballots,
+    ballot_mask,
     check_committee_size,
-    parse_profile,
     format_committee,
     format_profile,
 )
@@ -60,9 +61,9 @@ def _check_choice(m: int, chosen: ChoiceSet, k: int) -> None:
     for committee in chosen:
         if len(committee) != k:
             raise ValueError("observed committees must all have size k")
-        if any(b <= a for a, b in zip(committee, committee[1:])):
+        if any(map(le, committee[1:], committee)):
             raise ValueError("observed committees must be strictly increasing index lists")
-        if any(not 0 <= c < m for c in committee):
+        if not (0 <= committee[0] and committee[-1] < m):  # its ends bound a strictly increasing committee
             raise ValueError("committee members out of range")
 
 
@@ -501,37 +502,39 @@ _CHOSEN_RE = re.compile(rf"{_COMMITTEE}(?:,{_COMMITTEE})*")
 def parse_observations(text: str, k: int) -> list[Observation]:
     """Observations in file order; every error names its line in `text`.
 
-    Each block's profile is parsed with k, so k and the committee limit are
-    tested on its `m=` line before any ballot line becomes a mask."""
+    The file's lines are stripped once and walked, and each `chosen:` line
+    closes a block whose rows are read straight to terms: k and the committee
+    limit are tested on the block's `m=` line, then each distinct ballot line
+    is checked and coded to its mask, once per file and m."""
+    rows = list(map(str.strip, text.split("\n")))
     observations = []
-    block: list[str] = []
-    lines: dict[int, dict[str, int]] = {}  # ballot lines checked and coded once per file
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip().startswith("chosen:"):
-            block.append(line)
+    lines: dict[int, dict[str, int]] = {}  # per m, the ballot lines coded so far
+    start = 0  # the index of the open block's first row
+    for end, row in enumerate(rows):
+        if not row.startswith("chosen:"):
             continue
-        source = "\n".join(block)
+        line_no = end + 1
         try:
-            profile = parse_profile(source, lines, k)
+            m, _, _, totals = _read_ballots(rows[start:end], ballot_mask, k, lines)
         except ProfileFormatError as err:  # renumber from the block's first line
-            raise ProfileFormatError(line_no - len(block) + err.line_no - 1, err.message) from None
+            raise ProfileFormatError(start + err.line_no, err.message) from None
         except ValueError as err:  # k or the committee limit, at this chosen line
             raise ProfileFormatError(line_no, str(err)) from None
-        listed = line.split(":", 1)[1].strip()
+        listed = row[len("chosen:"):].strip()
         if not _CHOSEN_RE.fullmatch(listed):
-            raise ProfileFormatError(line_no, f"invalid chosen line {line.strip()!r}")
+            raise ProfileFormatError(line_no, f"invalid chosen line {row!r}")
         chosen = frozenset(tuple(map(int, item.split(","))) for item in listed[1:-1].split("},{"))
         try:
-            obs = Observation.from_profile(profile, chosen, k)
+            obs = Observation(m, tuple(sorted(totals.items())), chosen, k)
         except ValueError as err:
             raise ProfileFormatError(line_no, str(err)) from None
-        if observations and obs.m != observations[0].m:
+        if observations and m != observations[0].m:
             first_m = observations[0].m
-            raise ProfileFormatError(line_no, f"observations must share m and k: m={obs.m} here, m={first_m} before")
+            raise ProfileFormatError(line_no, f"observations must share m and k: m={m} here, m={first_m} before")
         observations.append(obs)
-        block = []
-    for stray, line in enumerate(block, start=line_no - len(block) + 1):
-        if line.strip() and not line.strip().startswith("#"):
+        start = end + 1
+    for stray, row in enumerate(rows[start:], start=start + 1):
+        if row and not row.startswith("#"):
             raise ProfileFormatError(stray, "trailing profile block without a 'chosen:' line")
     return observations
 

@@ -347,15 +347,15 @@ def _indices(line: str, m: int) -> list[int]:
     return indices
 
 
-def _read_ballots(text: str, code, lines: dict | None = None, k: int | None = None):
-    """(m, ballot lines in file order, line -> code(its indices), code -> count).
+def _read_ballots(rows: list[str], code, k: int | None = None, lines: dict | None = None):
+    """(m, ballot lines in file order, line -> code(its indices), code -> count)
+    of profile text's rows, each already stripped.
 
-    The lines are stripped and counted, and each distinct line is checked and
-    coded once, in file order, so the first bad line is reported where it
-    first occurs.  `lines` maps each m to the lines coded so far, since
-    whether a line is valid depends on m.  A given k passes the size check and
-    then the committee limit on the `m=` line, before any line is coded."""
-    rows = list(map(str.strip, text.split("\n")))
+    Each distinct ballot line is counted, then checked and coded once, in file
+    order, so the first bad line is reported where it first occurs, as row
+    index + 1.  `lines` maps each m to the lines coded so far, since whether a
+    line is valid depends on m.  A given k passes the size check and then the
+    committee limit on the `m=` line, before any line is coded."""
     start, m = _header(rows)
     if k is not None:
         check_committee_size(m, k)
@@ -376,16 +376,14 @@ def _read_ballots(text: str, code, lines: dict | None = None, k: int | None = No
     return m, body, coded, totals
 
 
-def parse_profile(text: str, lines: dict[int, dict[str, int]] | None = None, k: int | None = None) -> Profile:
+def parse_profile(text: str, k: int | None = None) -> Profile:
     """The profile in `text`.  Each distinct ballot line is checked and coded to
-    its mask once, and the kernel's terms come from the line counts; pass the
-    same `lines` to every block of one file to share those checks among them:
-    it maps each candidate count to its stripped ballot lines and their masks.
+    its mask once, and the kernel's terms come from the line counts.
 
     With a committee size `k`, a k outside 1..m-1 and then C(m, k) over the
     committee limit are refused, as plain ValueErrors, before any ballot line
     becomes a mask, which for candidate 19999999999 alone would take 2.5 GB."""
-    m, body, coded, totals = _read_ballots(text, ballot_mask, lines, k)
+    m, body, coded, totals = _read_ballots(list(map(str.strip, text.split("\n"))), ballot_mask, k)
     return Profile(m, tuple(map(coded.__getitem__, body)), _terms=tuple(totals.items()))
 
 
@@ -393,7 +391,7 @@ def parse_ballot_counts(text: str) -> tuple[int, dict[Ballot, int]]:
     """m and the count of each distinct ballot of profile text, as candidate sets,
     with no mask built: a mask is as wide as its largest candidate, so candidate
     19999999999 alone would take 2.5 GB.  Errors as in :func:`parse_profile`."""
-    m, _, _, totals = _read_ballots(text, frozenset)
+    m, _, _, totals = _read_ballots(list(map(str.strip, text.split("\n"))), frozenset)
     return m, totals
 
 

@@ -14,13 +14,16 @@ constraint system one by one and back-substitutes midpoints, without linear
 programming, and the observation-row oracles build a fit's constraint rows
 from a profile's decoded ballots, one voter at a time, without bitmasks: the
 tie rows a fit states, and the full rows (every chosen committee against
-every other) that they imply.
+every other) that they imply.  Last come the `hypothesis` strategies that
+draw text for the input parsers.
 """
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from abcvote.profiles import Profile
 
@@ -255,3 +258,48 @@ def oracle_fm_solve(system):
         elif upper is not None:
             values[var] = upper - 1
     return tuple(values)
+
+
+# Text strategies for the input parsers: mostly well-formed files with some damage.
+
+JUNK = st.text(alphabet="m=0123456789 \n#+-_,/{}:x١ ", max_size=30)
+
+ballot_lines = st.lists(
+    st.one_of(
+        st.lists(st.integers(-1, 4), max_size=4).map(lambda xs: " ".join(map(str, xs))),
+        JUNK,
+    ),
+    min_size=0,
+    max_size=3,
+)
+
+
+@st.composite
+def profile_texts(draw):
+    """Mostly well-formed profiles over 2-4 candidates, with some damage."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JUNK)
+    m = draw(st.sampled_from(["2", "3", "4", "4", "1", "x"]))
+    lines = [f"m={m}", *draw(ballot_lines)]
+    if draw(st.booleans()):
+        lines.insert(0, "# comment")
+    return "\n".join(lines) + "\n"
+
+
+committee_texts = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
+    lambda xs: "{" + ",".join(map(str, xs)) + "}"
+)
+
+
+@st.composite
+def observation_texts(draw):
+    """Up to three blocks of profile text, each closed by a `chosen:` line with
+    some damage, and sometimes a trailing block with none."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        chosen = draw(st.lists(committee_texts, max_size=3))
+        tail = draw(st.one_of(st.just(""), JUNK))
+        blocks.append(draw(profile_texts()) + "chosen: " + ",".join(chosen) + tail + "\n")
+    if draw(st.booleans()):
+        blocks.append(draw(profile_texts()))
+    return "".join(blocks)

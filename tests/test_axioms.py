@@ -182,7 +182,7 @@ class TestConsistency:
         }
         mock = table_rule(table, av)
         verdict = check_consistency_pair(mock, a, b)
-        assert not verdict.passed
+        assert (verdict.passed, verdict.checked) == (False, 1)
         assert replay(verdict, mock)
 
     def test_splits_pass_for_scoring_rules(self):
@@ -213,6 +213,13 @@ class TestConsistency:
         assert check_consistency_splits(named_rule("av", 1, 2), Profile.from_ballots(2, [fs(0)] * 20)).checked == 524287
         # ten voters are still walked
         assert check_consistency_splits(as_choice_fn(named_rule("av", 1, 2)), Profile.from_ballots(2, [fs(0)] * 10)).checked == 2**9 - 1
+
+    def test_one_voter_over_the_committee_limit_has_no_split(self):
+        # no split, so no committee is enumerated: C(HUGE_M, 1) is not refused
+        profile = Profile.from_ballots(HUGE_M, [fs(0, 1)])
+        for rule in (named_rule("av", 1, HUGE_M), as_choice_fn(named_rule("av", 1, HUGE_M))):
+            verdict = check_consistency_splits(rule, profile)
+            assert (verdict.passed, verdict.checked) == (True, 0)
 
     def test_split_mock_fails_with_witness(self):
         profile = Profile.from_ballots(2, [fs(0), fs(0, 1)])

@@ -15,48 +15,9 @@ from abcvote.identify import parse_observations
 from abcvote.profiles import ProfileFormatError, format_profile, parse_profile, profile_to_vector
 from abcvote.rules import parse_rule_spec
 
+from conftest import JUNK, observation_texts, profile_texts
+
 FUZZ = settings(max_examples=120, deadline=None)
-
-JUNK = st.text(alphabet="m=0123456789 \n#+-_,/{}:x١ ", max_size=30)
-
-ballot_lines = st.lists(
-    st.one_of(
-        st.lists(st.integers(-1, 4), max_size=4).map(lambda xs: " ".join(map(str, xs))),
-        JUNK,
-    ),
-    min_size=0,
-    max_size=3,
-)
-
-
-@st.composite
-def profile_texts(draw):
-    """Mostly well-formed profiles over 2-4 candidates, with some damage."""
-    if draw(st.integers(0, 9)) == 0:
-        return draw(JUNK)
-    m = draw(st.sampled_from(["2", "3", "4", "4", "1", "x"]))
-    lines = [f"m={m}", *draw(ballot_lines)]
-    if draw(st.booleans()):
-        lines.insert(0, "# comment")
-    return "\n".join(lines) + "\n"
-
-
-committee_texts = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
-    lambda xs: "{" + ",".join(map(str, xs)) + "}"
-)
-
-
-@st.composite
-def observation_texts(draw):
-    blocks = []
-    for _ in range(draw(st.integers(0, 3))):
-        chosen = draw(st.lists(committee_texts, max_size=3))
-        tail = draw(st.one_of(st.just(""), JUNK))
-        blocks.append(draw(profile_texts()) + "chosen: " + ",".join(chosen) + tail + "\n")
-    if draw(st.booleans()):
-        blocks.append(draw(profile_texts()))
-    return "".join(blocks)
-
 
 rationals = st.one_of(
     st.integers(-2, 4).map(str),

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcvote import identify
+from abcvote import profiles as profiles_module
 from abcvote.identify import (
     ConstraintSystem,
     FeasibilityResult,
@@ -24,11 +25,11 @@ from abcvote.identify import (
     solve_feasibility,
     verify_certificate,
 )
-from abcvote.profiles import Profile, all_ballots, scale_profile
+from abcvote.profiles import Profile, ProfileFormatError, all_ballots, parse_profile, scale_profile
 from abcvote.rules import BswavWeights, Rule, ThieleScore, named_rule, winners
 from abcvote.search import enumerate_profiles
 
-from conftest import oracle_fm_solve, oracle_full_observation_rows, oracle_tie_observation_rows
+from conftest import observation_texts, oracle_fm_solve, oracle_full_observation_rows, oracle_tie_observation_rows
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -131,6 +132,24 @@ class TestObservation:
     def test_malformed_terms_rejected(self, terms):
         with pytest.raises(ValueError):
             Observation(3, terms, fs((0,)), 1)
+
+    @pytest.mark.parametrize(
+        "chosen, k, message",
+        [
+            (fs((0, 1)), 3, "committee size k=3 must satisfy 1 <= k <= m-1=2"),
+            (fs(), 2, "observed choice set must be non-empty"),
+            (fs((0,)), 2, "observed committees must all have size k"),
+            (fs((1, 0)), 2, "observed committees must be strictly increasing index lists"),
+            (fs((1, 1)), 2, "observed committees must be strictly increasing index lists"),
+            (fs((-1, 2)), 2, "committee members out of range"),
+            (fs((0, 3)), 2, "committee members out of range"),
+            (fs((0, 1, 2)), 2, "observed committees must all have size k"),
+        ],
+    )
+    def test_malformed_choice_rejected(self, chosen, k, message):
+        with pytest.raises(ValueError) as err:
+            Observation(3, ((0b011, 1),), chosen, k)
+        assert str(err.value) == message
 
 
 @st.composite
@@ -576,6 +595,117 @@ class TestObservationsFormat:
         assert format_fit(sav) == "alpha: 1,5/8,5/16,1/4"
         bad = fit_bswav(observe(named_rule("pav", 2, 4), [Profile.from_ballots(4, [fs(0, 1), fs(2, 3)])], 2))
         assert format_fit(bad) == "infeasible"
+
+
+def block_by_block_observations(text, k):
+    """The observations of `text` read one block at a time: each block's lines
+    joined back into text, parsed as a profile, and made an observation of that
+    profile, errors renumbered from the block's first line."""
+    observations = []
+    block = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip().startswith("chosen:"):
+            block.append(line)
+            continue
+        try:
+            profile = parse_profile("\n".join(block), k=k)
+        except ProfileFormatError as err:
+            raise ProfileFormatError(line_no - len(block) + err.line_no - 1, err.message) from None
+        except ValueError as err:
+            raise ProfileFormatError(line_no, str(err)) from None
+        listed = line.split(":", 1)[1].strip()
+        if not identify._CHOSEN_RE.fullmatch(listed):
+            raise ProfileFormatError(line_no, f"invalid chosen line {line.strip()!r}")
+        chosen = frozenset(tuple(map(int, item.split(","))) for item in listed[1:-1].split("},{"))
+        try:
+            obs = Observation.from_profile(profile, chosen, k)
+        except ValueError as err:
+            raise ProfileFormatError(line_no, str(err)) from None
+        if observations and obs.m != observations[0].m:
+            first_m = observations[0].m
+            raise ProfileFormatError(line_no, f"observations must share m and k: m={obs.m} here, m={first_m} before")
+        observations.append(obs)
+        block = []
+    for stray, line in enumerate(block, start=line_no - len(block) + 1):
+        if line.strip() and not line.strip().startswith("#"):
+            raise ProfileFormatError(stray, "trailing profile block without a 'chosen:' line")
+    return observations
+
+
+def parsed(parse, text, k):
+    """The observations, or the error's type, line number and message."""
+    try:
+        return parse(text, k)
+    except ValueError as err:
+        return type(err), getattr(err, "line_no", None), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(observation_texts(), st.integers(1, 3), st.booleans())
+def test_one_pass_parse_matches_block_by_block(text, k, crlf):
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    assert parsed(parse_observations, text, k) == parsed(block_by_block_observations, text, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(observed_profiles(max_m=8), st.data())
+def test_one_pass_parse_reads_decorated_files(pairs, data):
+    """Comments, blank lines, padding and CRLF endings anywhere in a formatted
+    file change no observation."""
+    observations = [obs for _, obs in pairs]
+    lines = format_observations(observations).split("\n")
+    for _ in range(data.draw(st.integers(0, 6))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", "  ", "# note", "# chosen: {0}"])))
+    pad = data.draw(st.sampled_from(["", " ", "\t"]))
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(pad + line + pad for line in lines)
+    assert parse_observations(text, observations[0].k) == block_by_block_observations(text, observations[0].k)
+    assert parse_observations(text, observations[0].k) == observations
+
+
+@pytest.mark.parametrize(
+    "text, k, expected",
+    [
+        ("# a\n\nm=3\n0 1\n2\nchosen: {0,1}\n\n# b\n\nm=3\n2\n2\n  chosen: {0,2},{1,2}\n#end\n", 2,
+         [Observation(3, ((0b011, 1), (0b100, 1)), fs((0, 1)), 2),
+          Observation(3, ((0b100, 2),), fs((0, 2), (1, 2)), 2)]),
+        ("m=3\r\n0 1\r\n\r\n# c\r\n2\r\nchosen: {0,1}\r\n\r\nm=3\r\n0 1\r\nchosen: {0,1}\r\n", 2,
+         [Observation(3, ((0b011, 1), (0b100, 1)), fs((0, 1)), 2), Observation(3, ((0b011, 1),), fs((0, 1)), 2)]),
+        ("m=3\n0 1\nchosen: {0,1}\nchosen: {0,1}\n", 2, (4, "missing 'm=<int>' line")),
+        ("m=3\n0 1\nchosen: {0,1}\n# c\nm=3\n\nchosen: {0,1}\n", 2, (4, "profile contains no ballots")),
+        ("m=3\n0 1\nchosen: {0,1}\n\n# c\nm=3\n0 1\n", 2,
+         (6, "trailing profile block without a 'chosen:' line")),
+        ("m=3\n0 1\nchosen: {0,1} {1,2}\n", 2, (3, "invalid chosen line 'chosen: {0,1} {1,2}'")),
+        ("m=3\n0 1\nchosen: {1,0}\n", 2, (3, "observed committees must be strictly increasing index lists")),
+        ("m=3\n0 1\nchosen: {0,3}\n", 2, (3, "committee members out of range")),
+        ("m=3\n0 1\nchosen: {0,1},{2}\n", 2, (3, "observed committees must all have size k")),
+        ("m=3\n0 1\nchosen: {0,1}\nm=4\n0 1\nchosen: {0,1}\n", 2,
+         (6, "observations must share m and k: m=4 here, m=3 before")),
+        ("# big\nm=24\n0 1\n0 99\nchosen: {0,1}\n", 12, (5, "C(24,12) committees exceed the enumeration limit 200000")),
+        ("m=3\n0 1\nchosen: {0,1}\n\nm=3\n0 1\n0 3\n0 3\nchosen: {0,1}\n", 2, (7, "ballot indices must lie in 0..2")),
+    ],
+    ids=["comments-and-blanks", "crlf", "empty-block", "no-ballots", "stray-block", "bad-chosen", "not-increasing",
+         "out-of-range", "wrong-size", "m-changes", "committee-limit", "bad-ballot"],
+)
+def test_one_pass_parse_pinned(text, k, expected):
+    got = parsed(parse_observations, text, k)
+    assert got == parsed(block_by_block_observations, text, k)
+    if isinstance(expected, tuple):
+        line_no, message = expected
+        expected = (ProfileFormatError, line_no, f"line {line_no}: {message}")
+    assert got == expected
+
+
+def test_each_distinct_ballot_line_is_coded_once_per_file(monkeypatch):
+    calls = []
+    indices = profiles_module._indices
+    monkeypatch.setattr(profiles_module, "_indices", lambda line, m: calls.append(line) or indices(line, m))
+    text = "m=4\n0 1\n2\n0 1\nchosen: {0,1}\nm=4\n2\n 0 1 \n1 3\nchosen: {0,1},{0,2}\n"
+    observations = parse_observations(text, 2)
+    assert calls == ["0 1", "2", "1 3"]
+    assert [obs.terms for obs in observations] == [((0b0011, 2), (0b0100, 1)), ((0b0011, 1), (0b0100, 1), (0b1010, 1))]
+    assert observations == block_by_block_observations(text, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -390,11 +390,16 @@ class TestTextFormat:
             parse_profile(text, k=k)
         assert (type(err.value), str(err.value)) == (error, message)
 
-    def test_k_within_the_limit_parses_as_without(self):
+    def test_k_within_the_limit_parses_as_without(self, monkeypatch):
+        # each distinct ballot line is coded once per profile
+        calls = []
+        indices = profiles_module._indices
+        monkeypatch.setattr(profiles_module, "_indices", lambda line, m: calls.append(line) or indices(line, m))
         text = "m=4\n0 1\n2\n0 1\n"
-        lines = {}
-        assert parse_profile(text, lines, 3) == parse_profile(text, k=1) == parse_profile(text)
-        assert lines == {4: {"0 1": 0b11, "2": 0b100}}
+        profile = parse_profile(text)
+        assert parse_profile(text, k=3) == parse_profile(text, k=1) == profile
+        assert (profile.masks, profile.terms) == ((0b11, 0b100, 0b11), ((0b11, 2), (0b100, 1)))
+        assert calls == ["0 1", "2"] * 3
 
     def test_missing_header_rejected(self):
         with pytest.raises(ProfileFormatError):
